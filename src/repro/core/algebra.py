@@ -53,33 +53,49 @@ from repro.testing.faults import fault_point
 from repro import observe
 
 
+_ATTR_INDEX: dict[int, tuple[Type, dict[str, int]]] = {}
+_ATTR_INDEX_LIMIT = 4096
+
+
+def _attr_index(schema: Type) -> dict[str, int]:
+    """The attribute-name -> position map of a tuple schema, computed once
+    per schema object.
+
+    All tuples of a relation or stream share one schema object, so the
+    cache is keyed by its identity (hashing a type is a deep structural
+    walk that costs more than building the map); an entry keeps its schema
+    alive, so an ``id`` is never reused while cached.  A server that keeps
+    typechecking new result schemas would grow the cache without bound, so
+    it is emptied when it reaches ``_ATTR_INDEX_LIMIT`` schemas.
+    """
+    entry = _ATTR_INDEX.get(id(schema))
+    if entry is None:
+        if len(_ATTR_INDEX) >= _ATTR_INDEX_LIMIT:
+            _ATTR_INDEX.clear()
+        index = {name: i for i, (name, _) in enumerate(attrs_of(schema))}
+        entry = _ATTR_INDEX[id(schema)] = (schema, index)
+    return entry[1]
+
+
 class TupleValue:
     """A tuple value: a schema (its tuple type) plus the component values."""
 
-    __slots__ = ("schema", "values", "_index")
+    __slots__ = ("schema", "values")
 
     def __init__(self, schema: Type, values: tuple):
         self.schema = schema
         self.values = tuple(values)
-        self._index: Optional[dict[str, int]] = None
-
-    def _attr_index(self) -> dict[str, int]:
-        if self._index is None:
-            self._index = {
-                name: i for i, (name, _) in enumerate(attrs_of(self.schema))
-            }
-        return self._index
 
     def attr(self, name: str):
         """The value of attribute ``name``."""
         try:
-            return self.values[self._attr_index()[name]]
+            return self.values[_attr_index(self.schema)[name]]
         except KeyError:
             raise ExecutionError(f"tuple has no attribute {name}") from None
 
     def with_attr(self, name: str, value) -> "TupleValue":
         """A copy with attribute ``name`` replaced (the ``replace`` op)."""
-        index = self._attr_index()[name]
+        index = _attr_index(self.schema)[name]
         values = list(self.values)
         values[index] = value
         return TupleValue(self.schema, tuple(values))
@@ -173,29 +189,50 @@ class Stream:
         return f"Stream[{format_type(self.tuple_type)}]"
 
 
+Compiled = Callable[[dict], object]
+"""A compiled term: maps an environment to the term's value."""
+
+
 class Closure:
-    """A function value: a lambda abstraction closed over an environment."""
+    """A function value: a lambda abstraction closed over an environment.
 
-    __slots__ = ("fun", "env", "evaluator")
+    The body is compiled once (:meth:`Evaluator.compile`), when the closure
+    is built; a call only binds the parameters and runs the compiled body.
+    ``body`` is the already-compiled body when the evaluator builds the
+    closure from a ``Fun`` node it has compiled.
+    """
 
-    def __init__(self, fun: Fun, env: dict, evaluator: "Evaluator"):
+    __slots__ = ("fun", "env", "evaluator", "_names", "_body")
+
+    def __init__(
+        self,
+        fun: Fun,
+        env: dict,
+        evaluator: "Evaluator",
+        body: Optional[Compiled] = None,
+    ):
         self.fun = fun
         self.env = env
         self.evaluator = evaluator
+        self._names = tuple(name for name, _ in fun.params)
+        self._body = body if body is not None else evaluator.compile(fun.body)
 
     @property
     def param_types(self) -> tuple[Optional[Type], ...]:
         return tuple(ptype for _, ptype in self.fun.params)
 
     def __call__(self, *args):
-        if len(args) != len(self.fun.params):
+        names = self._names
+        if len(args) != len(names):
             raise ExecutionError(
-                f"function expects {len(self.fun.params)} argument(s), got {len(args)}"
+                f"function expects {len(names)} argument(s), got {len(args)}"
             )
-        env = dict(self.env)
-        for (name, _), value in zip(self.fun.params, args):
-            env[name] = value
-        return self.evaluator.eval(self.fun.body, env)
+        env = self.env.copy()
+        i = 0
+        for value in args:  # measurably cheaper than update(zip(...))
+            env[names[i]] = value
+            i += 1
+        return self._body(env)
 
     def __repr__(self) -> str:
         from repro.core.terms import format_term
@@ -297,13 +334,45 @@ DEADLINE_CHECK_STEPS = 64
 """Evaluation steps between deadline clock reads (a power of two)."""
 
 
+def _not_applicable(op: str, values, exc: TypeError) -> ExecutionError:
+    """Polymorphic constants (``bottom``/``top`` unify with any ordered
+    domain) can deliver a value a Python impl cannot operate on; surface
+    that as a clean statement error instead of a raw TypeError escaping the
+    evaluator."""
+    return ExecutionError(
+        f"operator {op} cannot be applied to "
+        f"{', '.join(repr(v) for v in values) or 'no arguments'}: {exc}"
+    )
+
+
+def _count_out(op: str, result):
+    """Operator-level tuple accounting (collection is on): the stream an
+    operator returns is wrapped so every tuple it produces is counted under
+    the operator's name."""
+    if isinstance(result, Stream):
+        sink = observe.active()
+        if sink is not None:
+            return Stream(result.tuple_type, sink.count_out(op, iter(result)))
+    return result
+
+
 class Evaluator:
     """Evaluates typechecked terms against an algebra.
+
+    A term is evaluated in two stages: :meth:`compile` translates it, once,
+    into nested Python closures, and running the result against an
+    environment gives the value.  What the term fixes — operator
+    implementation, :class:`OpContext`, eagerness, update legality — is
+    decided at compile time; what depends on the run (resource limits,
+    fault injection, operator tuple counts) is still checked at every node
+    visit, so a parameter function applied to a million tuples is compiled
+    once and guarded a million times.
 
     ``resolver`` maps object names (:class:`ObjRef`) to their current values
     — typically :meth:`repro.catalog.database.Database.value_of`.
 
-    ``limits`` (a :class:`ResourceLimits`) arms the resource guard; the
+    ``limits`` (a :class:`ResourceLimits`) arms the resource guard; it is
+    read at every node visit, so it may be swapped between statements.  The
     step/depth counters are reset per statement via :meth:`begin_statement`.
     """
 
@@ -327,118 +396,282 @@ class Evaluator:
     def eval(self, term: Term, env: Optional[dict] = None, allow_update: bool = False):
         """Evaluate a term.  ``allow_update`` permits an update function at
         the *root* only (the interpreter's update statement)."""
-        limits = self.limits
-        if limits is None:
-            return self._eval(term, env, allow_update)
-        self._steps += 1
-        if limits.max_steps is not None and self._steps > limits.max_steps:
+        return self.compile(term, allow_update)({} if env is None else env)
+
+    def compile(self, term: Term, allow_update: bool = False) -> Compiled:
+        """Translate ``term`` into a function from an environment to its
+        value.  Never raises: a node that cannot be evaluated compiles to a
+        function that raises when (and only if) evaluation reaches it."""
+        if type(term) is Apply:  # the one node ``allow_update`` concerns
+            return self._compile_apply(term, allow_update)
+        build = self._COMPILERS.get(type(term), Evaluator._compile_unknown)
+        return build(self, term)
+
+    def _visit(self, limits: ResourceLimits) -> None:
+        """Charge one evaluation step — one visit of one term node — to
+        ``limits``: check the step budget, the deadline, and that one more
+        level of nesting stays within the depth bound."""
+        steps = self._steps = self._steps + 1
+        if limits.max_steps is not None and steps > limits.max_steps:
             raise ResourceLimitError(
                 f"evaluation exceeded the step budget of {limits.max_steps}"
             )
         if (
             limits.deadline is not None
-            and self._steps % DEADLINE_CHECK_STEPS == 1
+            and steps % DEADLINE_CHECK_STEPS == 1
             and _monotonic() > limits.deadline
         ):
             raise StatementTimeoutError(
                 "statement cancelled: evaluation ran past its deadline"
             )
-        self._depth += 1
-        try:
-            if limits.max_depth is not None and self._depth > limits.max_depth:
-                raise ResourceLimitError(
-                    f"evaluation exceeded the recursion-depth limit of "
-                    f"{limits.max_depth}"
-                )
-            return self._eval(term, env, allow_update)
-        finally:
-            self._depth -= 1
+        if limits.max_depth is not None and self._depth >= limits.max_depth:
+            raise ResourceLimitError(
+                f"evaluation exceeded the recursion-depth limit of "
+                f"{limits.max_depth}"
+            )
 
-    def _eval(self, term: Term, env: Optional[dict], allow_update: bool):
-        if env is None:
-            env = {}
-        if isinstance(term, Literal):
-            return term.value
-        if isinstance(term, Var):
-            if term.name in env:
-                return env[term.name]
+    # Every compiled node starts with the same guard: read ``self.limits``
+    # and, when armed, ``_visit``.  Nodes with sub-terms also hold
+    # ``_depth`` one higher while they run.
+
+    def _compile_literal(self, term: Literal) -> Compiled:
+        ev, value = self, term.value
+
+        def run(env):
+            limits = ev.limits
+            if limits is not None:
+                ev._visit(limits)
+            return value
+
+        return run
+
+    def _compile_var(self, term: Var) -> Compiled:
+        ev, name = self, term.name
+
+        def run(env):
+            limits = ev.limits
+            if limits is not None:
+                ev._visit(limits)
+            try:
+                return env[name]
+            except KeyError:
+                pass
             # Bare identifiers that survived typechecking as object
             # references are resolved like ObjRef.
-            if self.resolver is not None:
-                value = self.resolver(term.name)
-                if value is None:
-                    raise ExecutionError(
-                        f"object {term.name} is undefined or unknown"
-                    )
-                return value
-            raise ExecutionError(f"unbound variable: {term.name}")
-        if isinstance(term, ObjRef):
-            if self.resolver is None:
-                raise ExecutionError(
-                    f"no object resolver; cannot evaluate object {term.name}"
-                )
-            return self.resolver(term.name)
-        if isinstance(term, Fun):
-            return Closure(term, dict(env), self)
-        if isinstance(term, ListTerm):
-            return [self.eval(item, env) for item in term.items]
-        if isinstance(term, TupleTerm):
-            return tuple(self.eval(item, env) for item in term.items)
-        if isinstance(term, OpRef):
-            return self._op_value(term)
-        if isinstance(term, Apply):
-            return self._apply(term, env, allow_update)
-        if isinstance(term, Call):
-            fn = self.eval(term.fn, env)
-            if not callable(fn):
-                raise ExecutionError(f"value {fn!r} is not callable")
-            return fn(*(self.eval(a, env) for a in term.args))
-        raise ExecutionError(f"cannot evaluate: {term!r}")
+            if ev.resolver is None:
+                raise ExecutionError(f"unbound variable: {name}")
+            value = ev.resolver(name)
+            if value is None:
+                raise ExecutionError(f"object {name} is undefined or unknown")
+            return value
 
-    def _apply(self, term: Apply, env: dict, allow_update: bool):
-        resolved = term.resolved
+        return run
+
+    def _compile_objref(self, term: ObjRef) -> Compiled:
+        ev, name = self, term.name
+
+        def run(env):
+            limits = ev.limits
+            if limits is not None:
+                ev._visit(limits)
+            if ev.resolver is None:
+                raise ExecutionError(
+                    f"no object resolver; cannot evaluate object {name}"
+                )
+            return ev.resolver(name)
+
+        return run
+
+    def _compile_fun(self, term: Fun) -> Compiled:
+        ev, body = self, self.compile(term.body)
+
+        def run(env):
+            limits = ev.limits
+            if limits is not None:
+                ev._visit(limits)
+            return Closure(term, env.copy(), ev, body)
+
+        return run
+
+    def _compile_opref(self, term: OpRef) -> Compiled:
+        ev = self
+
+        def run(env):
+            limits = ev.limits
+            if limits is not None:
+                ev._visit(limits)
+            return ev._op_value(term)
+
+        return run
+
+    def _compile_error(self, error: type[Exception], message: str) -> Compiled:
+        """A node evaluation must not get past: raises when it is reached."""
+        ev = self
+
+        def run(env):
+            limits = ev.limits
+            if limits is not None:
+                ev._visit(limits)
+            raise error(message)
+
+        return run
+
+    def _compile_unknown(self, term) -> Compiled:
+        return self._compile_error(ExecutionError, f"cannot evaluate: {term!r}")
+
+    def _compile_items(self, term, build: Callable[[Iterable], object]) -> Compiled:
+        ev, items = self, [self.compile(item) for item in term.items]
+
+        def run(env):
+            limits = ev.limits
+            if limits is not None:
+                ev._visit(limits)
+                ev._depth += 1
+            try:
+                return build([item(env) for item in items])
+            finally:
+                if limits is not None:
+                    ev._depth -= 1
+
+        return run
+
+    def _compile_list(self, term: ListTerm) -> Compiled:
+        return self._compile_items(term, list)
+
+    def _compile_tuple(self, term: TupleTerm) -> Compiled:
+        return self._compile_items(term, tuple)
+
+    def _compile_call(self, term: Call) -> Compiled:
+        ev, callee = self, self.compile(term.fn)
+        args = [self.compile(a) for a in term.args]
+
+        def run(env):
+            limits = ev.limits
+            if limits is not None:
+                ev._visit(limits)
+                ev._depth += 1
+            try:
+                fn = callee(env)
+                if not callable(fn):
+                    raise ExecutionError(f"value {fn!r} is not callable")
+                return fn(*[a(env) for a in args])
+            finally:
+                if limits is not None:
+                    ev._depth -= 1
+
+        return run
+
+    def _compile_apply(self, term: Apply, allow_update: bool) -> Compiled:
+        op, resolved = term.op, term.resolved
         if resolved is None:
-            raise ExecutionError(
-                f"term was not typechecked: {term.op}(...) has no resolved operator"
+            return self._compile_error(
+                ExecutionError,
+                f"term was not typechecked: {op}(...) has no resolved operator",
             )
         if resolved.is_update and not allow_update:
-            raise UpdateError(
-                f"update function {term.op} applied outside an update statement"
+            return self._compile_error(
+                UpdateError,
+                f"update function {op} applied outside an update statement",
             )
-        impl = resolved.impl if resolved.impl is not None else (
-            resolved.spec.impl if resolved.spec is not None else None
-        )
+        spec = resolved.spec
+        impl = resolved.impl
+        if impl is None and spec is not None:
+            impl = spec.impl
         if impl is None:
-            raise ExecutionError(f"operator {term.op} has no implementation")
-        fault_point("evaluator.apply")
-        args = [self.eval(a, env) for a in term.args]
-        if resolved.spec is not None and resolved.spec.eager:
-            args = [
-                a.materialize() if isinstance(a, Stream) else a for a in args
-            ]
+            return self._compile_error(
+                ExecutionError, f"operator {op} has no implementation"
+            )
+        ev = self
+        args = [self.compile(a) for a in term.args]
         ctx = OpContext(self, self.algebra, resolved, term)
-        try:
-            result = impl(ctx, *args)
-        except TypeError as exc:
-            # Polymorphic constants (``bottom``/``top`` unify with any
-            # ordered domain) can deliver a value a Python impl cannot
-            # operate on; surface that as a clean statement error instead
-            # of a raw TypeError escaping the evaluator.
-            raise ExecutionError(
-                f"operator {term.op} cannot be applied to "
-                f"{', '.join(repr(a) for a in args) or 'no arguments'}: {exc}"
-            ) from exc
-        if observe.ENABLED and isinstance(result, Stream):
-            # Operator-level tuple accounting: the stream an operator
-            # returns is wrapped so every tuple it produces is counted
-            # under the operator's name (zero-overhead when collection is
-            # off — the guard above is a module-attribute load).
-            sink = observe.active()
-            if sink is not None:
-                result = Stream(
-                    result.tuple_type, sink.count_out(term.op, iter(result))
-                )
-        return result
+
+        # One ``run`` per argument shape: the unary and binary forms (the
+        # attribute accesses, comparisons and arithmetic of a parameter
+        # function) call ``impl`` without building an argument list.
+        eager = spec is not None and spec.eager
+        if eager or len(args) not in (1, 2):
+
+            def run(env):
+                limits = ev.limits
+                if limits is not None:
+                    ev._visit(limits)
+                    ev._depth += 1
+                try:
+                    fault_point("evaluator.apply")
+                    values = [a(env) for a in args]
+                    if eager:
+                        values = [
+                            v.materialize() if isinstance(v, Stream) else v
+                            for v in values
+                        ]
+                    try:
+                        result = impl(ctx, *values)
+                    except TypeError as exc:
+                        raise _not_applicable(op, values, exc) from exc
+                    if observe.ENABLED:
+                        result = _count_out(op, result)
+                    return result
+                finally:
+                    if limits is not None:
+                        ev._depth -= 1
+
+        elif len(args) == 1:
+            (first,) = args
+
+            def run(env):
+                limits = ev.limits
+                if limits is not None:
+                    ev._visit(limits)
+                    ev._depth += 1
+                try:
+                    fault_point("evaluator.apply")
+                    x = first(env)
+                    try:
+                        result = impl(ctx, x)
+                    except TypeError as exc:
+                        raise _not_applicable(op, (x,), exc) from exc
+                    if observe.ENABLED:
+                        result = _count_out(op, result)
+                    return result
+                finally:
+                    if limits is not None:
+                        ev._depth -= 1
+
+        else:
+            first, second = args
+
+            def run(env):
+                limits = ev.limits
+                if limits is not None:
+                    ev._visit(limits)
+                    ev._depth += 1
+                try:
+                    fault_point("evaluator.apply")
+                    x = first(env)
+                    y = second(env)
+                    try:
+                        result = impl(ctx, x, y)
+                    except TypeError as exc:
+                        raise _not_applicable(op, (x, y), exc) from exc
+                    if observe.ENABLED:
+                        result = _count_out(op, result)
+                    return result
+                finally:
+                    if limits is not None:
+                        ev._depth -= 1
+
+        return run
+
+    _COMPILERS = {
+        Literal: _compile_literal,
+        Var: _compile_var,
+        ObjRef: _compile_objref,
+        Fun: _compile_fun,
+        ListTerm: _compile_list,
+        TupleTerm: _compile_tuple,
+        OpRef: _compile_opref,
+        Call: _compile_call,
+    }
 
     def _op_value(self, term: OpRef):
         """An operator used as a function value.

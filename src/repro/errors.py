@@ -113,6 +113,18 @@ class ServerBusyError(SOSError):
         self.retryable = True
 
 
+class RequestTooLargeError(SOSError):
+    """A request line sent to the server was longer than its line limit
+    (``repro.server.net.REQUEST_LINE_LIMIT``).  Nothing was executed and
+    the connection stays open.
+
+    Not retryable: the same request is too long every time; send the
+    program in smaller pieces.
+    """
+
+    retryable = False
+
+
 class ConflictError(SOSError):
     """A transaction lost a first-committer-wins race.
 

@@ -41,6 +41,7 @@ from repro import telemetry
 from repro.errors import (
     ConflictError,
     ProtocolError,
+    RequestTooLargeError,
     ServerBusyError,
     StatementTimeoutError,
 )
@@ -58,9 +59,41 @@ from repro.testing.faults import InjectedFault, fault_point
 #: The default server port ("SOS" on a phone keypad, close enough: 7464).
 DEFAULT_PORT = 7464
 
+#: The longest request line the server reads, in bytes (asyncio's default
+#: is 64 KiB, which a two-thousand-statement atomic program exceeds).  A
+#: connection buffers at most twice this before the transport is paused.
+REQUEST_LINE_LIMIT = 4 * 1024 * 1024
+
 #: Sentinel for "no journal entry; execute for real" — ``None`` is a valid
 #: replayed response (a committed ``commit`` returns ``None``).
 _MISS = object()
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> bytes:
+    """The next request line (``b""`` at end of stream).
+
+    A line over :data:`REQUEST_LINE_LIMIT` is read to its end and thrown
+    away before :class:`RequestTooLargeError` is raised, so the caller can
+    answer it and the next request on the connection starts on a line
+    boundary.
+    """
+    discarded = 0
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # end of stream: whatever came before it
+        except asyncio.LimitOverrunError as exc:
+            # no newline within the limit; the bytes scanned are buffered
+            discarded += len(await reader.readexactly(exc.consumed))
+            continue
+        if not discarded:
+            return line
+        raise RequestTooLargeError(
+            f"request line of {discarded + len(line)} bytes exceeds the "
+            f"server's limit of {REQUEST_LINE_LIMIT} bytes "
+            "(REQUEST_LINE_LIMIT); split the program into smaller requests"
+        )
 
 
 class GroupCommitBatcher:
@@ -204,7 +237,9 @@ class SOSServer:
     # ---------------------------------------------------------------- serving
 
     async def start(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=REQUEST_LINE_LIMIT
+        )
         return self._server.sockets[0].getsockname()[:2]
 
     async def start_metrics(self, host: str = "127.0.0.1", port: int = 0):
@@ -304,8 +339,8 @@ class SOSServer:
             if line:
                 writer.write(frame)
                 await writer.drain()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
+        except (ConnectionError, OSError, ValueError, asyncio.CancelledError):
+            pass  # ValueError: a first line over REQUEST_LINE_LIMIT
         finally:
             try:
                 writer.close()
@@ -335,9 +370,16 @@ class SOSServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
+                    line = await _read_request_line(reader)
                 except asyncio.CancelledError:
                     break  # server shutting down; finish cleanly
+                except RequestTooLargeError as exc:
+                    # Answered like any failed request; the line is gone
+                    # and the connection stays usable.
+                    response = {"ok": False, "error": encode_error(exc)}
+                    writer.write(json.dumps(response).encode() + b"\n")
+                    await writer.drain()
+                    continue
                 if not line:
                     break  # client went away
                 try:

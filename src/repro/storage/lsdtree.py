@@ -186,6 +186,8 @@ class LSDTree:
 
     def _range(self, low: tuple, high: tuple) -> Iterator:
         """4-d range query over the corner-transformed points."""
+        low0, low1, low2, low3 = low
+        high0, high1, high2, high3 = high
         stack = [self._root]
         while stack:
             node = stack.pop()
@@ -193,8 +195,13 @@ class LSDTree:
                 self.pages.read(node.page_id)
                 if observe.ENABLED:
                     observe.incr(f"{self.name}.node_reads")
-                for point, _rect, value in node.entries:
-                    if all(low[d] <= point[d] <= high[d] for d in range(_DIMS)):
+                for (p0, p1, p2, p3), _rect, value in node.entries:
+                    if (
+                        low0 <= p0 <= high0
+                        and low1 <= p1 <= high1
+                        and low2 <= p2 <= high2
+                        and low3 <= p3 <= high3
+                    ):
                         yield value
                 continue
             if low[node.dim] <= node.position:

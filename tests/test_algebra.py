@@ -53,6 +53,29 @@ class TestTupleValue:
         assert t.attr("age") == 25
         assert t2.attr("age") == 26
 
+    def test_attribute_positions_are_per_schema(self):
+        """The name -> position map belongs to the schema, not the tuple:
+        tuples of one schema share it, another schema has its own."""
+        flipped = tuple_type([("age", INT), ("name", STRING)])
+        twin = tuple_type([("name", STRING), ("age", INT)])  # equal, distinct
+        a = TupleValue(PERSON, ("ann", 25))
+        b = TupleValue(flipped, (25, "ann"))
+        c = TupleValue(twin, ("bob", 40))
+        assert (a.attr("age"), b.attr("age"), c.attr("age")) == (25, 25, 40)
+        assert a.with_attr("age", 26).attr("age") == 26
+        assert not hasattr(a, "_index")
+
+    def test_attribute_position_cache_is_bounded(self, monkeypatch):
+        from repro.core import algebra
+
+        monkeypatch.setattr(algebra, "_ATTR_INDEX", {})
+        monkeypatch.setattr(algebra, "_ATTR_INDEX_LIMIT", 4)
+        schemas = [tuple_type([(f"a{i}", INT)]) for i in range(10)]
+        for i, schema in enumerate(schemas):
+            assert TupleValue(schema, (i,)).attr(f"a{i}") == i
+            assert len(algebra._ATTR_INDEX) <= 4
+        assert TupleValue(schemas[0], (7,)).attr("a0") == 7  # evicted, rebuilt
+
     def test_equality_and_hash(self):
         a = make_tuple(PERSON, name="ann", age=25)
         b = make_tuple(PERSON, name="ann", age=25)

@@ -20,7 +20,9 @@ from repro.errors import (
     ConflictError,
     ParseError,
     ProtocolError,
+    RequestTooLargeError,
     StatementError,
+    is_retryable,
 )
 from repro.server import start_server
 from repro.testing import inject
@@ -237,3 +239,44 @@ class TestGroupCommit:
         assert info["counters"]["statements"] >= 4
         assert info["in_transaction"] is False
         db.disconnect()
+
+
+class TestRequestLineLimit:
+    def test_program_over_asyncio_default_limit_runs(self, server):
+        """A 2 000-insert atomic program is one ~170 KiB request line —
+        over asyncio's 64 KiB default, which used to kill the connection."""
+        db = connect(server.address)
+        db.run(SCHEMA)
+        program = "\n".join(
+            INSERT.format(name=f"c{i}", pop=i) for i in range(2000)
+        )
+        assert len(program) > 64 * 1024
+        db.run(program, atomic=True)
+        assert count(db) == 2000
+        db.disconnect()
+
+    def test_over_long_request_is_answered_and_connection_survives(
+        self, monkeypatch
+    ):
+        from repro.server import net
+
+        monkeypatch.setattr(net, "REQUEST_LINE_LIMIT", 2048)
+        with start_server() as handle:
+            db = connect(handle.address)
+            db.run(SCHEMA)
+            db.run_one(INSERT.format(name="before", pop=1))
+            # several reader buffers long, so the tail arrives after the
+            # limit was already hit
+            program = "\n".join(
+                INSERT.format(name=f"c{i}", pop=i) for i in range(400)
+            )
+            with pytest.raises(RequestTooLargeError) as info:
+                db.run(program, atomic=True)
+            assert "2048" in str(info.value)
+            assert "REQUEST_LINE_LIMIT" in str(info.value)
+            assert not is_retryable(info.value)
+            # nothing ran, and the same connection keeps answering in step
+            assert count(db) == 1
+            db.run_one(INSERT.format(name="after", pop=2))
+            assert count(db) == 2
+            db.disconnect()
