@@ -475,7 +475,11 @@ class RuleTrace:
     """The optimizer's decision log for one optimization run.
 
     ``fired`` lists accepted rewrites in order; ``attempts`` maps each rule
-    name to outcome counts over every place it was tried:
+    name to outcome counts over every place it was tried.  A rule is tried
+    only at nodes whose operator and arity match the head of its left side
+    (a rule without a fixed head — a literal, a variable or an operator
+    variable — at every node), so a rule that cannot match a node's
+    operator leaves no count there:
 
     ``no_match``
         the left-hand-side pattern did not match the node;

@@ -10,19 +10,32 @@ collection and a control strategy:
     one traversal; at each node the first applicable rule fires at most
     once.
 
+A step indexes its rules by the head of their left side — the operator and
+arity of an ``Apply`` pattern, the way the paper's Section 5 rules are
+written per operator — so at a node only the rules whose head matches the
+node's operator and arity are *attempted*.  A rule whose left side has no
+fixed head (a literal, a variable, an operator variable) is attempted at
+every node.  Each bucket keeps the step's list order, so first-match
+choice is exactly that of a scan over the whole list.
+
 Every candidate rewrite is re-typechecked before acceptance; a rewrite whose
 instance does not typecheck is discarded (the rule simply does not apply
 there), which keeps unsound rules from corrupting plans.
 
+Rewriting never modifies the input term: a rule instance is a new term,
+and the path from the root to the rewritten node is rebuilt (each rebuilt
+node keeps its ``type`` and ``resolved``) while every untouched subterm is
+shared.  Callers may therefore keep — and report — the term they passed in.
+
 Passing a :class:`~repro.observe.RuleTrace` to :meth:`Optimizer.optimize`
 records the full decision log — every fired rewrite with the term before
-and after, and per-rule attempt outcomes — at formatting cost only paid
-when a trace is requested.
+and after, and per-rule outcomes of every attempt — at formatting cost
+only paid when a trace is requested.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.core.terms import Apply, Call, Fun, ListTerm, Term, TupleTerm, format_term
@@ -34,15 +47,50 @@ from repro.testing.faults import fault_point
 MAX_REWRITES = 200
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class OptimizerStep:
     name: str
-    rules: Sequence[RewriteRule]
+    rules: tuple[RewriteRule, ...]
     strategy: str = "exhaustive"  # 'exhaustive' | 'once_topdown' | 'once_bottomup'
     cost_based: bool = False
     """If true, *all* applicable rewrites at a node are generated and the
     cheapest (by :mod:`repro.optimizer.cost`) is taken, instead of the first
     rule in list order winning."""
+    _by_head: dict[tuple[str, int], tuple[RewriteRule, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _headless: tuple[RewriteRule, ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # Rules are grouped once, here; the step is frozen and ``rules`` a
+        # tuple, so the index cannot fall out of step with the list.
+        rules = tuple(self.rules)
+        heads = [_head(rule) for rule in rules]
+        by_head = {
+            key: tuple(r for r, h in zip(rules, heads) if h in (key, None))
+            for key in set(heads) - {None}
+        }
+        headless = tuple(r for r, h in zip(rules, heads) if h is None)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_by_head", by_head)
+        object.__setattr__(self, "_headless", headless)
+
+    def rules_at(self, term: Term) -> tuple[RewriteRule, ...]:
+        """The rules whose left side can match at ``term``, in list order."""
+        if isinstance(term, Apply):
+            return self._by_head.get((term.op, len(term.args)), self._headless)
+        return self._headless
+
+
+def _head(rule: RewriteRule) -> Optional[tuple[str, int]]:
+    """``(op, arity)`` of the rule's left side, or ``None`` when it has no
+    fixed operator (the rule may then match at any node)."""
+    lhs = rule.lhs
+    if isinstance(lhs, Apply) and lhs.op not in rule.variables:
+        return lhs.op, len(lhs.args)
+    return None
 
 
 @dataclass(slots=True)
@@ -68,9 +116,9 @@ class Optimizer:
     ) -> OptimizationResult:
         """Rewrite ``term`` (already typechecked against ``db``).
 
-        Returns the rewritten, re-typechecked term plus statistics.  With a
-        ``trace``, every rule attempt and fired rewrite is recorded on it
-        (and on ``result.trace``).
+        Returns the rewritten, re-typechecked term plus statistics; ``term``
+        itself is left as it was.  With a ``trace``, every rule attempt and
+        fired rewrite is recorded on it (and on ``result.trace``).
         """
         result = OptimizationResult(term, trace=trace)
         try:
@@ -136,44 +184,41 @@ class Optimizer:
     def _rewrite_children(
         self, step: OptimizerStep, term: Term, db, stats, topdown: bool, trace
     ) -> tuple[Term, bool]:
+        """Rewrite the first child that changes, under a new copy of
+        ``term``; ``term`` itself is never modified."""
         if isinstance(term, Apply):
-            for i, arg in enumerate(term.args):
-                new_arg, changed = self._rewrite_once(step, arg, db, stats, topdown, trace)
-                if changed:
-                    term.args = term.args[:i] + (new_arg,) + term.args[i + 1 :]
-                    return term, True
-            return term, False
+            args, changed = self._rewrite_first(step, term.args, db, stats, topdown, trace)
+            return (replace(term, args=args), True) if changed else (term, False)
         if isinstance(term, Fun):
-            new_body, changed = self._rewrite_once(step, term.body, db, stats, topdown, trace)
-            if changed:
-                term.body = new_body
-                return term, True
-            return term, False
+            body, changed = self._rewrite_once(step, term.body, db, stats, topdown, trace)
+            return (replace(term, body=body), True) if changed else (term, False)
         if isinstance(term, (ListTerm, TupleTerm)):
-            for i, item in enumerate(term.items):
-                new_item, changed = self._rewrite_once(step, item, db, stats, topdown, trace)
-                if changed:
-                    term.items = term.items[:i] + (new_item,) + term.items[i + 1 :]
-                    return term, True
-            return term, False
+            items, changed = self._rewrite_first(step, term.items, db, stats, topdown, trace)
+            return (replace(term, items=items), True) if changed else (term, False)
         if isinstance(term, Call):
-            new_fn, changed = self._rewrite_once(step, term.fn, db, stats, topdown, trace)
+            fn, changed = self._rewrite_once(step, term.fn, db, stats, topdown, trace)
             if changed:
-                term.fn = new_fn
-                return term, True
-            for i, arg in enumerate(term.args):
-                new_arg, changed = self._rewrite_once(step, arg, db, stats, topdown, trace)
-                if changed:
-                    term.args = term.args[:i] + (new_arg,) + term.args[i + 1 :]
-                    return term, True
-            return term, False
+                return replace(term, fn=fn), True
+            args, changed = self._rewrite_first(step, term.args, db, stats, topdown, trace)
+            return (replace(term, args=args), True) if changed else (term, False)
         return term, False
+
+    def _rewrite_first(
+        self, step: OptimizerStep, terms: tuple, db, stats, topdown: bool, trace
+    ) -> tuple[tuple, bool]:
+        """Rewrite the first of ``terms`` that changes; share the others."""
+        for i, t in enumerate(terms):
+            new, changed = self._rewrite_once(step, t, db, stats, topdown, trace)
+            if changed:
+                return terms[:i] + (new,) + terms[i + 1 :], True
+        return terms, False
 
     def _try_rules(
         self, step: OptimizerStep, term: Term, db, stats, trace: Optional[RuleTrace]
     ) -> Optional[Term]:
+        rules = step.rules_at(term)
         if not step.cost_based:
-            for rule in step.rules:
+            for rule in rules:
                 stats.tried += 1
                 outcome = None if trace is None else [None]
                 for candidate in rule.apply_at(term, db, outcome):
@@ -203,7 +248,7 @@ class Optimizer:
         best_rule = None
         before = format_term(term) if trace is not None else ""
         applicable: list[str] = []
-        for rule in step.rules:
+        for rule in rules:
             stats.tried += 1
             outcome = None if trace is None else [None]
             applied = False

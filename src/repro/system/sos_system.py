@@ -332,8 +332,6 @@ class SOSSystem:
         counters bumped while estimating (statistics hits/misses, silent
         sampling fallbacks), so the basis of the estimate is visible.
         """
-        from repro.core.terms import clone_term
-        from repro.optimizer.cost import estimate
         from repro.stats.feedback import cardinality_report
 
         words = source.split()
@@ -388,8 +386,7 @@ class SOSSystem:
         fired: list[str] = []
         plan = term
         if level == "model":
-            work = tc.check(clone_term(term))
-            opt = self.optimizer.optimize(work, self.database, trace)
+            opt = self.optimizer.optimize(term, self.database, trace)
             plan = opt.term
             fired = opt.fired
         cost, cost_counters = self._estimate_observed(plan)
@@ -591,13 +588,10 @@ class SOSSystem:
                 "update", level=obj.level, name=statement.name,
                 type=obj.type, term=term,
             )
-        # Model-level update: translate through the optimizer (on a clone,
-        # so the reported original statement term stays intact).
-        from repro.core.terms import clone_term
-
+        # Model-level update: translate through the optimizer (which never
+        # modifies its input, so the reported statement term stays intact).
         with self._phase(timings, "optimize"):
-            work = tc.check_value_term(clone_term(term), obj.type)
-            opt = self.optimizer.optimize(work, self.database, trace)
+            opt = self.optimizer.optimize(term, self.database, trace)
             translated = opt.term
             if self._term_level(translated) == "model":
                 raise OptimizationError(
@@ -657,11 +651,8 @@ class SOSSystem:
         fired: list[str] = []
         exec_term = term
         if level == "model":
-            from repro.core.terms import clone_term
-
             with self._phase(timings, "optimize"):
-                work = tc.check(clone_term(term))
-                opt = self.optimizer.optimize(work, self.database, trace)
+                opt = self.optimizer.optimize(term, self.database, trace)
                 if self._term_level(opt.term) == "model":
                     raise OptimizationError(
                         f"no rule translates the model query: {format_term(term)}"

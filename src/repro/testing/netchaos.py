@@ -105,6 +105,8 @@ class ChaosProxy:
         self.connections = 0
         self._listener: Optional[socket.socket] = None
         self._threads: list[threading.Thread] = []
+        self._sockets: set[socket.socket] = set()
+        self._lock = threading.Lock()
         self._stopping = False
 
     @classmethod
@@ -127,14 +129,24 @@ class ChaosProxy:
         return self
 
     def stop(self) -> None:
-        self._stopping = True
+        """Stop accepting, cut every relayed connection and wait for every
+        proxy thread.  Shutting the sockets down wakes a thread blocked in
+        ``accept`` or ``readline`` at once, so the joins need no timeout."""
+        with self._lock:
+            self._stopping = True
+            sockets = list(self._sockets)
+            threads = list(self._threads)
         if self._listener is not None:
+            sockets.append(self._listener)
+        for sock in sockets:
             try:
-                self._listener.close()
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2)
+                pass  # never connected, or the peer already closed it
+        if self._listener is not None:
+            self._listener.close()
+        for thread in threads:
+            thread.join()
 
     def __enter__(self) -> "ChaosProxy":
         return self.start()
@@ -168,14 +180,30 @@ class ChaosProxy:
             worker = threading.Thread(
                 target=self._serve_conn, args=(conn,), daemon=True
             )
-            worker.start()
-            self._threads.append(worker)
+            with self._lock:
+                if self._stopping:
+                    conn.close()
+                    return
+                self._sockets.add(conn)
+                self._threads.append(worker)
+                worker.start()
+
+    def _track(self, sock: socket.socket) -> bool:
+        """Register a relayed socket for :meth:`stop`; ``False`` once the
+        proxy is stopping (the caller closes it instead)."""
+        with self._lock:
+            if self._stopping:
+                return False
+            self._sockets.add(sock)
+            return True
 
     def _serve_conn(self, client_sock: socket.socket) -> None:
         try:
             upstream_sock = socket.create_connection(self.upstream, timeout=10)
         except OSError:
-            client_sock.close()
+            upstream_sock = None
+        if upstream_sock is None or not self._track(upstream_sock):
+            self._close(client_sock, upstream_sock)
             return
         client = client_sock.makefile("rwb")
         upstream = upstream_sock.makefile("rwb")
@@ -215,8 +243,15 @@ class ChaosProxy:
                     f.close()
                 except OSError:
                     pass
-            for s in (client_sock, upstream_sock):
-                try:
-                    s.close()
-                except OSError:
-                    pass
+            self._close(client_sock, upstream_sock)
+
+    def _close(self, *sockets: Optional[socket.socket]) -> None:
+        for sock in sockets:
+            if sock is None:
+                continue
+            with self._lock:
+                self._sockets.discard(sock)
+            try:
+                sock.close()
+            except OSError:
+                pass

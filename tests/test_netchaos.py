@@ -14,6 +14,9 @@ recovery of the data directory.
 from __future__ import annotations
 
 import os
+import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -123,6 +126,40 @@ def test_proxy_passthrough_without_plan(tmp_path):
 def test_chaos_plan_rejects_unknown_site():
     with pytest.raises(ValueError):
         ChaosPlan("drop.everything")
+
+
+def test_stop_cuts_open_relays_at_once():
+    """``stop`` must not wait for relays blocked in ``readline``: half the
+    connections are idle (blocked reading the client), half sent a request
+    the upstream never answers (blocked reading the upstream)."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    clients = []
+    try:
+        # Accepts through the listen backlog and never answers.
+        with socket.create_server(("127.0.0.1", 0)) as upstream:
+            proxy = ChaosProxy(*upstream.getsockname()[:2]).start()
+            for i in range(16):
+                sock = socket.create_connection((proxy.host, proxy.port), timeout=5)
+                if i % 2:
+                    sock.sendall(b'{"op": "ping"}\n')
+                clients.append(sock)
+            deadline = time.monotonic() + 5
+            while proxy.connections < len(clients) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert proxy.connections == len(clients)
+            started = time.monotonic()
+            stopper = threading.Thread(target=proxy.stop)
+            stopper.start()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive()
+            assert time.monotonic() - started < 1.0
+            assert not any(t.is_alive() for t in proxy._threads)
+            assert proxy._sockets == set()
+    finally:
+        sys.setswitchinterval(interval)
+        for sock in clients:
+            sock.close()
 
 
 # ---------------------------------------------------------------------------

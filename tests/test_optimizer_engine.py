@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.core.terms import Apply, Literal, Var
+from repro.core.terms import Apply, Literal, Var, format_term, walk_terms
 from repro.errors import OptimizationError
+from repro.observe import RuleTrace
 from repro.optimizer.engine import Optimizer, OptimizerStep
 from repro.optimizer.rules import RewriteRule, rule_vars
+from repro.optimizer.standard_rules import (
+    cost_based_optimizer,
+    misordered_optimizer,
+    normalization_rules,
+    query_rules,
+    standard_optimizer,
+)
 from repro.optimizer.termmatch import RuleVar
 from repro.system import build_relational_system
 
@@ -120,3 +128,290 @@ def same_shape(a, b):
     from repro.core.terms import same_term
 
     return same_term(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The head index: same plans as scanning every rule, fewer attempts
+# ---------------------------------------------------------------------------
+
+
+class _FullScanStep(OptimizerStep):
+    """Reference: every rule of the step, in list order, at every node."""
+
+    __slots__ = ()
+
+    def rules_at(self, term):
+        return self.rules
+
+
+def _full_scan(optimizer):
+    return Optimizer(
+        [
+            _FullScanStep(s.name, s.rules, s.strategy, s.cost_based)
+            for s in optimizer.steps
+        ]
+    )
+
+
+OPTIMIZERS = {
+    "standard": standard_optimizer,
+    "misordered": misordered_optimizer,
+    "cost_based": cost_based_optimizer,
+    "cost_based_shuffled": lambda: cost_based_optimizer(shuffled=True),
+}
+
+SHAPES_SCHEMA = """
+type city = tuple(<(cname, string), (center, point), (pop, int)>)
+type state = tuple(<(sname, string), (region, pgon)>)
+type item = tuple(<(k, int), (name, string), (grp, int)>)
+type order = tuple(<(oid, int), (cust, int)>)
+type customer = tuple(<(cid, int), (cname, string)>)
+create cities : rel(city)
+create states : rel(state)
+create cities_rep : btree(city, pop, int)
+create states_rep : lsdtree(state, fun (s: state) bbox(s region))
+update rep := insert(rep, cities, cities_rep)
+update rep := insert(rep, states, states_rep)
+create items : rel(item)
+create items_rep : btree(item, k, int)
+update rep := insert(rep, items, items_rep)
+create orders : rel(order)
+create customers : rel(customer)
+create orders_rep : srel(order)
+create customers_rep : btree(customer, cid, int)
+update rep := insert(rep, orders, orders_rep)
+update rep := insert(rep, customers, customers_rep)
+create c : city
+update c := mktuple[<(cname, "Hagen"), (center, pt(5, 5)), (pop, 190000)>]
+update cities := insert(cities, c)
+update states := insert(states, mktuple[<(sname, "s0"), (region, region_box(0, 0, 20, 100))>])
+update items := insert(items, mktuple[<(k, 1), (name, "a"), (grp, 2)>])
+update orders := insert(orders, mktuple[<(oid, 1), (cust, 1)>])
+update customers := insert(customers, mktuple[<(cid, 1), (cname, "x")>])
+"""
+
+# The statement shapes of the shipped examples (examples/*.py, run by
+# tests/test_examples.py) and the four sosbench oltp shapes (point select,
+# range select, insert, delete), plus joins over a selection.
+SHAPES = [
+    "query cities select[pop > 1000000]",
+    "query cities select[pop >= 1000000]",
+    "query cities select[pop < 5000]",
+    "query cities select[pop <= 5000]",
+    "query cities select[pop = 190000]",
+    "query cities select[pop >= 10 and pop <= 20]",
+    'query cities select[cname = "Hagen"]',
+    "query cities select[pop > 10] select[pop < 100]",
+    "query cities states join[center inside region]",
+    "query cities select[pop > 100] states join[center inside region]",
+    "query orders customers join[cust = cid]",
+    "query items select[k = 7]",
+    "query items select[k >= 3 and k <= 9]",
+    "update cities := insert(cities, c)",
+    'update cities := insert(cities, mktuple[<(cname, "B"), (center, pt(1, 1)), (pop, 3)>])',
+    "update cities := delete(cities, pop <= 10000)",
+    'update cities := modify(cities, cname = "Madras", pop, pop * 2)',
+    'update cities := modify(cities, pop >= 8000000, cname, "Chennai")',
+    'update items := insert(items, mktuple[<(k, 5), (name, "b"), (grp, 3)>])',
+    "update items := delete(items, k = 5)",
+    'update items := modify(items, grp = 3, name, "z")',
+]
+
+
+@pytest.fixture(scope="module")
+def shapes_system():
+    system = build_relational_system()
+    system.run(SHAPES_SCHEMA)
+    return system
+
+
+def _statement_term(system, source):
+    """The typechecked expression of a model-level statement, as the
+    system hands it to the optimizer."""
+    statement = system.interpreter.make_parser().parse_statement(source)
+    tc = system.database.typechecker
+    if source.startswith("update"):
+        obj = system.database.objects[statement.name]
+        return tc.check_value_term(statement.expr, obj.type)
+    return tc.check(statement.expr)
+
+
+def _outcome(optimizer, system, term):
+    trace = RuleTrace()
+    try:
+        result = optimizer.optimize(term, system.database, trace)
+    except OptimizationError as exc:
+        return ("error", str(exc)), trace, 0
+    fired = [(f.rule, f.step, f.before, f.after) for f in trace.fired]
+    return (result.fired, format_term(result.term), fired), trace, result.tried
+
+
+class TestHeadIndex:
+    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+    @pytest.mark.parametrize("source", SHAPES)
+    def test_same_plan_as_scanning_every_rule(self, shapes_system, name, source):
+        # One term for both runs: the parser's fresh lambda names differ
+        # between parses, and the optimizer leaves its input as it was.
+        term = _statement_term(shapes_system, source)
+        indexed = OPTIMIZERS[name]()
+        got, _, tried = _outcome(indexed, shapes_system, term)
+        want, _, tried_all = _outcome(_full_scan(indexed), shapes_system, term)
+        assert got == want
+        assert tried <= tried_all
+
+    def test_point_select_attempts_only_matching_heads(self, shapes_system):
+        term = _statement_term(shapes_system, "query items select[k = 7]")
+        _, trace, tried = _outcome(standard_optimizer(), shapes_system, term)
+        _, _, tried_all = _outcome(
+            _full_scan(standard_optimizer()), shapes_system, term
+        )
+        assert [f.rule for f in trace.fired] == ["select_eq_btree_range"]
+        assert tried < 20 < tried_all
+        attempted = set(trace.attempts)
+        heads = {r.name: r.lhs.op for s in standard_optimizer().steps for r in s.rules}
+        assert {heads[r] for r in attempted} == {"select"}
+
+    def test_headless_rules_are_attempted_at_every_node(self, db):
+        op_var = RewriteRule(
+            name="op_var_head",
+            variables=rule_vars(RuleVar("f"), RuleVar("x")),
+            lhs=Apply("f", (Var("x"), Literal(99))),
+            rhs=Var("x"),
+        )
+        literal = RewriteRule(
+            name="literal_head", variables={}, lhs=Literal(42), rhs=Literal(43)
+        )
+        add_zero = add_zero_rule()
+        step = OptimizerStep("s", [op_var, add_zero, literal], "once_topdown")
+        assert step.rules_at(Apply("+", (Literal(1), Literal(2)))) == (
+            op_var, add_zero, literal,
+        )
+        assert step.rules_at(Apply("*", (Literal(1), Literal(2)))) == (
+            op_var, literal,
+        )
+        assert step.rules_at(Literal(1)) == (op_var, literal)
+
+        term = _typed(db, "(1 + 2) * 3")
+        nodes = len(list(walk_terms(term)))
+        trace = RuleTrace()
+        result = Optimizer([step]).optimize(term, db, trace)
+        assert result.fired == []
+        assert sum(trace.attempts["op_var_head"].values()) == nodes
+        assert sum(trace.attempts["literal_head"].values()) == nodes
+        assert trace.attempts["add_zero"] == {"no_match": 1}
+
+    def test_rules_are_a_tuple(self):
+        step = OptimizerStep("s", [add_zero_rule()])
+        assert isinstance(step.rules, tuple)
+        with pytest.raises(AttributeError):
+            step.rules = ()
+
+
+# ---------------------------------------------------------------------------
+# Rewriting builds new terms; the input is never modified
+# ---------------------------------------------------------------------------
+
+
+def _snapshot(term):
+    """``(id, type, resolved)`` of every node, pre-order, plus the nodes
+    themselves: holding them keeps their ids from being reused."""
+    nodes = list(walk_terms(term))
+    return nodes, [(id(n), n.type, getattr(n, "resolved", None)) for n in nodes]
+
+
+def _assert_unchanged(term, snapshot):
+    assert _snapshot(term)[1] == snapshot[1]
+
+
+class TestNonMutation:
+    @pytest.mark.parametrize(
+        "strategy", ["exhaustive", "once_topdown", "once_bottomup"]
+    )
+    @pytest.mark.parametrize("source", ["((1 + 0) + 0) + 0", "((1 + 0) + 0) * 2"])
+    def test_rewrite_below_the_root_leaves_input_intact(self, db, strategy, source):
+        term = _typed(db, source)
+        text = format_term(term)
+        snapshot = _snapshot(term)
+        opt = Optimizer([OptimizerStep("s", [add_zero_rule()], strategy)])
+        result = opt.optimize(term, db)
+        assert result.fired
+        _assert_unchanged(term, snapshot)
+        assert format_term(term) == text
+
+    @pytest.mark.parametrize(
+        "strategy", ["exhaustive", "once_topdown", "once_bottomup"]
+    )
+    def test_select_under_join_leaves_input_intact(self, loaded_system, strategy):
+        # select_fusion rewrites the selection below the join first.
+        term = _statement_term(
+            loaded_system,
+            "query cities select[pop > 100] select[pop < 900] "
+            "states join[center inside region]",
+        )
+        text = format_term(term)
+        snapshot = _snapshot(term)
+        opt = Optimizer(
+            [
+                OptimizerStep("normalize", normalization_rules(), strategy),
+                OptimizerStep("translate", query_rules(), strategy),
+            ]
+        )
+        result = opt.optimize(term, loaded_system.database)
+        assert result.fired[0] == "select_fusion" and len(result.fired) == 2
+        _assert_unchanged(term, snapshot)
+        assert format_term(term) == text
+
+    def test_rebuilt_spine_keeps_annotations_and_shares_siblings(self, db):
+        term = _typed(db, "(1 + 0) * (2 + 3)")
+        opt = Optimizer([OptimizerStep("s", [add_zero_rule()], "once_bottomup")])
+        result = opt.optimize(term, db)
+        assert result.fired == ["add_zero"]
+        new = result.term
+        assert new is not term
+        assert new.type == term.type and new.resolved is term.resolved
+        assert new.args[1] is term.args[1]
+
+    def test_system_result_term_is_the_statement_as_written(self, loaded_system):
+        for source in (
+            "query cities select[pop >= 5000]",
+            "update cities := delete(cities, pop <= 100)",
+        ):
+            result = loaded_system.run_one(source)
+            assert result.level == "model" and result.fired
+            written = _statement_term(loaded_system, source)
+            # Alpha-equivalence: each parse draws fresh lambda names.
+            assert same_shape(result.term, written)
+            assert not same_shape(result.translated_term, written)
+
+    def test_explain_output_unchanged(self, loaded_system):
+        # Expected values are those of the optimizer that worked on a
+        # re-typechecked clone of the statement.
+        info = loaded_system.explain("cities select[pop >= 5000]")
+        assert info["plan"] == "cities_rep range[5000, top]"
+        assert info["fired"] == ["select_ge_btree_range"]
+        assert [
+            (f["rule"], f["before"], f["after"])
+            for f in info["rule_trace"]["fired"]
+        ] == [
+            (
+                "select_ge_btree_range",
+                "select(cities, fun (_t1: tuple(<(cname, string), (center, "
+                "point), (pop, int)>)) >=(pop(_t1), 5000))",
+                "range(cities_rep, 5000, top())",
+            )
+        ]
+        assert info["estimated_cost"] == pytest.approx(9.39231742277876)
+        assert info["cost_counters"] == {"cost.stats_miss": 2}
+        join = loaded_system.explain(
+            "cities select[pop > 100] states join[center inside region]"
+        )
+        assert join["fired"] == ["join_inside_lsdtree_outer_select"]
+        assert join["estimated_cost"] == pytest.approx(272.29419688230416)
+        assert join["plan"] == (
+            "((cities_rep feed) filter[fun (_t2: tuple(<(cname, string), "
+            "(center, point), (pop, int)>)) ((_t2 pop) > 100)]) (fun (t1: "
+            "tuple(<(cname, string), (center, point), (pop, int)>)) "
+            "(states_rep (t1 center) point_search) filter[fun (t2: "
+            "tuple(<(sname, string), (region, pgon)>)) ((t1 center) inside "
+            "(t2 region))]) search_join"
+        )
