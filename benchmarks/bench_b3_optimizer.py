@@ -18,7 +18,7 @@ def system():
 
 
 def _pipeline(system, text):
-    statement = system.interpreter.make_parser().parse_statement(text)
+    statement = system.make_parser().parse_statement(text)
     term = system.database.typechecker.check(statement.expr)
     return system.optimizer.optimize(
         system.database.typechecker.check(clone_term(term)), system.database

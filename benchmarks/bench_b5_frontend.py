@@ -30,7 +30,7 @@ def system():
 @pytest.mark.parametrize("name", list(QUERIES))
 def test_parse(benchmark, system, name):
     text = QUERIES[name]
-    parser = system.interpreter.make_parser()
+    parser = system.make_parser()
     benchmark(lambda: parser.parse_statement(text))
 
 
@@ -39,7 +39,7 @@ def test_parse_and_typecheck(benchmark, system, name):
     text = QUERIES[name]
 
     def run():
-        statement = system.interpreter.make_parser().parse_statement(text)
+        statement = system.make_parser().parse_statement(text)
         return system.database.typechecker.check(statement.expr)
 
     checked = run()

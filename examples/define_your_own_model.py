@@ -15,8 +15,8 @@ from repro.core.algebra import SecondOrderAlgebra
 from repro.core.operators import AttributeFamily
 from repro.core.sos import SignatureBuilder
 from repro.core.types import TypeApp
-from repro.lang import Interpreter
 from repro.spec import parse_spec
+from repro.system import SOSSystem
 
 KV_SPEC = """
 kinds IDENT, DATA, KV
@@ -42,7 +42,7 @@ class KVMap(dict):
     """Carrier of kvmap(k, v): a plain dict."""
 
 
-def build_kv_system() -> Interpreter:
+def build_kv_system() -> SOSSystem:
     impls = {
         "=": lambda ctx, a, b: a == b,
         "empty": lambda ctx: KVMap(),
@@ -58,7 +58,7 @@ def build_kv_system() -> Interpreter:
     algebra.register_carrier("string", lambda a, v, t: isinstance(v, str))
     algebra.register_carrier("bool", lambda a, v, t: isinstance(v, bool))
     algebra.register_carrier("kvmap", lambda a, v, t: isinstance(v, KVMap))
-    return Interpreter(Database(sos, algebra))
+    return SOSSystem(Database(sos, algebra))
 
 
 def main() -> None:

@@ -37,7 +37,7 @@ The DSN forms:
     See ``docs/API.md`` and ``docs/ROBUSTNESS.md``.
 ``"relational"`` / ``"model"``
     legacy model names, still accepted positionally (``model="model"``
-    gives the plain Section 2.4 interpreter without optimizing
+    gives a system with no optimizer: Section 2.4 semantics, no optimizing
     translation).
 
 Whatever the DSN, ``connect`` hands back a :class:`Session` —
@@ -60,7 +60,7 @@ from repro.system.dump import dump_program, restore_program
 from repro.system.sos_system import (
     SOSSystem,
     SystemResult,
-    build_model_interpreter,
+    build_relational_database,
     build_relational_system,
 )
 
@@ -87,9 +87,10 @@ def connect(
     ``model``
         ``"relational"`` (default) — the full stack with the rule-based
         optimizer translating model-level statements to representation
-        plans; ``"model"`` — a plain interpreter executing model-level
-        statements directly, no translation.  (A bare model name is also
-        accepted as the ``dsn``, the historical calling convention.)
+        plans; ``"model"`` — the same system with no optimizer, executing
+        model-level statements directly, no translation.  (A bare model
+        name is also accepted as the ``dsn``, the historical calling
+        convention.)
     ``optimizer``
         a custom :class:`~repro.optimizer.Optimizer` (local relational
         sessions only; the standard rule set otherwise).
@@ -199,19 +200,16 @@ def connect(
     tracer = trace if isinstance(trace, Tracer) else None
     if model == "model":
         if optimizer is not None:
-            raise CatalogError("the model-level interpreter takes no optimizer")
+            raise CatalogError("the model-level system takes no optimizer")
         if data_dir is not None:
             raise CatalogError(
                 "durable mode needs the relational system; "
-                "the model-level interpreter has no data_dir support"
+                "the model-level system has no data_dir support"
             )
-        session = LocalSession(
-            _interpreter=build_model_interpreter(), _tracer=tracer
-        )
+        system = SOSSystem(build_relational_database(), tracer=tracer)
     else:
-        session = LocalSession(
-            _system=build_relational_system(optimizer, tracer=tracer)
-        )
+        system = build_relational_system(optimizer, tracer=tracer)
+    session = LocalSession(system)
     session._precheck = precheck
     if callable(trace) and not isinstance(trace, Tracer):
         session.tracer.subscribe(trace)
@@ -277,12 +275,12 @@ class Session:
 
     ``run`` / ``run_one`` / ``query`` all return
     :class:`~repro.system.sos_system.SystemResult` (``run`` a list of
-    them) whatever sits behind the session — the in-process system, the
-    model interpreter, or a socket to a multi-session server.  ``explain``
-    / ``lint`` / ``checkpoint`` / ``dump`` round out the shared surface;
-    ``close`` is idempotent, and a closed session still answers queries
-    while mutations raise :class:`~repro.errors.CatalogError`.  Sessions
-    are context managers (``with connect(...) as db:``).
+    them) whatever sits behind the session — the in-process system (with
+    or without an optimizer) or a socket to a multi-session server.
+    ``explain`` / ``lint`` / ``checkpoint`` / ``dump`` round out the shared
+    surface; ``close`` is idempotent, and a closed session still answers
+    queries while mutations raise :class:`~repro.errors.CatalogError`.
+    Sessions are context managers (``with connect(...) as db:``).
     """
 
     __slots__ = ()
@@ -344,16 +342,10 @@ class LocalSession(Session):
     ``subscribe`` / ``set_feedback`` are local-only extras.
     """
 
-    __slots__ = ("_system", "_interpreter", "_tracer", "_closed", "_precheck")
+    __slots__ = ("_system", "_closed", "_precheck")
 
-    def __init__(self, *, _system=None, _interpreter=None, _tracer=None):
-        self._system: Optional[SOSSystem] = _system
-        self._interpreter = _interpreter
-        self._tracer = (
-            _system.tracer
-            if _system is not None
-            else (_tracer if _tracer is not None else Tracer())
-        )
+    def __init__(self, system: SOSSystem):
+        self._system = system
         self._closed = False
         self._precheck: Optional[str] = None
 
@@ -361,35 +353,25 @@ class LocalSession(Session):
 
     @property
     def system(self) -> SOSSystem:
-        """The underlying :class:`SOSSystem` (relational sessions only)."""
-        if self._system is None:
-            raise CatalogError("a model-level session has no optimizer system")
+        """The underlying :class:`SOSSystem` (``optimizer`` is ``None`` for a
+        model-level session)."""
         return self._system
 
     @property
-    def interpreter(self):
-        """The underlying interpreter (statement front end)."""
-        if self._system is not None:
-            return self._system.interpreter
-        return self._interpreter
-
-    @property
     def database(self):
-        if self._system is not None:
-            return self._system.database
-        return self._interpreter.database
+        return self._system.database
 
     @property
     def tracer(self) -> Tracer:
         """The session's event bus; subscribe callables to receive
         :class:`~repro.observe.Event` objects."""
-        return self._tracer
+        return self._system.tracer
 
     @property
     def durability(self):
         """The attached :class:`~repro.durability.DurabilityManager`, or
         ``None`` for an in-memory session."""
-        return self._system.durability if self._system is not None else None
+        return self._system.durability
 
     @property
     def durable(self) -> bool:
@@ -445,35 +427,31 @@ class LocalSession(Session):
 
     def set_tracing(self, enabled: bool = True) -> None:
         """Toggle per-statement metric collection for this session."""
-        if self._system is not None:
-            self._system.set_tracing(enabled)
+        self._system.set_tracing(enabled)
 
     @property
     def tracing(self) -> bool:
-        return self._system.tracing if self._system is not None else False
+        return self._system.tracing
 
     def subscribe(self, fn: Callable[[Event], None]) -> Callable[[Event], None]:
         """Shorthand for ``session.tracer.subscribe(fn)``."""
-        return self._tracer.subscribe(fn)
+        return self.tracer.subscribe(fn)
 
     def set_feedback(self, enabled: bool = True) -> None:
-        """Toggle cardinality feedback (relational sessions; requires
-        tracing to also be on — see :meth:`SOSSystem.set_feedback`)."""
-        if self._system is not None:
-            self._system.set_feedback(enabled)
+        """Toggle cardinality feedback (requires tracing to also be on —
+        see :meth:`SOSSystem.set_feedback`)."""
+        self._system.set_feedback(enabled)
 
     # ------------------------------------------------------------------ lint
 
     def lint(self) -> "LintReport":
         """Run the static analyzer over this session's signature — and,
-        for relational sessions, the optimizer's rules against it.
+        when the session has an optimizer, its rules against it.
         Returns the :class:`~repro.lint.LintReport`; raises nothing."""
         from repro.lint import lint_database
 
         return lint_database(
-            self.database,
-            self._system.optimizer if self._system is not None else None,
-            source=repr(self),
+            self.database, self._system.optimizer, source=repr(self)
         )
 
     def check(self, source: str, *, atomic: bool = False):
@@ -510,22 +488,18 @@ class LocalSession(Session):
 
             for chunk in split_statements(source):
                 self._check_mutable(chunk)
-        if self._system is not None:
-            return self._system.run(source, atomic=atomic)
-        return [self._lift(r) for r in self._interpreter.run(source)]
+        return self._system.run(source, atomic=atomic)
 
     def run_one(self, source: str) -> SystemResult:
         """Process exactly one statement."""
         if self._precheck is not None:
             enforce_precheck(self._precheck, self.check(source), source)
         self._check_mutable(source)
-        if self._system is not None:
-            return self._system.run_one(source)
-        return self._lift(self._interpreter.run_one(source))
+        return self._system.run_one(source)
 
     def explain(self, source: str, *, analyze: bool = False) -> dict:
         """The plan report for a query; see :meth:`SOSSystem.explain`."""
-        return self.system.explain(source, analyze=analyze)
+        return self._system.explain(source, analyze=analyze)
 
     # ---------------------------------------------------------- persistence
 
@@ -535,27 +509,8 @@ class LocalSession(Session):
 
     def restore(self, text: str) -> None:
         """Replay a dumped program into this session."""
-        restore_program(
-            self._system if self._system is not None else self._interpreter,
-            text,
-        )
-
-    # ------------------------------------------------------------- internal
-
-    @staticmethod
-    def _lift(result) -> SystemResult:
-        """Adapt an interpreter StatementResult to the unified shape."""
-        if isinstance(result, SystemResult):
-            return result
-        return SystemResult(
-            kind=result.kind,
-            level="model",
-            name=result.name,
-            type=result.type,
-            value=result.value,
-            term=result.term,
-        )
+        restore_program(self._system, text)
 
     def __repr__(self) -> str:
-        kind = "relational" if self._system is not None else "model"
+        kind = "model" if self._system.optimizer is None else "relational"
         return f"<Session model={kind} objects={len(self.database.objects)}>"

@@ -395,7 +395,7 @@ class Evaluator:
 
     def eval(self, term: Term, env: Optional[dict] = None, allow_update: bool = False):
         """Evaluate a term.  ``allow_update`` permits an update function at
-        the *root* only (the interpreter's update statement)."""
+        the *root* only (the term of an update statement)."""
         return self.compile(term, allow_update)({} if env is None else env)
 
     def compile(self, term: Term, allow_update: bool = False) -> Compiled:

@@ -25,7 +25,6 @@ from repro.lang.parser import (
     UpdateStmt,
     split_statements,
 )
-from repro.lang.interpreter import Interpreter, StatementResult
 from repro.lang.printer import format_concrete
 
 __all__ = [
@@ -39,7 +38,5 @@ __all__ = [
     "DeleteStmt",
     "QueryStmt",
     "split_statements",
-    "Interpreter",
-    "StatementResult",
     "format_concrete",
 ]

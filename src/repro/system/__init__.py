@@ -3,7 +3,9 @@
 :class:`~repro.system.sos_system.SOSSystem` accepts mixed programs of
 model, representation and hybrid statements, classifies them, translates
 model-level updates and queries to the representation level through the
-rule-based optimizer, and executes the result.
+rule-based optimizer, and executes the result.  With no optimizer
+(:func:`build_model_interpreter`) the same pipeline executes model-level
+statements directly (Section 2.4 semantics).
 
 :func:`build_relational_system` assembles the complete relational stack —
 base + relational model + representation model + catalog — with the

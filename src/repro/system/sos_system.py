@@ -11,6 +11,12 @@ Processing of mixed programs follows the paper:
   statements, which are then executed;
 * hybrid/representation statements are executed directly.
 
+A statement is translated iff the system has an optimizer and the
+statement is model-level.  Without an optimizer (``optimizer=None``) the
+same pipeline gives the plain Section 2.4 semantics: every created object
+starts as its type's ``empty`` value where one exists, and model-level
+updates and queries are evaluated directly against those values.
+
 The translated statements are recorded on the :class:`SystemResult` (the
 paper's ``=>``-prefixed generated statements), so a session transcript can
 be compared against Section 6 line by line.
@@ -46,14 +52,15 @@ from repro.errors import (
     OptimizationError,
     ResourceLimitError,
     SOSError,
+    TypeCheckError,
     UpdateError,
     wrap_statement_error,
 )
-from repro.lang.interpreter import Interpreter
 from repro.lang.parser import (
     AnalyzeStmt,
     CreateStmt,
     DeleteStmt,
+    Parser,
     QueryStmt,
     Statement,
     TypeStmt,
@@ -142,15 +149,15 @@ def build_relational_database() -> Database:
     return Database(sos, algebra)
 
 
-def build_model_interpreter() -> Interpreter:
-    """A plain interpreter over the full relational stack.
+def build_model_interpreter() -> "SOSSystem":
+    """A system with no optimizer over the full relational stack.
 
     Executes *model-level* statements directly against in-memory relations
     (Section 2.4 semantics, no optimizing translation) — relations here are
     real values, not virtual objects backed by representations.  Use this
     for model-only programs, including views over relations.
     """
-    return Interpreter(build_relational_database())
+    return SOSSystem(build_relational_database())
 
 
 def build_relational_system(
@@ -160,27 +167,26 @@ def build_relational_system(
     standard rules and the ``rep`` catalog created (paper: "a catalog rep
     has been created together with the database")."""
     database = build_relational_database()
-    system = SOSSystem(
+    SOSSystem(database).run_one("create rep : catalog(ident, ident)")
+    return SOSSystem(
         database,
         optimizer if optimizer is not None else standard_optimizer(),
         tracer=tracer,
     )
-    system.interpreter.run_one("create rep : catalog(ident, ident)")
-    return system
 
 
 class SOSSystem:
-    """Mixed-program processing with optimizing translation."""
+    """Mixed-program processing, with optimizing translation when the
+    system has an optimizer."""
 
     def __init__(
         self,
         database: Database,
-        optimizer: Optimizer,
+        optimizer: Optional[Optimizer] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.database = database
         self.optimizer = optimizer
-        self.interpreter = Interpreter(database)
         self.tracer = tracer if tracer is not None else Tracer()
         self._collect = False
         self._feedback = False
@@ -230,6 +236,14 @@ class SOSSystem:
 
     # ------------------------------------------------------------------- API
 
+    def make_parser(self) -> Parser:
+        """A parser that sees the database's current aliases and objects."""
+        return Parser(
+            self.database.sos,
+            aliases=self.database.aliases,
+            is_object=self.database.has_object,
+        )
+
     def run(self, source: str, atomic: bool = False) -> list[SystemResult]:
         """Process a program statement by statement.
 
@@ -271,9 +285,7 @@ class SOSSystem:
             timings: dict[str, float] = {}
             with self.tracer.span("statement", index=index):
                 with self._phase(timings, "parse"):
-                    statement = self.interpreter.make_parser().parse_statement(
-                        chunk
-                    )
+                    statement = self.make_parser().parse_statement(chunk)
                 dur = self.durability
                 log_seq = None
                 if dur is not None and not isinstance(statement, QueryStmt):
@@ -319,8 +331,9 @@ class SOSSystem:
         returns the chosen plan (concrete syntax), the rules that fired
         with the full rule trace, the estimated cost, the statement's
         level, and ``translated`` — False for representation-level
-        (already-translated) and hybrid queries, which get the identity
-        plan instead of an error.
+        (already-translated) and hybrid queries, and for every query of a
+        system without an optimizer, which get the identity plan instead
+        of an error.
 
         With ``analyze=True`` the query is also *executed* with metric
         collection armed, adding real row counts, per-operator tuple
@@ -339,7 +352,7 @@ class SOSSystem:
             "type", "create", "update", "delete", "query", "analyze",
         ):
             source = "query " + source
-        statement = self.interpreter.make_parser().parse_statement(source)
+        statement = self.make_parser().parse_statement(source)
         if not isinstance(statement, QueryStmt):
             raise UpdateError("explain only accepts query statements")
         if analyze:
@@ -385,7 +398,7 @@ class SOSSystem:
         trace = RuleTrace()
         fired: list[str] = []
         plan = term
-        if level == "model":
+        if level == "model" and self.optimizer is not None:
             opt = self.optimizer.optimize(term, self.database, trace)
             plan = opt.term
             fired = opt.fired
@@ -490,10 +503,8 @@ class SOSSystem:
         if isinstance(statement, CreateStmt):
             with self._phase(timings, "execute"):
                 obj = self.database.create(statement.name, statement.type)
-                if obj.level != "model":
-                    self.interpreter._auto_initialize(
-                        statement.name, statement.type
-                    )
+                if self.optimizer is None or obj.level != "model":
+                    self._auto_initialize(statement.name, statement.type)
             return SystemResult(
                 "create", level=obj.level, name=statement.name, type=obj.type
             )
@@ -512,6 +523,18 @@ class SOSSystem:
                 summary = analyze_objects(self.database, statement.names or None)
             return SystemResult("analyze", value=summary)
         raise TypeError(f"not a statement: {statement!r}")
+
+    def _auto_initialize(self, name: str, declared: Type) -> None:
+        """Give a freshly created object its ``empty`` value if the type has
+        one (relations, representation structures, catalogs); other objects
+        stay undefined until the first update."""
+        try:
+            term = self.database.typechecker.check_value_term(
+                Var("empty"), declared
+            )
+        except TypeCheckError:
+            return
+        self.database.set_value(name, self.database.evaluator.eval(term))
 
     def _term_level(self, term: Term) -> str:
         """'model' if the term uses any model-level operator or object.
@@ -573,10 +596,10 @@ class SOSSystem:
         with self._phase(timings, "typecheck"):
             term = tc.check_value_term(statement.expr, obj.type)
             level = self._term_level(term)
-        if obj.level != "model" and level != "model":
-            # Direct execution at the representation/hybrid level.
+        if self.optimizer is None or (obj.level != "model" and level != "model"):
+            # Direct execution: representation/hybrid level, or no optimizer.
             with self._phase(timings, "execute"):
-                self.interpreter._check_update_root(term, statement.name)
+                self._check_update_root(term, statement.name)
                 self.database.protect(
                     statement.name, *referenced_objects(term, self.database)
                 )
@@ -621,6 +644,24 @@ class SOSSystem:
             fired=opt.fired,
         )
 
+    def _check_update_root(self, term: Term, target: str) -> None:
+        """An update function's first argument must be the updated object
+        (its result is assigned to that argument — condition (ii) of the
+        paper's update-function definition)."""
+        if (
+            not isinstance(term, Apply)
+            or term.resolved is None
+            or not term.resolved.is_update
+            or not term.args
+        ):
+            return
+        first = term.args[0]
+        if not isinstance(first, (Var, ObjRef)) or first.name != target:
+            raise UpdateError(
+                f"update function {term.op} must take the updated object "
+                f"{target} as its first argument"
+            )
+
     def _update_target(self, translated: Term) -> str:
         """The representation object a translated update assigns to —
         the first argument of the root update function."""
@@ -650,7 +691,7 @@ class SOSSystem:
         translated_term = None
         fired: list[str] = []
         exec_term = term
-        if level == "model":
+        if level == "model" and self.optimizer is not None:
             with self._phase(timings, "optimize"):
                 opt = self.optimizer.optimize(term, self.database, trace)
                 if self._term_level(opt.term) == "model":

@@ -21,7 +21,7 @@ no paper example can reach — so statements execute inside a
   values (a secondary index holding its heap relation, for example) survive
   the rollback.
 
-The interpreter and the SOS system wrap every statement in
+The SOS system wraps every statement in
 :func:`statement_transaction`; ``run(source, atomic=True)`` wraps a whole
 program in one transaction with a savepoint per statement.
 """

@@ -38,7 +38,7 @@ def system():
     """A fresh full relational system with the standard optimizer.
 
     The raw :class:`SOSSystem` (not the :class:`repro.api.Session` facade),
-    so tests can poke at ``.optimizer`` and ``.interpreter`` directly.
+    so tests can poke at ``.optimizer`` and ``.make_parser()`` directly.
     """
     return connect().system
 

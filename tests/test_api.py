@@ -5,7 +5,7 @@ The ``db`` fixture is parametrized over ``local`` (in-process
 :class:`LocalSession`) and ``network`` (a :class:`NetworkSession` to a
 shared in-process server) — every test taking ``db`` asserts the same
 behavior through both transports with one body.  Local-only machinery
-(custom optimizers, tracer identity, the model-level interpreter,
+(custom optimizers, tracer identity, the model-level session,
 restore) is tested separately below.
 """
 
@@ -234,8 +234,7 @@ class TestDSN:
     def test_legacy_model_names_positional(self):
         assert connect("relational").system is not None
         model = connect("model")
-        with pytest.raises(CatalogError):
-            model.system  # no optimizer system behind it
+        assert model.system.optimizer is None
 
     def test_file_dsn_is_data_dir_sugar(self, tmp_path):
         path = str(tmp_path / "db")
@@ -290,6 +289,31 @@ class TestLocalOnly:
         assert all(isinstance(r, SystemResult) for r in results)
         assert results[0].kind == "type"
         assert results[1].level == "model"
+
+    def test_model_session_atomic_program_rolls_back(self):
+        db = connect("model")
+        db.run("type t = tuple(<(a, int)>)\ncreate r : rel(t)")
+        with pytest.raises(StatementError):
+            db.run(
+                "update r := insert(r, mktuple[<(a, 7)>])\nupdate nosuch := 3",
+                atomic=True,
+            )
+        assert len(db.query("r").value.rows) == 0
+
+    def test_model_session_is_observable(self):
+        events = []
+        db = connect("model", trace=events.append)
+        assert db.tracing
+        db.run("type t = tuple(<(a, int)>)\ncreate r : rel(t)")
+        events.clear()
+        result = db.query("r select[a > 0]")
+        assert any(e.name == "statement" for e in events)
+        assert result.timings["total"] > 0
+        assert result.metrics is not None and result.metrics.io
+        assert result.rule_trace is not None
+        plan = db.explain("r select[a > 0]")
+        assert plan["translated"] is False
+        assert plan["level"] == "model"
 
     def test_model_session_takes_no_optimizer(self):
         from repro.optimizer import standard_optimizer

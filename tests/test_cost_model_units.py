@@ -11,7 +11,7 @@ def db(loaded_system):
 
 
 def plan(loaded_system, text):
-    statement = loaded_system.interpreter.make_parser().parse_statement(
+    statement = loaded_system.make_parser().parse_statement(
         "query " + text
     )
     return loaded_system.database.typechecker.check(statement.expr)

@@ -141,11 +141,11 @@ update v := fun () r select[a > 0]
 
     def test_graph_values_become_notes(self):
         from repro.catalog import Database
-        from repro.lang import Interpreter
         from repro.models.graph import graph_model
+        from repro.system import SOSSystem
 
         sos, algebra = graph_model()
-        interp = Interpreter(Database(sos, algebra))
+        interp = SOSSystem(Database(sos, algebra))
         interp.run(
             """
 type n = tuple(<(a, int)>)

@@ -44,7 +44,7 @@ class TestRedefinition:
     def test_type_alias_redefinition_replaces(self, system):
         system.run("type t = tuple(<(a, int)>)")
         system.run("type t = tuple(<(b, string)>)")
-        stmt = system.interpreter.make_parser().parse_type("t")
+        stmt = system.make_parser().parse_type("t")
         from repro.core.types import attrs_of
 
         assert attrs_of(stmt)[0][0] == "b"

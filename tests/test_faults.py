@@ -10,7 +10,7 @@ the same statement succeeds and changes the state.
 import pytest
 
 from repro.errors import SOSError
-from repro.system import build_relational_system
+from repro.system import SOSSystem, build_relational_system
 from repro.system.transactions import statement_transaction
 from repro.testing import (
     FAULT_SITES,
@@ -64,12 +64,11 @@ create aux_rep : btree(city, pop, int)
     for i in range(3):
         system.run_one(f"update states := insert(states, {state('s%d' % i, i)})")
     system.run_one("update scratch_tid := stream_insert(scratch_tid, cities_rep feed)")
-    # a model-level relation executed directly by the plain interpreter
-    system.interpreter.run_one("create mrel : rel(city)")
+    # a model-level relation executed directly by a system with no optimizer
+    direct = SOSSystem(system.database)
+    direct.run_one("create mrel : rel(city)")
     for i, pop in enumerate([7, 7, 400]):
-        system.interpreter.run_one(
-            f"update mrel := insert(mrel, {city('m%d' % i, i, i, pop)})"
-        )
+        direct.run_one(f"update mrel := insert(mrel, {city('m%d' % i, i, i, pop)})")
     return system
 
 
@@ -82,7 +81,7 @@ create aux_rep : btree(city, pop, int)
 
 def _stmt(runner: str, text: str):
     def probe(system):
-        target = system if runner == "system" else system.interpreter
+        target = system if runner == "system" else SOSSystem(system.database)
         target.run_one(text)
 
     return probe
@@ -137,9 +136,9 @@ PROBES = {
     ),
     "catalog.insert": (1, _stmt("system", "update rep := insert(rep, aux, aux_rep)")),
     "catalog.remove": (1, _stmt("system", "update rep := cat_remove(rep, cities, cities_rep)")),
-    "rel.insert": (1, _stmt("interp", f"update mrel := insert(mrel, {city('y', 8, 8, 99)})")),
-    "rel.delete": (1, _stmt("interp", "update mrel := delete(mrel, pop <= 10000)")),
-    "rel.modify": (1, _stmt("interp", 'update mrel := modify(mrel, pop = 7, cname, "q")')),
+    "rel.insert": (1, _stmt("direct", f"update mrel := insert(mrel, {city('y', 8, 8, 99)})")),
+    "rel.delete": (1, _stmt("direct", "update mrel := delete(mrel, pop <= 10000)")),
+    "rel.modify": (1, _stmt("direct", 'update mrel := modify(mrel, pop = 7, cname, "q")')),
     "evaluator.apply": (2, _stmt("system", INSERT_X)),
     "database.set_value": (1, _stmt("system", INSERT_X)),
     "optimizer.rule": (1, _stmt("system", INSERT_X)),

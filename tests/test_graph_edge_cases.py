@@ -3,14 +3,14 @@
 import pytest
 
 from repro.catalog import Database
-from repro.lang import Interpreter
 from repro.models.graph import graph_model
+from repro.system import SOSSystem
 
 
 @pytest.fixture()
 def interp():
     sos, algebra = graph_model()
-    interp = Interpreter(Database(sos, algebra))
+    interp = SOSSystem(Database(sos, algebra))
     interp.run(
         """
 type n = tuple(<(label, string)>)

@@ -41,14 +41,14 @@ create people_idx : mbtree(person, <(country, string), (town, string)>)
 class TestTypeSystem:
     def test_well_formed(self, system):
         system.run("type t = tuple(<(a, string), (b, int)>)")
-        t = system.interpreter.make_parser().parse_type(
+        t = system.make_parser().parse_type(
             "mbtree(t, <(a, string), (b, int)>)"
         )
         system.database.sos.type_system.check_type(t)
 
     def test_unknown_attribute_rejected(self, system):
         system.run("type t = tuple(<(a, string), (b, int)>)")
-        bad = system.interpreter.make_parser().parse_type(
+        bad = system.make_parser().parse_type(
             "mbtree(t, <(ghost, string)>)"
         )
         with pytest.raises(TypeFormationError):
@@ -56,13 +56,13 @@ class TestTypeSystem:
 
     def test_wrong_dtype_rejected(self, system):
         system.run("type t = tuple(<(a, string), (b, int)>)")
-        bad = system.interpreter.make_parser().parse_type("mbtree(t, <(a, int)>)")
+        bad = system.make_parser().parse_type("mbtree(t, <(a, int)>)")
         with pytest.raises(TypeFormationError):
             system.database.sos.type_system.check_type(bad)
 
     def test_duplicate_key_attr_rejected(self, system):
         system.run("type t = tuple(<(a, string), (b, int)>)")
-        bad = system.interpreter.make_parser().parse_type(
+        bad = system.make_parser().parse_type(
             "mbtree(t, <(a, string), (a, string)>)"
         )
         with pytest.raises(TypeFormationError):

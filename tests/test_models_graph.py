@@ -4,14 +4,14 @@ import pytest
 
 from repro.catalog import Database
 from repro.errors import ExecutionError, TypeFormationError
-from repro.lang import Interpreter
 from repro.models.graph import GraphValue, graph_model
+from repro.system import SOSSystem
 
 
 @pytest.fixture()
 def interp():
     sos, algebra = graph_model()
-    return Interpreter(Database(sos, algebra))
+    return SOSSystem(Database(sos, algebra))
 
 
 PROGRAM = """

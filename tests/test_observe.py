@@ -292,7 +292,7 @@ class TestRuleTrace:
     def test_optimizer_records_trace(self, loaded_system):
         from repro.core.terms import clone_term
 
-        statement = loaded_system.interpreter.make_parser().parse_statement(
+        statement = loaded_system.make_parser().parse_statement(
             "query cities select[pop >= 5000]"
         )
         tc = loaded_system.database.typechecker

@@ -15,7 +15,7 @@ def db(loaded_system):
 
 
 def _plan(loaded_system, text):
-    statement = loaded_system.interpreter.make_parser().parse_statement(text)
+    statement = loaded_system.make_parser().parse_statement(text)
     return loaded_system.database.typechecker.check(statement.expr)
 
 

@@ -228,7 +228,7 @@ def shapes_system():
 def _statement_term(system, source):
     """The typechecked expression of a model-level statement, as the
     system hands it to the optimizer."""
-    statement = system.interpreter.make_parser().parse_statement(source)
+    statement = system.make_parser().parse_statement(source)
     tc = system.database.typechecker
     if source.startswith("update"):
         obj = system.database.objects[statement.name]

@@ -1,4 +1,4 @@
-"""Whole programs through the plain interpreter (experiment E6, Section 2.4)."""
+"""Whole programs through a system with no optimizer (experiment E6, Section 2.4)."""
 
 import pytest
 
@@ -6,9 +6,9 @@ from repro.catalog import Database
 from repro.core.algebra import SecondOrderAlgebra
 from repro.core.sos import SignatureBuilder
 from repro.errors import CatalogError, ExecutionError, TypeCheckError, UpdateError
-from repro.lang import Interpreter
 from repro.models.base import add_base_level, register_base_carriers
 from repro.models.relational import add_relational_level, register_relational_carriers
+from repro.system import SOSSystem
 
 
 @pytest.fixture()
@@ -20,7 +20,7 @@ def interp():
     algebra = SecondOrderAlgebra(sos)
     register_base_carriers(algebra)
     register_relational_carriers(algebra)
-    return Interpreter(Database(sos, algebra))
+    return SOSSystem(Database(sos, algebra))
 
 
 CITIES_PROGRAM = """

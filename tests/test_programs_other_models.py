@@ -1,24 +1,24 @@
 """Whole programs against the nested relational and complex object models —
-the generic interpreter really is model-independent."""
+the generic statement pipeline really is model-independent."""
 
 import pytest
 
 from repro.catalog import Database
-from repro.lang import Interpreter
 from repro.models.complex_objects import complex_object_model
 from repro.models.nested import nested_relational_model
+from repro.system import SOSSystem
 
 
 @pytest.fixture()
 def nested_interp():
     sos, algebra = nested_relational_model()
-    return Interpreter(Database(sos, algebra))
+    return SOSSystem(Database(sos, algebra))
 
 
 @pytest.fixture()
 def co_interp():
     sos, algebra = complex_object_model()
-    return Interpreter(Database(sos, algebra))
+    return SOSSystem(Database(sos, algebra))
 
 
 class TestNestedPrograms:

@@ -28,7 +28,7 @@ create heap : tidrel(item)
 class TestTypeSystem:
     def test_sindex_type_checked(self, system):
         system.run("type t = tuple(<(a, int)>)")
-        parser = system.interpreter.make_parser()
+        parser = system.make_parser()
         system.database.sos.type_system.check_type(
             parser.parse_type("sindex(t, a, int)")
         )

@@ -13,10 +13,10 @@ from repro.catalog import Database
 from repro.core.algebra import SecondOrderAlgebra
 from repro.core.constructors import ConstructorSpec
 from repro.core.sos import SignatureBuilder
-from repro.lang import Interpreter
 from repro.models.base import add_base_level, register_base_carriers
 from repro.rep import model as repm
 from repro.spec import parse_spec
+from repro.system import SOSSystem
 
 REP_SPEC = """
 kinds ORD, STREAM, SREL, BTREE, LSDTREE, RELREP
@@ -100,7 +100,7 @@ def interp():
     algebra = SecondOrderAlgebra(sos)
     register_base_carriers(algebra)
     repm.register_rep_carriers(algebra)
-    return Interpreter(Database(sos, algebra))
+    return SOSSystem(Database(sos, algebra))
 
 
 @pytest.fixture()

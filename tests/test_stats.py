@@ -124,7 +124,7 @@ class TestAnalyzeStatement:
     def test_parse_analyze(self, loaded_system):
         from repro.lang.parser import AnalyzeStmt
 
-        parser = loaded_system.interpreter.make_parser()
+        parser = loaded_system.make_parser()
         bare = parser.parse_statement("analyze")
         assert isinstance(bare, AnalyzeStmt)
         assert bare.names == ()
@@ -132,7 +132,7 @@ class TestAnalyzeStatement:
         assert named.names == ("cities", "states")
 
     def test_parse_rejects_trailing_garbage(self, loaded_system):
-        parser = loaded_system.interpreter.make_parser()
+        parser = loaded_system.make_parser()
         with pytest.raises(SOSError):
             parser.parse_statement("analyze cities states")
 

@@ -86,7 +86,7 @@ class TestEstimates:
         from repro.optimizer.cost import estimate
 
         db = loaded_system.database
-        parser = loaded_system.interpreter.make_parser()
+        parser = loaded_system.make_parser()
 
         def plan_cost(text):
             stmt = parser.parse_statement(f"query {text}")
@@ -104,7 +104,7 @@ class TestEstimates:
         from repro.optimizer.cost import estimate_with_cardinalities
 
         db = loaded_system.database
-        parser = loaded_system.interpreter.make_parser()
+        parser = loaded_system.make_parser()
         stmt = parser.parse_statement("query cities_rep feed count")
         term = db.typechecker.check(stmt.expr)
         analyze_objects(db, ["cities"])
@@ -117,7 +117,7 @@ class TestEstimates:
 
         db = loaded_system.database
         analyze_objects(db, ["cities"])
-        parser = loaded_system.interpreter.make_parser()
+        parser = loaded_system.make_parser()
         stmt = parser.parse_statement(
             "query cities_rep feed filter[pop >= 5000] count"
         )
@@ -133,7 +133,7 @@ class TestCounters:
         from repro.optimizer.cost import estimate
 
         db = loaded_system.database
-        parser = loaded_system.interpreter.make_parser()
+        parser = loaded_system.make_parser()
         stmt = parser.parse_statement("query cities_rep feed count")
         term = db.typechecker.check(stmt.expr)
         with observe.collecting() as cold:

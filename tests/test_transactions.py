@@ -7,7 +7,7 @@ from repro.core.types import TypeApp, rel_type, tuple_type
 from repro.errors import CatalogError, OptimizationError, StatementError
 from repro.storage.io import PageManager
 from repro.storage.tidrel import SecondaryIndex, TidRelation
-from repro.system import build_relational_system
+from repro.system import SOSSystem, build_relational_system
 from repro.system.transactions import (
     Transaction,
     clone_value,
@@ -82,7 +82,7 @@ class TestTransaction:
         txn = Transaction(db)
         db.transaction = txn
         try:
-            session.interpreter.run_one("create n : int")
+            SOSSystem(db).run_one("create n : int")
         finally:
             db.transaction = None
         txn.commit()
@@ -95,8 +95,8 @@ class TestTransaction:
         txn = Transaction(db)
         db.transaction = txn
         try:
-            session.interpreter.run_one("type width = int")
-            session.interpreter.run_one("create n : int")
+            SOSSystem(db).run_one("type width = int")
+            SOSSystem(db).run_one("create n : int")
             session.run_one(
                 f"update cities := insert(cities, {city('x', 9, 9, 123)})"
             )
@@ -112,9 +112,9 @@ class TestTransaction:
         txn = Transaction(db)
         db.transaction = txn
         try:
-            session.interpreter.run_one("create a : int")
+            SOSSystem(db).run_one("create a : int")
             sp = txn.savepoint()
-            session.interpreter.run_one("create b : int")
+            SOSSystem(db).run_one("create b : int")
             txn.rollback(sp)
         finally:
             db.transaction = None
