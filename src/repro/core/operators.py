@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 from repro.core.kinds import Kind
 from repro.core.patterns import Bindings, TypePattern
 from repro.core.sorts import Sort, UnionSort, format_sort
-from repro.core.types import Type, attr_type, attrs_of
+from repro.core.types import Type, attr_index
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.signature import TypeSystem
@@ -268,10 +268,10 @@ class AttributeFamily:
 
             if not isinstance(tup, TypeApp) or tup.constructor not in self.constructors:
                 return None
-        dtype = attr_type(tup, name)
-        if dtype is None:
+        entry = attr_index(tup, name)
+        if entry is None:
             return None
-        index = next(i for i, (a, _) in enumerate(attrs_of(tup)) if a == name)
+        index, dtype = entry
         return ResolvedOp(
             result_type=dtype,
             attr_name=name,

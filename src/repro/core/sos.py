@@ -45,18 +45,24 @@ class SecondOrderSignature:
     ):
         self.type_system = type_system if type_system is not None else TypeSystem()
         self.subtypes = subtypes if subtypes is not None else SubtypeRelation()
-        self._operators: dict[str, list[OperatorSpec]] = {}
-        self._families: list[AttributeFamily] = []
+        self._operators: dict[str, tuple[OperatorSpec, ...]] = {}
+        self._by_arity: dict[tuple[str, int], tuple[OperatorSpec, ...]] = {}
+        self._families: tuple[AttributeFamily, ...] = ()
 
     # -- operators -----------------------------------------------------------
 
     def add_operator(self, spec: OperatorSpec) -> OperatorSpec:
         self._validate_spec(spec)
-        self._operators.setdefault(spec.name, []).append(spec)
+        self._register(spec)
         return spec
 
+    def _register(self, spec: OperatorSpec) -> None:
+        self._operators[spec.name] = self._operators.get(spec.name, ()) + (spec,)
+        key = (spec.name, len(spec.arg_sorts))
+        self._by_arity[key] = self._by_arity.get(key, ()) + (spec,)
+
     def add_family(self, family: AttributeFamily) -> AttributeFamily:
-        self._families.append(family)
+        self._families += (family,)
         return family
 
     def _validate_spec(self, spec: OperatorSpec) -> None:
@@ -72,9 +78,14 @@ class SecondOrderSignature:
                         f"operator {spec.name}: unknown kind {kind} in quantifier"
                     )
 
-    def operators(self, name: str) -> list[OperatorSpec]:
+    def operators(self, name: str) -> tuple[OperatorSpec, ...]:
         """All specs registered under ``name`` (may be empty)."""
-        return list(self._operators.get(name, ()))
+        return self._operators.get(name, ())
+
+    def operators_of_arity(self, name: str, arity: int) -> tuple[OperatorSpec, ...]:
+        """The specs of ``name`` that take ``arity`` operands, in
+        registration order."""
+        return self._by_arity.get((name, arity), ())
 
     def all_operators(self) -> Iterable[OperatorSpec]:
         for specs in self._operators.values():
@@ -82,7 +93,7 @@ class SecondOrderSignature:
 
     @property
     def families(self) -> tuple[AttributeFamily, ...]:
-        return tuple(self._families)
+        return self._families
 
     def is_operator(self, name: str) -> bool:
         return name in self._operators
@@ -145,12 +156,11 @@ class SecondOrderSignature:
         for source in (self, other):
             for rule in source.subtypes.rules:
                 merged.subtypes.add(rule)
-            for specs in source._operators.values():
-                for spec in specs:
-                    merged._operators.setdefault(spec.name, []).append(spec)
+            for spec in source.all_operators():
+                merged._register(spec)
             for family in source._families:
                 if family not in merged._families:
-                    merged._families.append(family)
+                    merged._families += (family,)
         return merged
 
 

@@ -21,7 +21,7 @@ same expression compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Collection, Iterable, Optional, Union
 
 from repro.core.types import Type, format_type
 
@@ -265,32 +265,55 @@ def substitute_term(t: Term, mapping: dict[str, Term]) -> Term:
     return t
 
 
-def clone_term(t: Term) -> Term:
-    """A structural deep copy without typechecking annotations.
+def clone_term(t: Term, scope: Optional[Collection[str]] = None) -> Term:
+    """A structural copy that shares the closed, annotated subterms.
 
     The typechecker elaborates terms in place; when several functionalities
     of an overloaded operator are tried in turn, each attempt works on a
-    fresh clone so a failed attempt cannot leak partial elaboration.
+    copy so a failed attempt cannot leak partial elaboration.  A subterm
+    with a type annotation and no free variable bound by a lambda around it
+    is *closed*: it is checked already, means the same wherever it is
+    placed and is never written to, so the copy shares it.  Every other
+    node is copied without its annotations.
+
+    ``scope`` names the lambda parameters around ``t``; the parameters of
+    the lambdas inside ``t`` join it on the way down.  ``None`` means any
+    free variable may be lambda-bound, so only subterms without free
+    variables are shared.
     """
+    if t.type is not None and _closed(t, scope):
+        return t
     if isinstance(t, Literal):
-        return Literal(t.value, type=t.type)
+        return Literal(t.value)
     if isinstance(t, ObjRef):
         return ObjRef(t.name)
     if isinstance(t, Var):
         return Var(t.name)
     if isinstance(t, Apply):
-        return Apply(t.op, tuple(clone_term(a) for a in t.args))
+        return Apply(t.op, tuple(clone_term(a, scope) for a in t.args))
     if isinstance(t, Fun):
-        return Fun(tuple(t.params), clone_term(t.body))
+        inner = None if scope is None else {*scope, *(n for n, _ in t.params)}
+        return Fun(tuple(t.params), clone_term(t.body, inner))
     if isinstance(t, ListTerm):
-        return ListTerm(tuple(clone_term(i) for i in t.items))
+        return ListTerm(tuple(clone_term(i, scope) for i in t.items))
     if isinstance(t, TupleTerm):
-        return TupleTerm(tuple(clone_term(i) for i in t.items))
+        return TupleTerm(tuple(clone_term(i, scope) for i in t.items))
     if isinstance(t, OpRef):
         return OpRef(t.name)
     if isinstance(t, Call):
-        return Call(clone_term(t.fn), tuple(clone_term(a) for a in t.args))
+        return Call(
+            clone_term(t.fn, scope), tuple(clone_term(a, scope) for a in t.args)
+        )
     raise TypeError(f"not a term: {t!r}")
+
+
+def _closed(t: Term, scope: Optional[Collection[str]]) -> bool:
+    """No free variable of ``t`` is among the lambda parameters ``scope``
+    (``None``: every free variable might be one)."""
+    if scope is not None and not scope:
+        return True
+    free = free_variables(t)
+    return not free if scope is None else free.isdisjoint(scope)
 
 
 def walk_terms(t: Term) -> Iterable[Term]:

@@ -22,9 +22,20 @@ The checker is also the *elaborator* of the concrete syntax (Section 2.3):
 
 The checker returns a (possibly rewritten) term with ``type`` and
 ``resolved`` annotations filled in; the evaluator dispatches on those.
-Overloaded operators are retried safely: each candidate spec works on a
-clone of the operand terms, so a failed attempt leaves no partial
-elaboration behind.
+Overloaded operators are retried safely: while another candidate (a spec of
+the same arity, or the attribute-family fallback) could still run, a
+candidate works on a copy of the operands, so a failed attempt leaves no
+partial elaboration behind.
+
+The copies share what cannot change.  A subterm is *closed* when no free
+variable of it is bound by a lambda around it; a closed subterm that
+already carries a type means the same wherever it is placed.
+:func:`~repro.core.terms.clone_term` and the optimizer's rule instantiation
+keep annotations only on closed subterms and share those instead of copying
+them, and the checker returns an annotated node unchanged — it never writes
+to one.  Its type is still matched against the sort of the operand position
+it lands in, so every node a rewrite *built* is fully checked, while the
+subterms it moved are not checked again.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from repro.core.operators import (
     ResolvedOp,
     TypeOperator,
 )
-from repro.core.patterns import Bindings, PVar, match_type
+from repro.core.patterns import Bindings, PVar, match_type, pattern_variables
 from repro.core.sorts import (
     AppSort,
     BindSort,
@@ -125,6 +136,9 @@ class TypeChecker:
     # ------------------------------------------------------------ dispatch
 
     def _check(self, term: Term, env: TypeEnv) -> Term:
+        if term.type is not None:
+            # Annotations survive only on closed subterms (module docstring).
+            return term
         if isinstance(term, Literal):
             return self._check_literal(term)
         if isinstance(term, Var):
@@ -158,8 +172,6 @@ class TypeChecker:
         raise TypeCheckError(f"cannot typecheck: {term!r}")
 
     def _check_literal(self, term: Literal) -> Literal:
-        if term.type is not None:
-            return term
         ctor = self.literal_types.get(type(term.value))
         if ctor is None or not self.sos.type_system.has_constructor(ctor):
             raise TypeCheckError(
@@ -178,7 +190,7 @@ class TypeChecker:
             for pname, ptype in frame:
                 dtype = attr_type(ptype, term.name)
                 if dtype is not None:
-                    access = Apply(term.name, (Var(pname, type=ptype),))
+                    access = Apply(term.name, (Var(pname),))
                     return self._check_apply(access, env)
         obj_type = self.object_types(term.name)
         if obj_type is not None:
@@ -222,6 +234,10 @@ class TypeChecker:
                     )
                 self.sos.type_system.check_type(declared)
                 params.append((name, declared))
+        if term.type is not None:
+            # Closed and checked already; its parameter types agree with
+            # the context, so its body's annotations hold here too.
+            return term
         inner = dict(env)
         inner.update(params)
         term.params = tuple(params)
@@ -298,29 +314,42 @@ class TypeChecker:
     # --------------------------------------------------------- applications
 
     def _check_apply(self, term: Apply, env: TypeEnv) -> Apply:
-        specs = self.sos.operators(term.op)
+        arity = len(term.args)
+        specs = self.sos.operators_of_arity(term.op, arity)
+        fallback = arity == 1 and bool(self.sos.families)
         failures: list[str] = []
-        for spec in specs:
-            attempt = Apply(term.op, tuple(clone_term(a) for a in term.args))
+        for i, spec in enumerate(specs):
+            args = term.args
+            if fallback or i < len(specs) - 1:
+                # Another candidate may run after this one fails.
+                args = tuple(clone_term(a, env) for a in args)
             try:
-                return self._try_spec(attempt, spec, env)
-            except _Failure as exc:
-                failures.append(f"[{spec}]: {exc}")
-            except TypeCheckError as exc:
-                failures.append(f"[{spec}]: {exc}")
+                return self._try_spec(Apply(term.op, args), spec, env)
+            except (_Failure, TypeCheckError) as exc:
+                failures.append(str(exc))
         resolved = self._try_families(term, env)
         if resolved is not None:
             return resolved
-        if not specs:
+        named = self.sos.operators(term.op)
+        if not named:
             raise NoMatchingOperator(f"unknown operator: {term.op}")
-        detail = "; ".join(failures)
+        tried = iter(failures)
+        detail = "; ".join(
+            f"[{spec}]: "
+            + (
+                next(tried)
+                if len(spec.arg_sorts) == arity
+                else f"expects {len(spec.arg_sorts)} operand(s), got {arity}"
+            )
+            for spec in named
+        )
         raise NoMatchingOperator(f"no functionality of {term.op} matches: {detail}")
 
     def _try_families(self, term: Apply, env: TypeEnv) -> Optional[Apply]:
         if len(term.args) != 1 or not self.sos.families:
             return None
         try:
-            arg = self._check(clone_term(term.args[0]), env)
+            arg = self._check(clone_term(term.args[0], env), env)
         except TypeCheckError:
             return None
         if arg.type is None:
@@ -335,10 +364,6 @@ class TypeChecker:
         return None
 
     def _try_spec(self, term: Apply, spec: OperatorSpec, env: TypeEnv) -> Apply:
-        if len(term.args) != len(spec.arg_sorts):
-            raise _Failure(
-                f"expects {len(spec.arg_sorts)} operand(s), got {len(term.args)}"
-            )
         binds: Bindings = {}
         checked: list[Term] = []
         descriptors: list[object] = []
@@ -419,8 +444,7 @@ class TypeChecker:
                 )
                 items.append(new_item)
                 descriptors.append(descriptor)
-            term.items = tuple(items)
-            return term, descriptors
+            return ListTerm(tuple(items)), descriptors
         if isinstance(sort, ProductSort):
             if not isinstance(term, TupleTerm):
                 raise _Failure("expected a product operand (...)")
@@ -435,15 +459,14 @@ class TypeChecker:
                 new_item, descriptor = self._match_term(item, part, binds, env, spec)
                 items.append(new_item)
                 descriptors.append(descriptor)
-            term.items = tuple(items)
-            return term, tuple(descriptors)
+            return TupleTerm(tuple(items)), tuple(descriptors)
         if isinstance(sort, UnionSort):
             errors = []
             for alternative in sort.alternatives:
                 trial = dict(binds)
                 try:
                     new_term, descriptor = self._match_term(
-                        clone_term(term), alternative, trial, env, spec
+                        clone_term(term, env), alternative, trial, env, spec
                     )
                     binds.clear()
                     binds.update(trial)
@@ -491,8 +514,7 @@ class TypeChecker:
             lit = Literal(Sym(term.name), type=TypeApp("ident"))
             return lit, Sym(term.name)
         if isinstance(term, Literal) and isinstance(term.value, Sym):
-            term.type = TypeApp("ident")
-            return term, term.value
+            return Literal(term.value, type=TypeApp("ident")), term.value
         raise _Failure(f"expected an identifier, got {format_term(term)}")
 
     def _constant_op(
@@ -509,9 +531,7 @@ class TypeChecker:
         expected = self._resolve_sort(sort, binds)
         if expected is None:
             return None
-        for candidate in self.sos.operators(name):
-            if candidate.arg_sorts:
-                continue
+        for candidate in self.sos.operators_of_arity(name, 0):
             trial: Bindings = {}
             try:
                 self._match_type(expected, candidate.result, trial, candidate)
@@ -544,8 +564,8 @@ class TypeChecker:
                 raise _Failure(
                     f"cannot determine the functionality of operator value {term.name}"
                 )
-            term.type = FunType(tuple(param_types), result)  # type: ignore[arg-type]
-            return term, term.type
+            ref = OpRef(term.name, type=FunType(tuple(param_types), result))  # type: ignore[arg-type]
+            return ref, ref.type
         implicit = False
         if not isinstance(term, Fun):
             if any(p is None for p in param_types):
@@ -578,21 +598,29 @@ class TypeChecker:
         self, t: Type, sort: Sort, binds: Bindings, spec: OperatorSpec
     ) -> None:
         """Match an operand *type* against a sort, possibly extending
-        ``binds`` through quantifiers; tries supertypes on direct failure."""
-        candidates = [t] + [
-            sup for sup in self.sos.subtypes.supertypes(t) if sup != t
-        ]
-        errors: list[str] = []
-        for candidate in candidates:
-            trial = dict(binds)
-            try:
-                self._match_type_direct(candidate, sort, trial, spec)
-                binds.clear()
-                binds.update(trial)
+        ``binds`` through quantifiers; tries the proper supertypes of ``t``
+        (read from the signature's closure table) only when ``t`` fails."""
+        failure = self._match_committing(t, sort, binds, spec)
+        if failure is None:
+            return
+        for sup in self.sos.subtypes.supertypes(t)[1:]:
+            if self._match_committing(sup, sort, binds, spec) is None:
                 return
-            except _Failure as exc:
-                errors.append(str(exc))
-        raise _Failure(errors[0] if errors else f"{format_type(t)} does not match")
+        raise failure
+
+    def _match_committing(
+        self, t: Type, sort: Sort, binds: Bindings, spec: OperatorSpec
+    ) -> Optional[_Failure]:
+        """Match ``t`` on a copy of ``binds`` and keep the copy if it
+        matched; otherwise return the failure and leave ``binds`` alone."""
+        trial = dict(binds)
+        try:
+            self._match_type_direct(t, sort, trial, spec)
+        except _Failure as exc:
+            return exc
+        binds.clear()
+        binds.update(trial)
+        return None
 
     def _match_type_direct(
         self, t: Type, sort: Sort, binds: Bindings, spec: OperatorSpec
@@ -697,8 +725,6 @@ class TypeChecker:
             binds.setdefault(sort.name, t)
             quantifier = self._quantifier_for(sort.name, spec)
             if quantifier is not None and quantifier.pattern is not None:
-                from repro.core.patterns import pattern_variables
-
                 for name in pattern_variables(quantifier.pattern):
                     binds.setdefault(name, t)
 

@@ -31,8 +31,8 @@ optimizer's pattern matcher and the typechecker rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.core.terms import Term
@@ -144,6 +144,12 @@ class TypeApp(Type):
 
     constructor: str
     args: tuple[TypeArg, ...] = ()
+    _attrs: Optional["_AttrTable"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    """The attribute table of a tuple-shaped type, built by the first
+    lookup by name (:func:`attr_index`); the type is immutable, so the
+    table never goes stale."""
 
     def __str__(self) -> str:
         return format_type(self)
@@ -190,6 +196,10 @@ def format_type(t: Type) -> str:
         return f"({arrow}{format_type(t.result)})"
     if isinstance(t, ProductType):
         return "(" + " x ".join(format_type(p) for p in t.parts) + ")"
+    if type(t).__str__ is not Type.__str__:
+        # A type defined outside this module that renders itself, such as
+        # a rule type variable (``?tuple1``).
+        return str(t)
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -209,13 +219,10 @@ def rel_type(tup: Type, constructor: str = "rel") -> TypeApp:
     return TypeApp(constructor, (tup,))
 
 
-def attrs_of(tup: Type) -> tuple[tuple[str, Type], ...]:
-    """Extract the (name, type) attribute pairs of a tuple-shaped type.
+_AttrTable = tuple[tuple[tuple[str, Type], ...], dict[str, tuple[int, Type]]]
 
-    Works for any constructor whose single argument is an ``ArgList`` of
-    ``(Sym, Type)`` pairs (``tuple`` in all of the paper's models).
-    Raises :class:`TypeError` if the type has no such shape.
-    """
+
+def _attr_pairs(tup: Type) -> tuple[tuple[str, Type], ...]:
     if (
         isinstance(tup, TypeApp)
         and len(tup.args) == 1
@@ -236,16 +243,44 @@ def attrs_of(tup: Type) -> tuple[tuple[str, Type], ...]:
     raise TypeError(f"not a tuple-shaped type: {format_type(tup)}")
 
 
+def attrs_of(tup: Type) -> tuple[tuple[str, Type], ...]:
+    """Extract the (name, type) attribute pairs of a tuple-shaped type.
+
+    Works for any constructor whose single argument is an ``ArgList`` of
+    ``(Sym, Type)`` pairs (``tuple`` in all of the paper's models).
+    Raises :class:`TypeError` if the type has no such shape.
+
+    Reads the type's attribute table if a lookup by name has built one,
+    and builds none itself: a tuple value made by a statement carries its
+    own schema object, and listing its attributes (printing, dumping)
+    should not leave a table on every such schema.
+    """
+    if isinstance(tup, TypeApp) and tup._attrs is not None:
+        return tup._attrs[0]
+    return _attr_pairs(tup)
+
+
+def attr_index(tup: Type, name: str) -> Optional[tuple[int, Type]]:
+    """``(position, type)`` of attribute ``name`` in a tuple-shaped type,
+    or ``None``.  The first lookup builds the type's attribute table."""
+    if not isinstance(tup, TypeApp):
+        return None
+    if tup._attrs is None:
+        try:
+            pairs = _attr_pairs(tup)
+        except TypeError:
+            return None
+        index: dict[str, tuple[int, Type]] = {}
+        for i, (attr, t) in enumerate(pairs):
+            index.setdefault(attr, (i, t))
+        object.__setattr__(tup, "_attrs", (pairs, index))
+    return tup._attrs[1].get(name)
+
+
 def attr_type(tup: Type, name: str) -> Type | None:
     """The type of attribute ``name`` in a tuple-shaped type, or ``None``."""
-    try:
-        pairs = attrs_of(tup)
-    except TypeError:
-        return None
-    for attr, t in pairs:
-        if attr == name:
-            return t
-    return None
+    entry = attr_index(tup, name)
+    return entry[1] if entry is not None else None
 
 
 def concat_tuple_types(left: Type, right: Type) -> TypeApp:

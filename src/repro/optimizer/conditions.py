@@ -86,12 +86,11 @@ class TypeCondition(Condition):
         term = state.vbinds.get(self.variable)
         if term is None or term.type is None:
             return
-        candidates = [term.type]
-        if self.subtype_ok:
-            candidates.extend(
-                sup for sup in db.sos.subtypes.supertypes(term.type)
-                if sup != term.type
-            )
+        candidates = (
+            db.sos.subtypes.supertypes(term.type)  # ``term.type`` first
+            if self.subtype_ok
+            else (term.type,)
+        )
         for candidate in candidates:
             matched = match_type(self.pattern, candidate, state.tbinds)
             if matched is not None:

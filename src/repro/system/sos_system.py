@@ -45,7 +45,17 @@ from repro.catalog import (
 )
 from repro.core.algebra import SecondOrderAlgebra, Stream
 from repro.core.sos import SignatureBuilder
-from repro.core.terms import Apply, ObjRef, Term, Var, format_term
+from repro.core.terms import (
+    Apply,
+    Call,
+    Fun,
+    ListTerm,
+    ObjRef,
+    Term,
+    TupleTerm,
+    Var,
+    format_term,
+)
 from repro.core.types import Type
 from repro.errors import (
     CatalogError,
@@ -67,6 +77,7 @@ from repro.lang.parser import (
     UpdateStmt,
     split_statements,
 )
+from repro.lang.printer import format_concrete
 from repro.models.base import add_base_level, register_base_carriers
 from repro.models.relational import add_relational_level, register_relational_carriers
 from repro.observe import ExecutionMetrics, RuleTrace, Tracer
@@ -552,8 +563,6 @@ class SOSSystem:
         return "hybrid"
 
     def _collect_levels(self, term: Term, bound: frozenset, levels: set) -> None:
-        from repro.core.terms import Call, Fun, ListTerm, TupleTerm
-
         if isinstance(term, Apply):
             if term.resolved is not None and term.resolved.spec is not None:
                 levels.add(term.resolved.spec.level)
@@ -720,6 +729,4 @@ class SOSSystem:
         )
 
     def _concrete(self, term: Term) -> str:
-        from repro.lang.printer import format_concrete
-
         return format_concrete(term, self.database.sos)

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core.patterns import PApp, PVar
+from repro.core.patterns import PApp, PVar, instantiate_pattern, match_type
 from repro.core.subtypes import SubtypeRelation, SubtypeRule
-from repro.core.types import Sym, TypeApp, tuple_type
+from repro.core.terms import walk_terms
+from repro.core.types import Sym, Type, TypeApp, tuple_type, walk_type
+from repro.lint.symbolic import ANY
 from repro.errors import SpecificationError
 
 INT = TypeApp("int")
@@ -74,3 +76,71 @@ class TestRelation:
         )
         assert rel.is_subtype(TypeApp("a", (INT,)), TypeApp("b", (INT,)))
         assert rel.is_subtype(TypeApp("b", (INT,)), TypeApp("a", (INT,)))
+
+
+def _fresh_closure(rules, t):
+    """The supertypes of ``t`` straight from the rules, no table."""
+    seen, frontier = [t], [t]
+    while frontier:
+        current = frontier.pop()
+        for rule in rules:
+            bindings = match_type(rule.sub, current)
+            if bindings is None:
+                continue
+            sup = instantiate_pattern(rule.sup, bindings)
+            if isinstance(sup, Type) and sup not in seen:
+                seen.append(sup)
+                frontier.append(sup)
+    return seen
+
+
+class TestClosureTable:
+    QUERIES = (
+        "cities select[pop >= 5000]",
+        "cities select[pop > 100] states join[center inside region]",
+        "cities_rep feed filter[pop > 10] count",
+        "states_rep feed count",
+    )
+
+    def _bundled_types(self, system):
+        db = system.database
+        found = [obj.type for obj in db.objects.values()]
+        found += list(db.aliases.values())
+        city = db.aliases["city"]
+        found += [TypeApp("srel", (city,)), TypeApp("tidrel", (city,))]
+        for query in self.QUERIES:
+            result = system.run_one("query " + query)
+            for term in (result.term, result.translated_term or result.term):
+                found += [n.type for n in walk_terms(term) if n.type is not None]
+        types = []
+        for t in found:
+            for part in walk_type(t):
+                if isinstance(part, Type) and part not in types:
+                    types.append(part)
+        return types
+
+    def test_table_equals_a_fresh_closure_for_every_type(self, loaded_system):
+        subtypes = loaded_system.database.sos.subtypes
+        types = self._bundled_types(loaded_system)
+        assert any(len(subtypes.supertypes(t)) > 1 for t in types)
+        for t in types:
+            closure = subtypes.supertypes(t)
+            assert subtypes.supertypes(t) is closure  # read from the table
+            assert closure[0] == t
+            fresh = _fresh_closure(subtypes.rules, t)
+            assert len(closure) == len(fresh) and set(closure) == set(fresh)
+
+    def test_wildcards_never_enter_the_table(self, relation):
+        assert relation.supertypes(ANY) == (ANY,)
+        assert len(relation.supertypes(TypeApp("btree", (ANY, Sym("pop"), INT)))) == 2
+        assert relation.is_subtype(BTREE_CITY, RELREP_CITY)
+        assert not any(
+            getattr(part, "wildcard", False)
+            for key in relation._closures
+            for part in walk_type(key)
+        )
+
+    def test_add_clears_the_table(self, relation):
+        assert relation.supertypes(TypeApp("a", (INT,))) == (TypeApp("a", (INT,)),)
+        relation.add(SubtypeRule(PApp("a", (PVar("t"),)), PApp("b", (PVar("t"),))))
+        assert relation.is_subtype(TypeApp("a", (INT,)), TypeApp("b", (INT,)))

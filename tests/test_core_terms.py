@@ -140,6 +140,18 @@ class TestClone:
         t.type = INT
         assert clone_term(t).type is None
 
+    def test_clone_shares_closed_annotated_subterms(self):
+        closed = Apply("+", (Literal(1, type=INT), Literal(2, type=INT)), type=INT)
+        x = Var("x", type=INT)
+        t = Apply("*", (x, closed))
+        assert clone_term(t).args[1] is closed
+        # ``x`` may be a lambda parameter unless the scope says otherwise.
+        assert clone_term(t).args[0] is not x
+        assert clone_term(t, scope=()).args[0] is x
+        body = Apply("*", (Var("y", type=INT), closed), type=INT)
+        copy = clone_term(Fun((("y", INT),), body), scope=())
+        assert copy.body is not body and copy.body.args[1] is closed
+
 
 class TestWalk:
     def test_walk_visits_all(self):

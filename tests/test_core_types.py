@@ -11,6 +11,7 @@ from repro.core.types import (
     Sym,
     TermArg,
     TypeApp,
+    attr_index,
     attr_type,
     attrs_of,
     concat_tuple_types,
@@ -94,6 +95,16 @@ class TestAttrs:
 
     def test_attr_type_non_tuple_is_none(self):
         assert attr_type(INT, "x") is None
+
+    def test_lookup_by_name_builds_the_table_and_listing_does_not(self):
+        t = tuple_type([("name", STRING), ("age", INT)])
+        assert attrs_of(t) == (("name", STRING), ("age", INT))
+        assert t._attrs is None  # a row's schema stays bare when listed
+        assert attr_index(t, "age") == (1, INT)
+        table = t._attrs
+        assert attr_index(t, "name") == (0, STRING) and t._attrs is table
+        assert attrs_of(t) is table[0]
+        assert attr_index(t, "nope") is None and attr_index(INT, "x") is None
 
 
 class TestConcat:

@@ -415,3 +415,76 @@ class TestNonMutation:
             "tuple(<(sname, string), (region, pgon)>)) ((t1 center) inside "
             "(t2 region))]) search_join"
         )
+
+
+# ---------------------------------------------------------------------------
+# Closed bound subterms are shared into the instance; open ones are copied
+# ---------------------------------------------------------------------------
+
+
+def requalify_rule():
+    """select(r, fun (t: tup) p) => select(r, fun (t: tup) p).
+
+    ``p`` is bound under the pattern's lambda, so it is open whenever the
+    selection body mentions ``t``."""
+    from repro.core.terms import Fun
+    from repro.optimizer.termmatch import TypeVar
+
+    def shape():
+        return Apply("select", (Var("r"), Fun((("t", TypeVar("tup")),), Var("p"))))
+
+    return RewriteRule(
+        name="requalify",
+        variables=rule_vars(RuleVar("r"), RuleVar("p")),
+        lhs=shape(),
+        rhs=shape(),
+    )
+
+
+class TestSharing:
+    def test_closed_bound_subterm_is_shared(self, loaded_system):
+        term = _statement_term(
+            loaded_system,
+            "query cities select[pop > 100] states join[center inside region]",
+        )
+        predicate = term.args[0].args[1]  # the selection's lambda
+        snapshot = _snapshot(term)
+        result = loaded_system.optimizer.optimize(term, loaded_system.database)
+        assert result.fired == ["join_inside_lsdtree_outer_select"]
+        assert any(node is predicate for node in walk_terms(result.term))
+        _assert_unchanged(term, snapshot)
+
+    def test_open_bound_subterm_is_copied_and_rechecked(self, loaded_system):
+        term = _statement_term(
+            loaded_system, "query cities select[fun (t: city) pop(t) > 100]"
+        )
+        body = term.args[1].body
+        snapshot = _snapshot(term)
+        opt = Optimizer([OptimizerStep("s", [requalify_rule()], "once_topdown")])
+        result = opt.optimize(term, loaded_system.database)
+        assert result.fired == ["requalify"]
+        new = result.term
+        assert new.args[0] is term.args[0]  # ``cities``: closed, shared
+        new_body = new.args[1].body
+        assert same_shape(new_body, body)
+        # ``pop(t) > 100`` mentions the lambda's ``t``: a fresh copy, checked
+        # again, with the closed literal inside it shared.
+        assert new_body is not body and new_body.args[0] is not body.args[0]
+        assert new_body.resolved is not body.resolved
+        assert new_body.type == body.type
+        assert new_body.args[0].resolved.attr_name == "pop"
+        assert new_body.args[1] is body.args[1]
+        _assert_unchanged(term, snapshot)
+
+    def test_a_subterm_mentioning_an_enclosing_lambda_is_open(self, db):
+        from repro.core.types import TypeApp
+
+        int_type = TypeApp("int")
+        y = Var("y", type=int_type)
+        subject = Apply("+", (y, Literal(0, type=int_type)), type=int_type)
+        # At the root, ``y`` names an object: the bound subterm is shared.
+        [instance] = add_zero_rule().apply_at(subject, db)
+        assert instance is y
+        # Inside ``fun (y: int) ...`` it is open: copied, annotation dropped.
+        [instance] = add_zero_rule().apply_at(subject, db, scope={"y"})
+        assert instance is not y and instance == Var("y") and instance.type is None

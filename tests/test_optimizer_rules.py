@@ -150,3 +150,15 @@ class TestEngine:
         r = loaded_system.run_one("query cities_rep feed count")
         assert not r.translated
         assert r.level == "rep"
+
+
+@pytest.mark.parametrize("factory", ["standard_optimizer", "cost_based_optimizer"])
+def test_every_standard_rule_formats(factory):
+    from repro.optimizer import standard_rules
+
+    rules = [r for step in getattr(standard_rules, factory)().steps for r in step.rules]
+    for rule in rules:
+        assert str(rule).startswith(f"{rule.name}: ")
+    by_name = {rule.name: str(rule) for rule in rules}
+    # Rule type variables render as ``?name``.
+    assert "fun (t1: ?tuple1)" in by_name["select_eq_btree_range"]
