@@ -9,7 +9,6 @@ statement, independent of data size.
 import pytest
 
 from benchmarks.helpers import MODEL_JOIN, build_spatial_system, selection_query
-from repro.core.terms import clone_term
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +19,7 @@ def system():
 def _pipeline(system, text):
     statement = system.make_parser().parse_statement(text)
     term = system.database.typechecker.check(statement.expr)
-    return system.optimizer.optimize(
-        system.database.typechecker.check(clone_term(term)), system.database
-    )
+    return system.optimizer.optimize(term, system.database)
 
 
 def test_optimize_indexed_selection(benchmark, system):

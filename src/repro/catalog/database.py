@@ -64,8 +64,10 @@ class Database:
         # functions) are typechecked at type formation time.
         sos.type_system.term_typer = self._type_key_function
 
-    def _type_key_function(self, fun, expected_params) -> None:
-        self.typechecker._check_fun(fun, {}, expected_params=tuple(expected_params))
+    def _type_key_function(self, fun, expected_params):
+        return self.typechecker._check_fun(
+            fun, {}, expected_params=tuple(expected_params)
+        )
 
     # ----------------------------------------------------------------- types
 

@@ -55,10 +55,11 @@ class TypeSystem:
         self._constructors: dict[str, list[TypeConstructor]] = {}
         self._extra_kinds: dict[str, set[Kind]] = {}
         self.term_typer = None
-        """Optional hook ``(fun_term, expected_param_types) -> None`` used to
-        typecheck function-valued constructor arguments (the key functions of
-        B-trees and LSD-trees).  Set by the system once the bottom-level
-        signature exists; types are then fully checked at formation time."""
+        """Optional hook ``(fun_term, expected_param_types) -> typed term``
+        used to typecheck function-valued constructor arguments (the key
+        functions of B-trees and LSD-trees).  Set by the system once the
+        bottom-level signature exists; types are then fully checked at
+        formation time, and each :class:`TermArg` holds the typed term."""
 
     # -- construction -------------------------------------------------------
 
@@ -404,12 +405,12 @@ class TypeSystem:
             from repro.errors import TypeCheckError
 
             try:
-                self.term_typer(term, tuple(expected_params))
+                arg.term = self.term_typer(term, tuple(expected_params))
             except TypeCheckError as exc:
                 raise TypeFormationError(
                     f"{where}: key function does not typecheck: {exc}"
                 ) from exc
-            self._check_function_result(term, sort, env, where)
+            self._check_function_result(arg.term, sort, env, where)
 
     def _check_function_result(
         self, term, sort: FunSort, env: dict[str, TypeArg], where: str

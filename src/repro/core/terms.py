@@ -13,15 +13,18 @@ constructors follow the extended term definition:
 ``TupleTerm``    a product term ``(t1, ..., tn)``
 ``OpRef``        an operator used as a function value (Def. 3.2 (v), last clause)
 
-Terms are plain dataclasses; the ``type`` annotation field filled in by the
-typechecker is excluded from structural equality so that two parses of the
-same expression compare equal.
+Terms are values: frozen dataclasses that nothing assigns to.  The
+typechecker returns new nodes carrying the ``type`` (and, on ``Apply``, the
+``resolved``) annotation, and shares every subterm whose annotation still
+holds, so a typed term can be kept, rewritten or handed to another thread
+without copying.  The annotations are excluded from structural equality so
+that two parses of the same expression compare equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Collection, Iterable, Optional, Union
+from dataclasses import MISSING, dataclass, field, fields
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from repro.core.types import Type, format_type
 
@@ -29,25 +32,47 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.operators import ResolvedOp
 
 
-@dataclass(eq=True, slots=True)
+def _value(cls):
+    """``dataclass(frozen=True, slots=True)``, with an ``__init__`` that
+    stores each field through its slot's own setter.
+
+    A term is built on every parse, check and rewrite.  The ``__init__`` a
+    frozen dataclass gets stores each field through ``object.__setattr__``,
+    which finds the slot by name again and makes a node about three times
+    as dear to build (``docs/PERFORMANCE.md`` §6).  Assigning to a field
+    anywhere else still raises :class:`~dataclasses.FrozenInstanceError`.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    spec = fields(cls)
+    params = ", ".join(
+        f.name if f.default is MISSING else f"{f.name}={f.default!r}" for f in spec
+    )
+    body = "".join(f"    _set_{f.name}(self, {f.name})\n" for f in spec)
+    namespace = {f"_set_{f.name}": cls.__dict__[f.name].__set__ for f in spec}
+    exec(f"def __init__(self, {params}):\n{body}", namespace)
+    cls.__init__ = namespace["__init__"]
+    return cls
+
+
+@_value
 class Literal:
     value: object
     type: Optional[Type] = field(default=None, compare=False)
 
 
-@dataclass(eq=True, slots=True)
+@_value
 class ObjRef:
     name: str
     type: Optional[Type] = field(default=None, compare=False)
 
 
-@dataclass(eq=True, slots=True)
+@_value
 class Var:
     name: str
     type: Optional[Type] = field(default=None, compare=False)
 
 
-@dataclass(eq=True, slots=True)
+@_value
 class Apply:
     op: str
     args: tuple["Term", ...]
@@ -55,7 +80,7 @@ class Apply:
     resolved: Optional["ResolvedOp"] = field(default=None, compare=False)
 
 
-@dataclass(eq=True, slots=True)
+@_value
 class Fun:
     """A typed lambda abstraction ``fun (x1: t1, ..., xn: tn) body``.
 
@@ -69,19 +94,19 @@ class Fun:
     type: Optional[Type] = field(default=None, compare=False)
 
 
-@dataclass(eq=True, slots=True)
+@_value
 class ListTerm:
     items: tuple["Term", ...]
     type: Optional[Type] = field(default=None, compare=False)
 
 
-@dataclass(eq=True, slots=True)
+@_value
 class TupleTerm:
     items: tuple["Term", ...]
     type: Optional[Type] = field(default=None, compare=False)
 
 
-@dataclass(eq=True, slots=True)
+@_value
 class OpRef:
     """An operator name used as a value of a function sort."""
 
@@ -89,7 +114,7 @@ class OpRef:
     type: Optional[Type] = field(default=None, compare=False)
 
 
-@dataclass(eq=True, slots=True)
+@_value
 class Call:
     """Application of a function *value* (not an operator): ``fn(a1, ..., an)``.
 
@@ -212,29 +237,31 @@ def term_fingerprint(t: Term, rename: dict[str, int] | None = None) -> tuple:
     raise TypeError(f"not a term: {t!r}")
 
 
+def free_names(
+    t: Term, bound: frozenset[str] = frozenset()
+) -> Iterator[Union[Var, ObjRef]]:
+    """The :class:`Var` and :class:`ObjRef` nodes of ``t`` that no lambda
+    inside ``t`` binds, pre-order — lambda parameters shadow objects."""
+    if isinstance(t, (Var, ObjRef)):
+        if t.name not in bound:
+            yield t
+    elif isinstance(t, Apply):
+        for a in t.args:
+            yield from free_names(a, bound)
+    elif isinstance(t, Fun):
+        yield from free_names(t.body, bound | {name for name, _ in t.params})
+    elif isinstance(t, (ListTerm, TupleTerm)):
+        for i in t.items:
+            yield from free_names(i, bound)
+    elif isinstance(t, Call):
+        yield from free_names(t.fn, bound)
+        for a in t.args:
+            yield from free_names(a, bound)
+
+
 def free_variables(t: Term, bound: frozenset[str] = frozenset()) -> set[str]:
     """The free :class:`Var` names of a term."""
-    if isinstance(t, Var):
-        return set() if t.name in bound else {t.name}
-    if isinstance(t, Apply):
-        out: set[str] = set()
-        for a in t.args:
-            out |= free_variables(a, bound)
-        return out
-    if isinstance(t, Fun):
-        inner = bound | {name for name, _ in t.params}
-        return free_variables(t.body, inner)
-    if isinstance(t, (ListTerm, TupleTerm)):
-        out = set()
-        for i in t.items:
-            out |= free_variables(i, bound)
-        return out
-    if isinstance(t, Call):
-        out = free_variables(t.fn, bound)
-        for a in t.args:
-            out |= free_variables(a, bound)
-        return out
-    return set()
+    return {n.name for n in free_names(t, bound) if isinstance(n, Var)}
 
 
 def substitute_term(t: Term, mapping: dict[str, Term]) -> Term:
@@ -263,57 +290,6 @@ def substitute_term(t: Term, mapping: dict[str, Term]) -> Term:
             tuple(substitute_term(a, mapping) for a in t.args),
         )
     return t
-
-
-def clone_term(t: Term, scope: Optional[Collection[str]] = None) -> Term:
-    """A structural copy that shares the closed, annotated subterms.
-
-    The typechecker elaborates terms in place; when several functionalities
-    of an overloaded operator are tried in turn, each attempt works on a
-    copy so a failed attempt cannot leak partial elaboration.  A subterm
-    with a type annotation and no free variable bound by a lambda around it
-    is *closed*: it is checked already, means the same wherever it is
-    placed and is never written to, so the copy shares it.  Every other
-    node is copied without its annotations.
-
-    ``scope`` names the lambda parameters around ``t``; the parameters of
-    the lambdas inside ``t`` join it on the way down.  ``None`` means any
-    free variable may be lambda-bound, so only subterms without free
-    variables are shared.
-    """
-    if t.type is not None and _closed(t, scope):
-        return t
-    if isinstance(t, Literal):
-        return Literal(t.value)
-    if isinstance(t, ObjRef):
-        return ObjRef(t.name)
-    if isinstance(t, Var):
-        return Var(t.name)
-    if isinstance(t, Apply):
-        return Apply(t.op, tuple(clone_term(a, scope) for a in t.args))
-    if isinstance(t, Fun):
-        inner = None if scope is None else {*scope, *(n for n, _ in t.params)}
-        return Fun(tuple(t.params), clone_term(t.body, inner))
-    if isinstance(t, ListTerm):
-        return ListTerm(tuple(clone_term(i, scope) for i in t.items))
-    if isinstance(t, TupleTerm):
-        return TupleTerm(tuple(clone_term(i, scope) for i in t.items))
-    if isinstance(t, OpRef):
-        return OpRef(t.name)
-    if isinstance(t, Call):
-        return Call(
-            clone_term(t.fn, scope), tuple(clone_term(a, scope) for a in t.args)
-        )
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _closed(t: Term, scope: Optional[Collection[str]]) -> bool:
-    """No free variable of ``t`` is among the lambda parameters ``scope``
-    (``None``: every free variable might be one)."""
-    if scope is not None and not scope:
-        return True
-    free = free_variables(t)
-    return not free if scope is None else free.isdisjoint(scope)
 
 
 def walk_terms(t: Term) -> Iterable[Term]:

@@ -20,22 +20,20 @@ The checker is also the *elaborator* of the concrete syntax (Section 2.3):
 * polymorphic constants (``bottom``, ``top``) are resolved from the expected
   type of their operand position.
 
-The checker returns a (possibly rewritten) term with ``type`` and
-``resolved`` annotations filled in; the evaluator dispatches on those.
-Overloaded operators are retried safely: while another candidate (a spec of
-the same arity, or the attribute-family fallback) could still run, a
-candidate works on a copy of the operands, so a failed attempt leaves no
-partial elaboration behind.
+The checker never writes to a term (terms are frozen values): it returns a
+new, elaborated term with ``type`` and ``resolved`` annotations filled in,
+and the evaluator dispatches on those.  Overloaded operators are therefore
+tried one candidate after another on the same operands — a failed attempt
+has nothing to leave behind.
 
-The copies share what cannot change.  A subterm is *closed* when no free
-variable of it is bound by a lambda around it; a closed subterm that
-already carries a type means the same wherever it is placed.
-:func:`~repro.core.terms.clone_term` and the optimizer's rule instantiation
-keep annotations only on closed subterms and share those instead of copying
-them, and the checker returns an annotated node unchanged — it never writes
-to one.  Its type is still matched against the sort of the operand position
-it lands in, so every node a rewrite *built* is fully checked, while the
-subterms it moved are not checked again.
+A node that already carries a type is returned as it is when its
+annotations *hold* where it is placed: each of its free names — a lambda
+parameter around it, or an object — still has the type it was checked
+with.  Its type is still matched against the sort of
+the operand position it lands in.  The optimizer shares the subterms a rule
+moves into its instance, so checking the instance costs the nodes the rule
+built; a moved subterm is checked again only when a lambda around it now
+binds one of its free variables at another type, or no longer binds it.
 """
 
 from __future__ import annotations
@@ -73,8 +71,8 @@ from repro.core.terms import (
     Term,
     TupleTerm,
     Var,
-    clone_term,
     format_term,
+    free_names,
 )
 from repro.core.types import (
     FunType,
@@ -120,7 +118,8 @@ class TypeChecker:
     # ------------------------------------------------------------------ API
 
     def check(self, term: Term, env: Optional[TypeEnv] = None) -> Term:
-        """Typecheck ``term``; returns the elaborated term with ``type`` set.
+        """Typecheck ``term``; returns the elaborated term with ``type`` set,
+        sharing every subterm of ``term`` whose annotations hold.
 
         Raises :class:`TypeCheckError` (or a subclass) on failure.
         """
@@ -136,8 +135,7 @@ class TypeChecker:
     # ------------------------------------------------------------ dispatch
 
     def _check(self, term: Term, env: TypeEnv) -> Term:
-        if term.type is not None:
-            # Annotations survive only on closed subterms (module docstring).
+        if term.type is not None and self._holds(term, env):
             return term
         if isinstance(term, Literal):
             return self._check_literal(term)
@@ -147,8 +145,7 @@ class TypeChecker:
             obj_type = self.object_types(term.name)
             if obj_type is None:
                 raise TypeCheckError(f"unknown object: {term.name}")
-            term.type = obj_type
-            return term
+            return ObjRef(term.name, obj_type)
         if isinstance(term, Fun):
             return self._check_fun(term, env, expected_params=None)
         if isinstance(term, Apply):
@@ -157,9 +154,7 @@ class TypeChecker:
             return self._check_call(term, env)
         if isinstance(term, TupleTerm):
             items = tuple(self._check(i, env) for i in term.items)
-            term.items = items
-            term.type = ProductType(tuple(i.type for i in items))  # type: ignore[arg-type]
-            return term
+            return TupleTerm(items, ProductType(tuple(i.type for i in items)))  # type: ignore[arg-type]
         if isinstance(term, ListTerm):
             raise TypeCheckError(
                 "a list term <...> is only meaningful as an operator operand"
@@ -171,19 +166,25 @@ class TypeChecker:
             )
         raise TypeCheckError(f"cannot typecheck: {term!r}")
 
+    def _holds(self, term: Term, env: TypeEnv) -> bool:
+        """Whether the annotations of a checked ``term`` hold in ``env``:
+        each free name still denotes what it did when it was checked."""
+        return all(
+            (env[n.name] if n.name in env else self.object_types(n.name)) == n.type
+            for n in free_names(term)
+        )
+
     def _check_literal(self, term: Literal) -> Literal:
         ctor = self.literal_types.get(type(term.value))
         if ctor is None or not self.sos.type_system.has_constructor(ctor):
             raise TypeCheckError(
                 f"no type for literal {term.value!r} in this type system"
             )
-        term.type = TypeApp(ctor)
-        return term
+        return Literal(term.value, TypeApp(ctor))
 
     def _check_var(self, term: Var, env: TypeEnv) -> Term:
         if term.name in env:
-            term.type = env[term.name]
-            return term
+            return Var(term.name, env[term.name])
         # Implicit-lambda elaboration: a free identifier naming an attribute
         # of an implicit parameter becomes an attribute access on it.
         for frame in reversed(self._implicit_frames):
@@ -194,8 +195,7 @@ class TypeChecker:
                     return self._check_apply(access, env)
         obj_type = self.object_types(term.name)
         if obj_type is not None:
-            term.type = obj_type
-            return term
+            return Var(term.name, obj_type)
         raise TypeCheckError(f"unknown identifier: {term.name}")
 
     # ----------------------------------------------------------- functions
@@ -234,21 +234,16 @@ class TypeChecker:
                     )
                 self.sos.type_system.check_type(declared)
                 params.append((name, declared))
-        if term.type is not None:
-            # Closed and checked already; its parameter types agree with
-            # the context, so its body's annotations hold here too.
+        if term.type is not None and self._holds(term, env):
+            # Its parameter types agree with the context, so its body's
+            # annotations hold here too.
             return term
         inner = dict(env)
         inner.update(params)
-        term.params = tuple(params)
-        term.body = self._check(term.body, inner)
-        body_type = term.body.type
-        if body_type is None:
-            raise TypeCheckError(
-                f"function body has no type: {format_term(term.body)}"
-            )
-        term.type = FunType(tuple(t for _, t in params), body_type)
-        return term
+        body = self._check(term.body, inner)
+        if body.type is None:
+            raise TypeCheckError(f"function body has no type: {format_term(body)}")
+        return Fun(tuple(params), body, FunType(tuple(t for _, t in params), body.type))
 
     def _check_call(self, term: Call, env: TypeEnv):
         """Application of a function value (views, parameterized views).
@@ -265,17 +260,15 @@ class TypeChecker:
                 self.sos.is_operator(head) or self.sos.families
             ):
                 return self._check_apply(Apply(head, term.args), env)
-        term.fn = self._check(term.fn, env)
-        fn_type = term.fn.type
+        fn = self._check(term.fn, env)
+        fn_type = fn.type
         if getattr(fn_type, "wildcard", False):
             # Calling a lint wildcard: the arguments are checked on their
             # own; the result is again unconstrained.
-            term.args = tuple(self._check(a, env) for a in term.args)
-            term.type = fn_type
-            return term
+            return Call(fn, tuple(self._check(a, env) for a in term.args), fn_type)
         if not isinstance(fn_type, FunType):
             raise TypeCheckError(
-                f"{format_term(term.fn)} is not a function value "
+                f"{format_term(fn)} is not a function value "
                 f"(type {format_type(fn_type) if fn_type else '?'})"
             )
         if len(term.args) != len(fn_type.args):
@@ -283,12 +276,11 @@ class TypeChecker:
                 f"function takes {len(fn_type.args)} argument(s), "
                 f"got {len(term.args)}"
             )
-        new_args = []
-        for arg, expected in zip(term.args, fn_type.args):
-            new_args.append(self.check_value_term(arg, expected, env))
-        term.args = tuple(new_args)
-        term.type = fn_type.result
-        return term
+        args = tuple(
+            self.check_value_term(arg, expected, env)
+            for arg, expected in zip(term.args, fn_type.args)
+        )
+        return Call(fn, args, fn_type.result)
 
     def check_value_term(
         self, term: Term, expected: Type, env: Optional[TypeEnv] = None
@@ -315,16 +307,10 @@ class TypeChecker:
 
     def _check_apply(self, term: Apply, env: TypeEnv) -> Apply:
         arity = len(term.args)
-        specs = self.sos.operators_of_arity(term.op, arity)
-        fallback = arity == 1 and bool(self.sos.families)
         failures: list[str] = []
-        for i, spec in enumerate(specs):
-            args = term.args
-            if fallback or i < len(specs) - 1:
-                # Another candidate may run after this one fails.
-                args = tuple(clone_term(a, env) for a in args)
+        for spec in self.sos.operators_of_arity(term.op, arity):
             try:
-                return self._try_spec(Apply(term.op, args), spec, env)
+                return self._try_spec(term, spec, env)
             except (_Failure, TypeCheckError) as exc:
                 failures.append(str(exc))
         resolved = self._try_families(term, env)
@@ -349,7 +335,7 @@ class TypeChecker:
         if len(term.args) != 1 or not self.sos.families:
             return None
         try:
-            arg = self._check(clone_term(term.args[0], env), env)
+            arg = self._check(term.args[0], env)
         except TypeCheckError:
             return None
         if arg.type is None:
@@ -357,10 +343,7 @@ class TypeChecker:
         for family in self.sos.families:
             resolved = family.resolve(term.op, (arg.type,))
             if resolved is not None:
-                term.args = (arg,)
-                term.type = resolved.result_type
-                term.resolved = resolved
-                return term
+                return Apply(term.op, (arg,), resolved.result_type, resolved)
         return None
 
     def _try_spec(self, term: Apply, spec: OperatorSpec, env: TypeEnv) -> Apply:
@@ -378,12 +361,10 @@ class TypeChecker:
             if message is not None:
                 raise _Failure(message)
         result_type = self._result_type(spec, binds, tuple(descriptors))
-        term.args = tuple(checked)
-        term.type = result_type
-        term.resolved = ResolvedOp(
+        resolved = ResolvedOp(
             result_type=result_type, spec=spec, bindings=binds, impl=spec.impl
         )
-        return term
+        return Apply(term.op, tuple(checked), result_type, resolved)
 
     def _result_type(
         self, spec: OperatorSpec, binds: Bindings, descriptors: tuple
@@ -466,7 +447,7 @@ class TypeChecker:
                 trial = dict(binds)
                 try:
                     new_term, descriptor = self._match_term(
-                        clone_term(term, env), alternative, trial, env, spec
+                        term, alternative, trial, env, spec
                     )
                     binds.clear()
                     binds.update(trial)
@@ -494,8 +475,7 @@ class TypeChecker:
             # A 0-ary function value (a view) may stand for its result:
             # ``query french_cities select[...]`` dereferences the view.
             if isinstance(checked.type, FunType) and not checked.type.args:
-                call = Call(checked, ())
-                call.type = checked.type.result
+                call = Call(checked, (), checked.type.result)
                 self._match_type(call.type, sort, binds, spec)
                 return call, call.type
             raise
@@ -543,10 +523,7 @@ class TypeChecker:
                 bindings=trial,
                 impl=candidate.impl,
             )
-            app = Apply(name, ())
-            app.type = expected
-            app.resolved = resolved
-            return app
+            return Apply(name, (), expected, resolved)
         return None
 
     def _match_function(

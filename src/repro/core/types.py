@@ -104,7 +104,8 @@ class TermArg:
 
     Equality and hashing are structural over the embedded term, so two
     B-tree types indexed by syntactically identical key functions are the
-    same type.
+    same type.  Type formation replaces the parsed term by its typechecked
+    version, which changes neither.
     """
 
     __slots__ = ("term",)

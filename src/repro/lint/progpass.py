@@ -35,16 +35,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.terms import (
-    Apply,
-    Call,
-    Fun,
-    ListTerm,
-    ObjRef,
-    Term,
-    TupleTerm,
-    Var,
-)
+from repro.core.terms import Apply, Fun, Term, free_names, walk_terms
 from repro.core.typecheck import TypeChecker
 from repro.core.types import Type, TypeApp
 from repro.errors import ParseError, SOSError
@@ -159,30 +150,13 @@ def _future_definitions(chunks: list[_Chunk]) -> tuple[dict[str, int], dict[str,
 # ---------------------------------------------------------------------------
 
 
-def _object_refs(term: Term, known: set[str], bound: frozenset = frozenset()) -> set[str]:
+def _object_refs(term: Term, known: set[str]) -> set[str]:
     """Names from ``known`` the term references outside lambda scopes.
 
     Free identifiers *not* in ``known`` are left alone — they are attribute
     names for the typechecker's implicit-lambda elaboration, not objects.
     """
-    refs: set[str] = set()
-    if isinstance(term, (Var, ObjRef)):
-        if term.name in known and term.name not in bound:
-            refs.add(term.name)
-    elif isinstance(term, Apply):
-        for a in term.args:
-            refs |= _object_refs(a, known, bound)
-    elif isinstance(term, Fun):
-        inner = bound | {name for name, _ in term.params}
-        refs |= _object_refs(term.body, known, inner)
-    elif isinstance(term, (ListTerm, TupleTerm)):
-        for item in term.items:
-            refs |= _object_refs(item, known, bound)
-    elif isinstance(term, Call):
-        refs |= _object_refs(term.fn, known, bound)
-        for a in term.args:
-            refs |= _object_refs(a, known, bound)
-    return refs
+    return {n.name for n in free_names(term) if n.name in known}
 
 
 def _param_refs(term: Term, params: set[str]) -> set[str]:
@@ -192,20 +166,7 @@ def _param_refs(term: Term, params: set[str]) -> set[str]:
 
 def _join_nodes(term: Term):
     """Every ``join`` application in the term (post-typecheck walk)."""
-    if isinstance(term, Apply):
-        if term.op == "join":
-            yield term
-        for a in term.args:
-            yield from _join_nodes(a)
-    elif isinstance(term, Fun):
-        yield from _join_nodes(term.body)
-    elif isinstance(term, (ListTerm, TupleTerm)):
-        for item in term.items:
-            yield from _join_nodes(item)
-    elif isinstance(term, Call):
-        yield from _join_nodes(term.fn)
-        for a in term.args:
-            yield from _join_nodes(a)
+    return (n for n in walk_terms(term) if isinstance(n, Apply) and n.op == "join")
 
 
 def _has_equatable_pair(condition: Fun) -> bool:
@@ -217,23 +178,13 @@ def _has_equatable_pair(condition: Fun) -> bool:
     if len(params) < 2:
         return True  # not the two-tuple shape this check understands
 
-    def walk(term: Term) -> bool:
-        if isinstance(term, Apply):
-            if term.op == "=" and len(term.args) == 2:
-                left = _param_refs(term.args[0], params)
-                right = _param_refs(term.args[1], params)
-                if left and right and left != right:
-                    return True
-            return any(walk(a) for a in term.args)
-        if isinstance(term, Fun):
-            return walk(term.body)
-        if isinstance(term, (ListTerm, TupleTerm)):
-            return any(walk(item) for item in term.items)
-        if isinstance(term, Call):
-            return walk(term.fn) or any(walk(a) for a in term.args)
-        return False
-
-    return walk(condition.body)
+    for node in walk_terms(condition.body):
+        if isinstance(node, Apply) and node.op == "=" and len(node.args) == 2:
+            left = _param_refs(node.args[0], params)
+            right = _param_refs(node.args[1], params)
+            if left and right and left != right:
+                return True
+    return False
 
 
 def _is_relation(t: Optional[Type]) -> bool:

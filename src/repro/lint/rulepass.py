@@ -40,8 +40,9 @@ from repro.core.terms import (
     Term,
     TupleTerm,
     Var,
-    clone_term,
+    free_names,
     same_term,
+    walk_terms,
 )
 from repro.core.typecheck import TypeChecker
 from repro.core.types import Sym, Type, TypeApp, TypeArg, tuple_type
@@ -90,26 +91,10 @@ def lint_optimizer(optimizer, sos, *, catalogs=("rep",), source="<rules>") -> Li
 # ------------------------------------------------------------------ helpers
 
 
-def _walk(term: Term) -> Iterable[Term]:
-    yield term
-    if isinstance(term, Apply):
-        for a in term.args:
-            yield from _walk(a)
-    elif isinstance(term, Fun):
-        yield from _walk(term.body)
-    elif isinstance(term, (ListTerm, TupleTerm)):
-        for i in term.items:
-            yield from _walk(i)
-    elif isinstance(term, Call):
-        yield from _walk(term.fn)
-        for a in term.args:
-            yield from _walk(a)
-
-
 def _lhs_bound(rule: RewriteRule) -> set[str]:
     """Variables the LHS match binds: term variables and operator variables."""
     bound: set[str] = set()
-    for node in _walk(rule.lhs):
+    for node in walk_terms(rule.lhs):
         if isinstance(node, Var) and node.name in rule.variables:
             bound.add(node.name)
         elif isinstance(node, Apply) and node.op in rule.variables:
@@ -158,50 +143,29 @@ def _check_bindings(rule: RewriteRule, sos, report: LintReport, source: str) -> 
                 )
         # FunCondition is an opaque predicate: nothing to analyze.
 
-    def visit(term: Term, params: set[str]) -> None:
-        if isinstance(term, Var):
-            if (
-                term.name in rule.variables
-                and term.name not in bound
-                and term.name not in params
-            ):
-                report.add(
-                    Diagnostic(
-                        "RUL001",
-                        f"RHS uses rule variable '{term.name}' which neither "
-                        "the LHS pattern nor any condition binds",
-                        source=source,
-                        subject=rule.name,
-                    )
+    unbound = set(rule.variables) - bound
+    for node in free_names(rule.rhs):
+        if isinstance(node, Var) and node.name in unbound:
+            report.add(
+                Diagnostic(
+                    "RUL001",
+                    f"RHS uses rule variable '{node.name}' which neither "
+                    "the LHS pattern nor any condition binds",
+                    source=source,
+                    subject=rule.name,
                 )
-            return
-        if isinstance(term, Apply):
-            if term.op in rule.variables and term.op not in bound:
-                report.add(
-                    Diagnostic(
-                        "RUL001",
-                        f"RHS applies operator variable '{term.op}' which "
-                        "neither the LHS pattern nor any condition binds",
-                        source=source,
-                        subject=rule.name,
-                    )
+            )
+    for node in walk_terms(rule.rhs):
+        if isinstance(node, Apply) and node.op in unbound:
+            report.add(
+                Diagnostic(
+                    "RUL001",
+                    f"RHS applies operator variable '{node.op}' which "
+                    "neither the LHS pattern nor any condition binds",
+                    source=source,
+                    subject=rule.name,
                 )
-            for a in term.args:
-                visit(a, params)
-            return
-        if isinstance(term, Fun):
-            visit(term.body, params | {n for n, _ in term.params})
-            return
-        if isinstance(term, (ListTerm, TupleTerm)):
-            for i in term.items:
-                visit(i, params)
-            return
-        if isinstance(term, Call):
-            visit(term.fn, params)
-            for a in term.args:
-                visit(a, params)
-
-    visit(rule.rhs, set())
+            )
 
 
 # ----------------------------------------------------------------- RUL003
@@ -306,7 +270,7 @@ def _collect_type_vars(
             if isinstance(p, PApp) and p.args and isinstance(p.args[0], PVar):
                 tuples.add(p.args[0].name)
     for term in (rule.lhs, rule.rhs):
-        for node in _walk(term):
+        for node in walk_terms(term):
             if isinstance(node, Fun):
                 for _, ptype in node.params:
                     if ptype is not None:
@@ -329,7 +293,7 @@ def _ident_vars(rule: RewriteRule, sos) -> set[str]:
     attribute names (``modify[a1, v1]``), which dependent post-checks
     require to exist in the subject's tuple type."""
     out: set[str] = set()
-    for node in _walk(rule.lhs):
+    for node in walk_terms(rule.lhs):
         if not isinstance(node, Apply) or node.op in rule.variables:
             continue
         if not sos.is_operator(node.op):
@@ -505,28 +469,20 @@ def _resolve_rule_type(t: Optional[Type], tbinds: dict[str, TypeArg]) -> Optiona
 
 
 def _concretize(term: Term, tbinds: dict[str, TypeArg]) -> Term:
-    """A clone of ``term`` whose lambda parameter types are concrete."""
-    out = clone_term(term)
-
-    def fix(node: Term) -> None:
-        if isinstance(node, Fun):
-            node.params = tuple(
-                (n, _resolve_rule_type(pt, tbinds)) for n, pt in node.params
-            )
-            fix(node.body)
-        elif isinstance(node, Apply):
-            for a in node.args:
-                fix(a)
-        elif isinstance(node, (ListTerm, TupleTerm)):
-            for i in node.items:
-                fix(i)
-        elif isinstance(node, Call):
-            fix(node.fn)
-            for a in node.args:
-                fix(a)
-
-    fix(out)
-    return out
+    """``term`` with its lambda parameter types made concrete."""
+    if isinstance(term, Fun):
+        params = tuple((n, _resolve_rule_type(pt, tbinds)) for n, pt in term.params)
+        return Fun(params, _concretize(term.body, tbinds))
+    if isinstance(term, Apply):
+        return Apply(term.op, tuple(_concretize(a, tbinds) for a in term.args))
+    if isinstance(term, (ListTerm, TupleTerm)):
+        return type(term)(tuple(_concretize(i, tbinds) for i in term.items))
+    if isinstance(term, Call):
+        return Call(
+            _concretize(term.fn, tbinds),
+            tuple(_concretize(a, tbinds) for a in term.args),
+        )
+    return term
 
 
 def _result_compatible(lt: Type, rt: Type, sos) -> bool:

@@ -64,9 +64,9 @@ class CatalogCondition(Condition):
                     if not isinstance(component, Sym):
                         ok = False
                         break
-                    term = Var(component.name)
-                    term.type = db.type_of(component.name)
-                    new_state.vbinds[var] = term
+                    new_state.vbinds[var] = Var(
+                        component.name, db.type_of(component.name)
+                    )
             if ok:
                 yield new_state
 

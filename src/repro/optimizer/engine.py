@@ -21,17 +21,17 @@ choice is exactly that of a scan over the whole list.
 Every candidate rewrite is typechecked before acceptance; a rewrite whose
 instance does not typecheck is discarded (the rule simply does not apply
 there), which keeps unsound rules from corrupting plans.  The check costs
-what the rule built, not the plan: the engine tracks the lambda parameters
-in scope as it descends through ``Fun`` nodes, a bound subterm with none of
-them free is *closed* and is shared into the instance with its annotations,
-and the checker takes such a node as it is, matching only its type against
-the operand position.  Open bound subterms — bodies under a lambda whose
-parameter type the rule may change — are copied and checked again.
+what the rule built, not the plan: a rule instance shares the typed
+subterms it moves, and the checker takes each of them as it is — matching
+only its type against the operand position — unless a variable free in it
+is no longer bound, or bound at another type, where it now stands (see
+:mod:`repro.core.typecheck`).
 
-Rewriting never modifies the input term: a rule instance is a new term,
-and the path from the root to the rewritten node is rebuilt (each rebuilt
-node keeps its ``type`` and ``resolved``) while every untouched subterm is
-shared.  Callers may therefore keep — and report — the term they passed in.
+Terms are values, so rewriting cannot modify the input term: a rule
+instance is a new term, and the path from the root to the rewritten node is
+rebuilt (each rebuilt node keeps its ``type`` and ``resolved``) while every
+untouched subterm is shared.  Callers may therefore keep — and report — the
+term they passed in.
 
 Passing a :class:`~repro.observe.RuleTrace` to :meth:`Optimizer.optimize`
 records the full decision log — every fired rewrite with the term before
@@ -42,7 +42,7 @@ only paid when a trace is requested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import AbstractSet, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.terms import Apply, Call, Fun, ListTerm, Term, TupleTerm, format_term
 from repro.errors import OptimizationError, TypeCheckError
@@ -172,64 +172,60 @@ class Optimizer:
         stats,
         topdown: bool,
         trace: Optional[RuleTrace] = None,
-        scope: AbstractSet[str] = frozenset(),
     ) -> tuple[Term, bool]:
-        """One traversal; returns (new term, any rule fired).  ``scope``
-        names the parameters of the lambdas around ``term``."""
+        """One traversal; returns (new term, any rule fired)."""
         if topdown:
-            new_term = self._try_rules(step, term, db, stats, trace, scope)
+            new_term = self._try_rules(step, term, db, stats, trace)
             if new_term is not None:
                 return new_term, True
         rebuilt, changed = self._rewrite_children(
-            step, term, db, stats, topdown, trace, scope
+            step, term, db, stats, topdown, trace
         )
         if changed:
             return rebuilt, True
         if not topdown:
-            new_term = self._try_rules(step, rebuilt, db, stats, trace, scope)
+            new_term = self._try_rules(step, rebuilt, db, stats, trace)
             if new_term is not None:
                 return new_term, True
         return rebuilt, False
 
     def _rewrite_children(
-        self, step: OptimizerStep, term: Term, db, stats, topdown: bool, trace, scope
+        self, step: OptimizerStep, term: Term, db, stats, topdown: bool, trace
     ) -> tuple[Term, bool]:
-        """Rewrite the first child that changes, under a new copy of
-        ``term``; ``term`` itself is never modified."""
+        """Rewrite the first child that changes, under a rebuilt ``term``."""
         if isinstance(term, Apply):
             args, changed = self._rewrite_first(
-                step, term.args, db, stats, topdown, trace, scope
+                step, term.args, db, stats, topdown, trace
             )
             return (replace(term, args=args), True) if changed else (term, False)
         if isinstance(term, Fun):
-            inner = scope | {name for name, _ in term.params}
             body, changed = self._rewrite_once(
-                step, term.body, db, stats, topdown, trace, inner
+                step, term.body, db, stats, topdown, trace
             )
             return (replace(term, body=body), True) if changed else (term, False)
         if isinstance(term, (ListTerm, TupleTerm)):
             items, changed = self._rewrite_first(
-                step, term.items, db, stats, topdown, trace, scope
+                step, term.items, db, stats, topdown, trace
             )
             return (replace(term, items=items), True) if changed else (term, False)
         if isinstance(term, Call):
             fn, changed = self._rewrite_once(
-                step, term.fn, db, stats, topdown, trace, scope
+                step, term.fn, db, stats, topdown, trace
             )
             if changed:
                 return replace(term, fn=fn), True
             args, changed = self._rewrite_first(
-                step, term.args, db, stats, topdown, trace, scope
+                step, term.args, db, stats, topdown, trace
             )
             return (replace(term, args=args), True) if changed else (term, False)
         return term, False
 
     def _rewrite_first(
-        self, step: OptimizerStep, terms: tuple, db, stats, topdown: bool, trace, scope
+        self, step: OptimizerStep, terms: tuple, db, stats, topdown: bool, trace
     ) -> tuple[tuple, bool]:
         """Rewrite the first of ``terms`` that changes; share the others."""
         for i, t in enumerate(terms):
-            new, changed = self._rewrite_once(step, t, db, stats, topdown, trace, scope)
+            new, changed = self._rewrite_once(step, t, db, stats, topdown, trace)
             if changed:
                 return terms[:i] + (new,) + terms[i + 1 :], True
         return terms, False
@@ -241,14 +237,13 @@ class Optimizer:
         db,
         stats,
         trace: Optional[RuleTrace],
-        scope: AbstractSet[str],
     ) -> Optional[Term]:
         rules = step.rules_at(term)
         if not step.cost_based:
             for rule in rules:
                 stats.tried += 1
                 outcome = None if trace is None else [None]
-                for candidate in rule.apply_at(term, db, outcome, scope):
+                for candidate in rule.apply_at(term, db, outcome):
                     try:
                         checked = db.typechecker.check(candidate)
                     except TypeCheckError:
@@ -279,7 +274,7 @@ class Optimizer:
             stats.tried += 1
             outcome = None if trace is None else [None]
             applied = False
-            for candidate in rule.apply_at(term, db, outcome, scope):
+            for candidate in rule.apply_at(term, db, outcome):
                 try:
                     checked = db.typechecker.check(candidate)
                 except TypeCheckError:

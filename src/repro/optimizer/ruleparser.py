@@ -29,6 +29,7 @@ from typing import Optional
 
 from repro.core.patterns import PApp, PVar, TypePattern, pattern_variables
 from repro.core.sos import SecondOrderSignature
+from repro.core.terms import Apply, Var, free_names, walk_terms
 from repro.core.types import Type, TypeApp
 from repro.errors import ParseError
 from repro.lang.lexer import tokenize
@@ -75,39 +76,18 @@ def _check_rhs_bound(lhs, rhs, variables, condition_vars, conditions) -> None:
     binds — previously such rules parsed fine and failed only when (and if)
     they fired, as a ``KeyError``/``OptimizationError`` deep inside
     instantiation."""
-    from repro.core.terms import Apply, Call, Fun, ListTerm, TupleTerm, Var
+    def uses(term) -> set[str]:
+        names = {n.name for n in free_names(term) if isinstance(n, Var)}
+        names |= {n.op for n in walk_terms(term) if isinstance(n, Apply)}
+        return names & set(variables)
 
-    def uses(term, params: frozenset) -> set[str]:
-        if isinstance(term, Var):
-            if term.name in variables and term.name not in params:
-                return {term.name}
-            return set()
-        if isinstance(term, Apply):
-            out = {term.op} if term.op in variables else set()
-            for a in term.args:
-                out |= uses(a, params)
-            return out
-        if isinstance(term, Fun):
-            return uses(term.body, params | {n for n, _ in term.params})
-        if isinstance(term, (ListTerm, TupleTerm)):
-            out = set()
-            for i in term.items:
-                out |= uses(i, params)
-            return out
-        if isinstance(term, Call):
-            out = uses(term.fn, params)
-            for a in term.args:
-                out |= uses(a, params)
-            return out
-        return set()
-
-    bound = uses(lhs, frozenset()) | set(condition_vars)
+    bound = uses(lhs) | set(condition_vars)
     for cond in conditions:
         if isinstance(cond, TypeCondition):
             bound |= pattern_variables(cond.pattern)
         elif isinstance(cond, CatalogCondition):
             bound |= set(cond.variables)
-    unbound = sorted(uses(rhs, frozenset()) - bound)
+    unbound = sorted(uses(rhs) - bound)
     if unbound:
         raise ParseError(
             "right-hand side uses variable(s) "

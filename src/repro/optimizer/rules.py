@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.terms import Term, format_term
 from repro.optimizer.conditions import Condition, solve_conditions
@@ -37,17 +37,13 @@ class RewriteRule:
         subject: Term,
         db,
         outcome: list | None = None,
-        scope: AbstractSet[str] = frozenset(),
     ) -> Iterator[Term]:
         """``outcome``, when given, is a single-element list the rule writes
         its condition-evaluation result into: ``no_match`` (pattern failed),
         ``conditions_failed`` (pattern matched, no condition solution) or
         ``conditions_ok`` — the engine refines the last one into
-        ``typecheck_failed`` / ``fired``.  ``scope`` names the parameters of
-        the lambdas around ``subject``."""
-        state = match_pattern(
-            self.lhs, subject, self.variables, MatchState(), db.sos, scope
-        )
+        ``typecheck_failed`` / ``fired``."""
+        state = match_pattern(self.lhs, subject, self.variables, MatchState(), db.sos)
         if state is None:
             if outcome is not None:
                 outcome[0] = "no_match"

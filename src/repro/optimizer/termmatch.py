@@ -24,7 +24,7 @@ automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.core.kinds import Kind
 from repro.core.patterns import TypePattern, match_type
@@ -40,7 +40,6 @@ from repro.core.terms import (
     Term,
     TupleTerm,
     Var,
-    clone_term,
     same_term,
 )
 from repro.core.types import Sym, Type, TypeApp, TypeArg
@@ -84,12 +83,9 @@ class MatchState:
 
     tbinds: dict[str, TypeArg] = field(default_factory=dict)
     vbinds: dict[str, Term] = field(default_factory=dict)
-    scopes: dict[str, AbstractSet[str]] = field(default_factory=dict)
-    """The lambda parameters around each term variable's bound subterm in
-    the subject, for the variables matched under a lambda."""
 
     def copy(self) -> "MatchState":
-        return MatchState(dict(self.tbinds), dict(self.vbinds), dict(self.scopes))
+        return MatchState(dict(self.tbinds), dict(self.vbinds))
 
     def op_name(self, var: str) -> Optional[str]:
         bound = self.tbinds.get(var)
@@ -102,15 +98,13 @@ def match_pattern(
     rule_vars: Mapping[str, RuleVar],
     state: MatchState,
     sos,
-    scope: AbstractSet[str] = frozenset(),
 ) -> Optional[MatchState]:
     """Match a rule pattern against a typechecked subject term.
 
-    ``scope`` names the parameters of the lambdas around ``subject``.
     Returns an extended copy of ``state`` on success, ``None`` on failure.
     """
     trial = state.copy()
-    if _match(pattern, subject, rule_vars, trial, {}, sos, scope):
+    if _match(pattern, subject, rule_vars, trial, {}, sos):
         return trial
     return None
 
@@ -122,14 +116,13 @@ def _match(
     state: MatchState,
     params: dict[str, str],
     sos,
-    scope: AbstractSet[str],
 ) -> bool:
     if isinstance(pattern, Var):
         name = pattern.name
         if name in params:
             return isinstance(subject, Var) and subject.name == params[name]
         if name in rule_vars:
-            return _bind_term_var(rule_vars[name], subject, state, sos, scope)
+            return _bind_term_var(rule_vars[name], subject, state, sos)
         # A concrete name in the pattern: matches the same object/variable.
         return isinstance(subject, (Var, ObjRef)) and subject.name == name
     if isinstance(pattern, ObjRef):
@@ -153,7 +146,7 @@ def _match(
         elif pattern.op != subject.op:
             return False
         return all(
-            _match(p, s, rule_vars, state, params, sos, scope)
+            _match(p, s, rule_vars, state, params, sos)
             for p, s in zip(pattern.args, subject.args)
         )
     if isinstance(pattern, Fun):
@@ -167,26 +160,23 @@ def _match(
                 if not _match_type_with_vars(ptype, stype, state):
                     return False
             inner[pname] = sname
-        inner_scope = scope | {sname for sname, _ in subject.params}
-        return _match(
-            pattern.body, subject.body, rule_vars, state, inner, sos, inner_scope
-        )
+        return _match(pattern.body, subject.body, rule_vars, state, inner, sos)
     if isinstance(pattern, (ListTerm, TupleTerm)):
         if type(subject) is not type(pattern):
             return False
         if len(pattern.items) != len(subject.items):
             return False
         return all(
-            _match(p, s, rule_vars, state, params, sos, scope)
+            _match(p, s, rule_vars, state, params, sos)
             for p, s in zip(pattern.items, subject.items)
         )
     if isinstance(pattern, Call):
         if not isinstance(subject, Call) or len(pattern.args) != len(subject.args):
             return False
-        if not _match(pattern.fn, subject.fn, rule_vars, state, params, sos, scope):
+        if not _match(pattern.fn, subject.fn, rule_vars, state, params, sos):
             return False
         return all(
-            _match(p, s, rule_vars, state, params, sos, scope)
+            _match(p, s, rule_vars, state, params, sos)
             for p, s in zip(pattern.args, subject.args)
         )
     if isinstance(pattern, OpRef):
@@ -194,9 +184,7 @@ def _match(
     raise OptimizationError(f"unsupported pattern node: {pattern!r}")
 
 
-def _bind_term_var(
-    rv: RuleVar, subject: Term, state: MatchState, sos, scope: AbstractSet[str]
-) -> bool:
+def _bind_term_var(rv: RuleVar, subject: Term, state: MatchState, sos) -> bool:
     bound = state.vbinds.get(rv.name)
     if bound is not None:
         return same_term(bound, subject)
@@ -216,8 +204,6 @@ def _bind_term_var(
         if not sos.type_system.has_kind(subject_type, rv.kind):
             return False
     state.vbinds[rv.name] = subject
-    if scope:
-        state.scopes[rv.name] = scope
     return True
 
 
@@ -279,25 +265,22 @@ def instantiate(template: Term, state: MatchState) -> Term:
 
     Term variables are replaced by their bound subterms, operator variables
     by their bound names, :class:`TypeVar` parameter types by their bound
-    types.  A bound subterm that is closed — no free variable of it is bound
-    by a lambda around it in the subject — keeps its annotations and is
-    shared, not copied; an open one is copied (see
-    :func:`~repro.core.terms.clone_term`).  The nodes the template builds
-    are unchecked — the engine typechecks the instance, which re-checks
-    only those nodes and the open copies.
+    types.  Terms are values, so the bound subterms — typed — and the
+    template's own leaves are shared, not copied.  The nodes the template
+    builds are unchecked; the engine typechecks the instance, which checks
+    those nodes and takes each shared subterm as it is wherever its
+    annotations still hold.
     """
     if isinstance(template, Var):
         bound = state.vbinds.get(template.name)
         if bound is not None:
-            return clone_term(bound, state.scopes.get(template.name, ()))
+            return bound
         sym = state.tbinds.get(template.name)
         if isinstance(sym, Sym):
             return Var(sym.name)
-        return Var(template.name)
-    if isinstance(template, Literal):
-        return Literal(template.value)
-    if isinstance(template, ObjRef):
-        return ObjRef(template.name)
+        return template
+    if isinstance(template, (Literal, ObjRef, OpRef)):
+        return template
     if isinstance(template, Apply):
         op = template.op
         bound_op = state.op_name(op)
@@ -318,8 +301,6 @@ def instantiate(template: Term, state: MatchState) -> Term:
             instantiate(template.fn, state),
             tuple(instantiate(a, state) for a in template.args),
         )
-    if isinstance(template, OpRef):
-        return OpRef(template.name)
     raise OptimizationError(f"unsupported template node: {template!r}")
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.core.terms import Apply, Call, Fun, ListTerm, ObjRef, Term, TupleTerm, Var
+from repro.core.terms import Term, free_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.catalog.database import Database
@@ -103,35 +103,10 @@ def restore_value(original, clone) -> None:
 def referenced_objects(term: Term, database: "Database") -> set[str]:
     """Names of database objects a typechecked term references.
 
-    Lambda-bound names shadow objects, so the walk tracks scope (same rule
-    as the system's level classification).
+    Lambda-bound names shadow objects (same rule as the system's level
+    classification).
     """
-    found: set[str] = set()
-    _collect_refs(term, frozenset(), database, found)
-    return found
-
-
-def _collect_refs(term: Term, bound: frozenset, database, found: set) -> None:
-    if isinstance(term, (Var, ObjRef)):
-        if term.name not in bound and database.has_object(term.name):
-            found.add(term.name)
-        return
-    if isinstance(term, Apply):
-        for arg in term.args:
-            _collect_refs(arg, bound, database, found)
-        return
-    if isinstance(term, Fun):
-        inner = bound | {name for name, _ in term.params}
-        _collect_refs(term.body, inner, database, found)
-        return
-    if isinstance(term, (ListTerm, TupleTerm)):
-        for item in term.items:
-            _collect_refs(item, bound, database, found)
-        return
-    if isinstance(term, Call):
-        _collect_refs(term.fn, bound, database, found)
-        for arg in term.args:
-            _collect_refs(arg, bound, database, found)
+    return {n.name for n in free_names(term) if database.has_object(n.name)}
 
 
 # ---------------------------------------------------------------------------

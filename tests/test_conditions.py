@@ -35,9 +35,7 @@ update rep := insert(rep, cities, rep2)
 
 def _state_with_rel(db):
     state = MatchState()
-    term = Var("cities")
-    term.type = db.type_of("cities")
-    state.vbinds["rel1"] = term
+    state.vbinds["rel1"] = Var("cities", db.type_of("cities"))
     return state
 
 
@@ -51,9 +49,7 @@ class TestCatalogCondition:
 
     def test_bound_variables_constrain(self, db):
         state = _state_with_rel(db)
-        bound = Var("rep2")
-        bound.type = db.type_of("rep2")
-        state.vbinds["r"] = bound
+        state.vbinds["r"] = Var("rep2", db.type_of("rep2"))
         condition = CatalogCondition("rep", ("rel1", "r"))
         solutions = list(condition.solutions(state, db))
         assert len(solutions) == 1
@@ -166,6 +162,4 @@ class TestBacktracking:
 
 
 def _obj(db, name):
-    term = Var(name)
-    term.type = db.type_of(name)
-    return term
+    return Var(name, db.type_of(name))

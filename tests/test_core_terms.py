@@ -1,4 +1,9 @@
-"""Unit tests for value terms: formatting, alpha-equality, substitution."""
+"""Unit tests for value terms: formatting, alpha-equality, substitution,
+immutability."""
+
+import dataclasses
+
+import pytest
 
 from repro.core.terms import (
     Apply,
@@ -6,10 +11,11 @@ from repro.core.terms import (
     Fun,
     ListTerm,
     Literal,
+    ObjRef,
     TupleTerm,
     Var,
-    clone_term,
     format_term,
+    free_names,
     free_variables,
     same_term,
     substitute_term,
@@ -128,29 +134,28 @@ class TestSubstitution:
         )
 
 
-class TestClone:
-    def test_clone_is_equal_but_distinct(self):
-        copy = clone_term(SELECT)
-        assert same_term(copy, SELECT)
-        assert copy is not SELECT
-        assert copy.args[1] is not SELECT.args[1]
+class TestValues:
+    @pytest.mark.parametrize("field", ["type", "args", "op"])
+    def test_terms_are_frozen(self, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(SELECT, field, None)
 
-    def test_clone_drops_annotations(self):
-        t = Var("x")
-        t.type = INT
-        assert clone_term(t).type is None
+    def test_constructors_take_every_field_by_name(self):
+        t = Apply(op="f", args=(Var("x"),), type=INT, resolved=None)
+        assert (t.op, t.args, t.type, t.resolved) == ("f", (Var("x"),), INT, None)
+        assert Var("x").type is None
+        moved = dataclasses.replace(t, op="g")
+        assert moved == Apply("g", (Var("x"),)) and moved.type == INT
 
-    def test_clone_shares_closed_annotated_subterms(self):
-        closed = Apply("+", (Literal(1, type=INT), Literal(2, type=INT)), type=INT)
-        x = Var("x", type=INT)
-        t = Apply("*", (x, closed))
-        assert clone_term(t).args[1] is closed
-        # ``x`` may be a lambda parameter unless the scope says otherwise.
-        assert clone_term(t).args[0] is not x
-        assert clone_term(t, scope=()).args[0] is x
-        body = Apply("*", (Var("y", type=INT), closed), type=INT)
-        copy = clone_term(Fun((("y", INT),), body), scope=())
-        assert copy.body is not body and copy.body.args[1] is closed
+    def test_annotations_are_not_part_of_equality(self):
+        typed = Apply("+", (Var("x", INT), Literal(1, INT)), type=INT)
+        plain = Apply("+", (Var("x"), Literal(1)))
+        assert typed == plain and hash(typed) == hash(plain)
+
+    def test_free_names_are_the_nodes_themselves(self):
+        x, persons = Var("x", INT), ObjRef("persons")
+        t = Apply("*", (x, Fun((("y", INT),), Apply("+", (Var("y"), persons)))))
+        assert [id(n) for n in free_names(t)] == [id(x), id(persons)]
 
 
 class TestWalk:

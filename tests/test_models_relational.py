@@ -176,6 +176,4 @@ def _tuple_literal(tc, tup):
     """Wrap an existing tuple value as a literal term of its type."""
     from repro.core.terms import Literal as Lit
 
-    lit = Lit(tup)
-    lit.type = tup.schema
-    return lit
+    return Lit(tup, tup.schema)

@@ -290,8 +290,6 @@ class TestRuleTrace:
         ]
 
     def test_optimizer_records_trace(self, loaded_system):
-        from repro.core.terms import clone_term
-
         statement = loaded_system.make_parser().parse_statement(
             "query cities select[pop >= 5000]"
         )
@@ -299,7 +297,7 @@ class TestRuleTrace:
         term = tc.check(statement.expr)
         trace = RuleTrace()
         result = loaded_system.optimizer.optimize(
-            tc.check(clone_term(term)), loaded_system.database, trace
+            term, loaded_system.database, trace
         )
         assert result.trace is trace
         assert [f.rule for f in trace.fired] == result.fired

@@ -1,9 +1,13 @@
 """Engine control strategies and safety behaviour ([BeG92] step model)."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from repro.core.terms import Apply, Literal, Var, format_term, walk_terms
-from repro.errors import OptimizationError
+from repro.core.terms import Apply, Fun, Literal, Var, format_term, walk_terms
+from repro.core.types import TypeApp
+from repro.errors import OptimizationError, TypeCheckError
 from repro.observe import RuleTrace
 from repro.optimizer.engine import Optimizer, OptimizerStep
 from repro.optimizer.rules import RewriteRule, rule_vars
@@ -418,16 +422,16 @@ class TestNonMutation:
 
 
 # ---------------------------------------------------------------------------
-# Closed bound subterms are shared into the instance; open ones are copied
+# Bound subterms are shared into the instance; the checker takes each as it
+# is wherever its free variables are bound as before
 # ---------------------------------------------------------------------------
 
 
 def requalify_rule():
     """select(r, fun (t: tup) p) => select(r, fun (t: tup) p).
 
-    ``p`` is bound under the pattern's lambda, so it is open whenever the
-    selection body mentions ``t``."""
-    from repro.core.terms import Fun
+    ``p`` is bound under the pattern's lambda, so it mentions ``t`` whenever
+    the selection body does."""
     from repro.optimizer.termmatch import TypeVar
 
     def shape():
@@ -439,6 +443,9 @@ def requalify_rule():
         lhs=shape(),
         rhs=shape(),
     )
+
+
+INT = TypeApp("int")
 
 
 class TestSharing:
@@ -454,7 +461,7 @@ class TestSharing:
         assert any(node is predicate for node in walk_terms(result.term))
         _assert_unchanged(term, snapshot)
 
-    def test_open_bound_subterm_is_copied_and_rechecked(self, loaded_system):
+    def test_open_bound_subterm_is_shared_where_its_binding_holds(self, loaded_system):
         term = _statement_term(
             loaded_system, "query cities select[fun (t: city) pop(t) > 100]"
         )
@@ -464,27 +471,82 @@ class TestSharing:
         result = opt.optimize(term, loaded_system.database)
         assert result.fired == ["requalify"]
         new = result.term
-        assert new.args[0] is term.args[0]  # ``cities``: closed, shared
-        new_body = new.args[1].body
-        assert same_shape(new_body, body)
-        # ``pop(t) > 100`` mentions the lambda's ``t``: a fresh copy, checked
-        # again, with the closed literal inside it shared.
-        assert new_body is not body and new_body.args[0] is not body.args[0]
-        assert new_body.resolved is not body.resolved
-        assert new_body.type == body.type
-        assert new_body.args[0].resolved.attr_name == "pop"
-        assert new_body.args[1] is body.args[1]
+        assert new.args[0] is term.args[0]  # ``cities``
+        # ``pop(t) > 100`` mentions ``t``, which the rebuilt lambda binds at
+        # the same type: its annotations hold, so it is not checked again.
+        assert new.args[1] is not term.args[1]
+        assert new.args[1].body is body
         _assert_unchanged(term, snapshot)
 
     def test_a_subterm_mentioning_an_enclosing_lambda_is_open(self, db):
-        from repro.core.types import TypeApp
-
-        int_type = TypeApp("int")
-        y = Var("y", type=int_type)
-        subject = Apply("+", (y, Literal(0, type=int_type)), type=int_type)
-        # At the root, ``y`` names an object: the bound subterm is shared.
+        y = Var("y", type=INT)
+        subject = Apply("+", (y, Literal(0, type=INT)), type=INT)
         [instance] = add_zero_rule().apply_at(subject, db)
-        assert instance is y
-        # Inside ``fun (y: int) ...`` it is open: copied, annotation dropped.
-        [instance] = add_zero_rule().apply_at(subject, db, scope={"y"})
-        assert instance is not y and instance == Var("y") and instance.type is None
+        assert instance is y  # instantiation shares every bound subterm
+        # Only a lambda binding ``y`` at ``int`` makes the annotation hold.
+        assert db.typechecker.check(instance, {"y": INT}) is y
+        with pytest.raises(TypeCheckError):
+            db.typechecker.check(instance)
+        assert db.typechecker.check(instance, {"y": TypeApp("real")}).type == TypeApp(
+            "real"
+        )
+
+    def test_rewrite_under_a_lambda_mentioning_its_parameter_does_not_fire(self, db):
+        # The engine checks an instance without the parameters of the
+        # lambdas around the match site, so ``y + 0`` => ``y`` is rejected
+        # inside ``fun (y: int) ...``, exactly as when the subterm was copied.
+        term = db.typechecker.check(
+            Fun((("y", INT),), Apply("+", (Var("y"), Literal(0))))
+        )
+        opt = Optimizer([OptimizerStep("s", [add_zero_rule()], "exhaustive")])
+        result = opt.optimize(term, db)
+        assert result.fired == [] and result.term is term
+
+    def test_typed_term_moves_to_another_system(self):
+        """A typed term holds in any database whose objects have the same
+        types: a second system optimizes it to the plan it builds itself."""
+        program = """
+type city = tuple(<(cname, string), (pop, int)>)
+create cities : rel(city)
+create cities_rep : btree(city, pop, int)
+update rep := insert(rep, cities, cities_rep)
+"""
+        first, second = build_relational_system(), build_relational_system()
+        first.run(program)
+        second.run(program)
+        source = "query cities select[pop = 7]"
+        term = _statement_term(first, source)
+        own = second.optimizer.optimize(_statement_term(second, source), second.database)
+        moved = second.optimizer.optimize(term, second.database)
+        assert moved.fired == own.fired == ["select_eq_btree_range"]
+        assert moved.term == own.term
+
+    def test_typed_terms_are_shared_by_threads(self, shapes_system):
+        """Eight threads, each with its own system, optimize the same typed
+        terms at once: every thread gets the plans of a single-threaded run,
+        and no shared node changes under them."""
+        terms = [_statement_term(shapes_system, source) for source in SHAPES]
+        snapshots = [_snapshot(t) for t in terms]
+
+        def plans(system):
+            return [
+                system.optimizer.optimize(t, system.database).term for t in terms
+            ]
+
+        want = plans(shapes_system)
+        systems = []
+        for _ in range(8):
+            system = build_relational_system()
+            system.run(SHAPES_SCHEMA)
+            systems.append(system)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(systems)) as pool:
+                futures = [pool.submit(plans, s) for s in systems]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(got == want for got in results)
+        for term, snapshot in zip(terms, snapshots):
+            _assert_unchanged(term, snapshot)

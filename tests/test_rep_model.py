@@ -311,8 +311,7 @@ class TestStructureUpdates:
     def test_btree_insert_via_algebra(self, env):
         _, tc, ev, bt, _ = env
         new = make_tuple(CITY, cname="x", center=Point(1, 1), pop=55)
-        lit = Literal(new)
-        lit.type = CITY
+        lit = Literal(new, CITY)
         term = tc.check(Apply("insert", (Var("cities_rep"), lit)))
         ev.eval(term, allow_update=True)
         assert len(bt) == 21

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.terms import Apply, Call, Fun, ListTerm, Literal, Var
+from repro.core.terms import Apply, Call, Fun, ListTerm, Literal, Var, walk_terms
 from repro.core.typecheck import TypeChecker
 from repro.core.types import (
     FunType,
@@ -269,3 +269,44 @@ class TestErrors:
             tc.check(term)
         with pytest.raises(NoMatchingOperator):
             tc.check(term)
+
+
+class TestTermsAreValues:
+    """The checker returns new nodes and never writes to the ones it gets."""
+
+    def test_input_is_left_as_it_was(self, tc):
+        term = Apply("select", (Var("persons"), Apply(">", (Var("age"), Literal(30)))))
+        checked = tc.check(term)
+        assert checked.type == PERSONS
+        assert all(node.type is None for node in walk_terms(term))
+        assert term == Apply(
+            "select", (Var("persons"), Apply(">", (Var("age"), Literal(30))))
+        )
+
+    def test_failed_overload_candidate_leaves_nothing_behind(self, tc):
+        # ``int x int -> int`` is tried first and fails on the real operand.
+        one, other = Literal(1), Literal(1.1)
+        checked = tc.check(Apply("*", (one, other)))
+        assert checked.type == REAL
+        assert one.type is None and other.type is None
+
+    def test_checked_term_is_returned_as_it_is(self, tc):
+        checked = tc.check(Apply("select", (Var("persons"), age_pred())))
+        assert tc.check(checked) is checked
+
+    def test_open_term_is_kept_where_its_variables_keep_their_types(self, tc):
+        body = tc.check(Apply("+", (Var("x"), Literal(1))), {"x": INT})
+        assert tc.check(body, {"x": INT}) is body
+        assert tc.check(Fun((("x", INT),), body)).body is body
+
+    def test_open_term_is_checked_again_where_a_variable_changed_type(self, tc):
+        body = tc.check(Apply("+", (Var("x"), Literal(1))), {"x": INT})
+        again = tc.check(body, {"x": REAL})
+        assert again.type == REAL and again.args[0].type == REAL
+        assert again.args[1] is body.args[1]  # the closed literal is shared
+        assert body.type == INT and body.args[0].type == INT
+
+    def test_open_term_outside_its_lambda_is_rejected(self, tc):
+        body = tc.check(Apply("+", (Var("x"), Literal(1))), {"x": INT})
+        with pytest.raises(TypeCheckError):
+            tc.check(body)
