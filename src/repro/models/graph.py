@@ -24,8 +24,6 @@ with graph exploration (``succ``, ``reachable``, ``shortest_path``).
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.algebra import Relation, SecondOrderAlgebra, TupleValue
 from repro.core.operators import Quantifier
 from repro.core.patterns import PApp, PVar
@@ -48,6 +46,8 @@ class GraphValue:
     __slots__ = ("type", "g")
 
     def __init__(self, graph_type: Type):
+        import networkx as nx  # imported on first use: it is slow to load
+
         self.type = graph_type
         self.g = nx.MultiDiGraph()
 
@@ -157,6 +157,8 @@ def _pred_impl(ctx, graph: GraphValue, node_id: int) -> Relation:
 def _reachable_impl(ctx, graph: GraphValue, node_id: int) -> Relation:
     if node_id not in graph.g:
         raise ExecutionError(f"no node {node_id} in the graph")
+    import networkx as nx
+
     reached = nx.descendants(graph.g, node_id) | {node_id}
     return Relation(
         ctx.result_type, (graph.node_attrs(n) for n in sorted(reached))
@@ -164,6 +166,8 @@ def _reachable_impl(ctx, graph: GraphValue, node_id: int) -> Relation:
 
 
 def _shortest_path_impl(ctx, graph: GraphValue, source: int, target: int) -> Relation:
+    import networkx as nx
+
     try:
         path = nx.shortest_path(graph.g, source, target)
     except (nx.NetworkXNoPath, nx.NodeNotFound):

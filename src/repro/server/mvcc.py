@@ -14,8 +14,10 @@ snapshot no matter what later writers do.
 
 **Writes are copy-on-write.**  Before an update statement evaluates, the
 engine's :attr:`Database.cow_hook` gives every object the statement will
-touch a *private* clone (``clone_value`` — structural copies sharing
-tuples), rebinding it in the transaction's workspace.  In-place update
+touch a *private* clone (``clone_value``: O(1) for a B-tree, which shares
+its nodes with the committed value and copies a node only when the writer
+first changes it; a structural copy for the LSD-tree and TID relation),
+rebinding it in the transaction's workspace.  In-place update
 functions therefore mutate only the clone; the committed value other
 sessions read is never touched.  The write set falls out for free: any
 name whose workspace entry is no longer the snapshot's instance.

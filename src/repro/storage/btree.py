@@ -8,10 +8,18 @@ The paper gives two constructor variants and this class covers both:
   pass any callable.
 
 The tree is a textbook B+-tree: tuples live in the leaves (clustering
-structure), leaves are chained for scans, internal nodes hold separator
-keys.  Duplicate keys are allowed.  Deletion rebalances by borrowing from or
-merging with siblings.  Every node is a simulated page; reads and writes are
-accounted through a :class:`~repro.storage.io.PageManager`.
+structure), internal nodes hold separator keys.  Duplicate keys are allowed.
+Deletion rebalances by borrowing from or merging with siblings.  Every node
+is a simulated page; reads and writes are accounted through a
+:class:`~repro.storage.io.PageManager`.
+
+The tree is persistent by path copying, so a snapshot (:meth:`BTree.clone`)
+is O(1): it shares the root.  Each node records the owner token of the tree
+that created it; a write first takes ownership of every node on its path,
+copying a node only on the first write to it after a snapshot.  Because a
+shared leaf cannot point at its successor in two trees, there is no leaf
+chain: scans keep a stack of the parents above their leaf and climb and
+descend it between leaves, which reads no pages, as the chain read none.
 
 Update operators of Section 6 map to: :meth:`insert`, :meth:`stream_insert`,
 :meth:`delete_tuples`, :meth:`modify_tuples` (in situ, key must not change)
@@ -47,28 +55,18 @@ TOP_KEY = _Sentinel("top")
 
 
 class _Node:
-    __slots__ = ("leaf", "keys", "values", "children", "next", "page_id")
+    """One page.  ``owner`` is the token of the tree that created this
+    copy: only that tree may change it in place (see :meth:`BTree.clone`)."""
 
-    def __init__(self, leaf: bool, page_id: int):
+    __slots__ = ("leaf", "keys", "values", "children", "page_id", "owner")
+
+    def __init__(self, leaf: bool, page_id: int, owner, keys=(), values=(), children=()):
         self.leaf = leaf
-        self.keys: list = []
-        self.values: list = []  # leaf only: the tuples
-        self.children: list["_Node"] = []  # internal only
-        self.next: Optional["_Node"] = None  # leaf chain
+        self.keys: list = list(keys)
+        self.values: list = list(values)  # leaf only: the tuples
+        self.children: list["_Node"] = list(children)  # internal only
         self.page_id = page_id
-
-
-def _clone_node(node: _Node, leaves: list) -> _Node:
-    """Copy a subtree (same page ids, shared tuple values), collecting the
-    cloned leaves in tree order so the caller can rebuild the leaf chain."""
-    twin = _Node(leaf=node.leaf, page_id=node.page_id)
-    twin.keys = list(node.keys)
-    if node.leaf:
-        twin.values = list(node.values)
-        leaves.append(twin)
-    else:
-        twin.children = [_clone_node(child, leaves) for child in node.children]
-    return twin
+        self.owner = owner
 
 
 class BTree:
@@ -91,7 +89,8 @@ class BTree:
         self.order = order
         self.pages = pages if pages is not None else GLOBAL_PAGES
         self.name = name
-        self._root = _Node(leaf=True, page_id=self.pages.allocate())
+        self._owner = object()
+        self._root = self._new_node(True)
         self._count = 0
 
     def _read_node(self, node: _Node) -> None:
@@ -116,33 +115,44 @@ class BTree:
         return h
 
     def scan(self) -> Iterator:
-        """All tuples in key order (leaf chain scan) — the ``feed`` path."""
-        node = self._leftmost_leaf()
-        while node is not None:
-            self._read_node(node)
-            yield from node.values
-            node = node.next
+        """All tuples in key order — the ``feed`` path.
+
+        A depth-first walk whose stack holds, per level, an iterator over
+        the children still to visit, so moving between sibling leaves costs
+        no more than following a leaf chain did.  Like every scan it reads
+        the descent to its first leaf, then each leaf as it enters it.
+        """
+        leaf, _ = self._seek()
+        stack = [iter(node.children[1:]) for node, _ in self._path()]
+        self._read_node(leaf)
+        yield from leaf.values
+        while stack:
+            for node in stack[-1]:
+                if not node.leaf:
+                    stack.append(iter(node.children))
+                    break
+                self._read_node(node)
+                yield from node.values
+            else:
+                stack.pop()
 
     def range_search(self, low, high) -> Iterator:
         """All tuples with ``low <= key <= high`` — the ``range`` operator.
 
         ``BOTTOM_KEY`` / ``TOP_KEY`` open the respective end (halfranges).
         """
-        if low is BOTTOM_KEY:
-            node: Optional[_Node] = self._leftmost_leaf()
-            index = 0
-        else:
-            node, index = self._find_leaf(low)
-        while node is not None:
-            self._read_node(node)
-            while index < len(node.keys):
-                key = node.keys[index]
-                if high is not TOP_KEY and key > high:
+        leaf, index = self._seek(low)
+        path = None
+        while leaf is not None:
+            self._read_node(leaf)
+            keys = leaf.keys
+            while index < len(keys):
+                if high is not TOP_KEY and keys[index] > high:
                     return
-                yield node.values[index]
+                yield leaf.values[index]
                 index += 1
-            node = node.next
-            index = 0
+            path = path or self._path(low)
+            leaf, index = self._next_leaf(path), 0
 
     def exact_search(self, key) -> Iterator:
         """All tuples whose key equals ``key``."""
@@ -157,56 +167,91 @@ class BTree:
         attribute"), this answers queries that fix a *prefix* of the
         indexing attributes.  An empty prefix scans everything.
         """
-        k = len(prefix)
-        if k == 0:
-            yield from self.scan()
-            return
-        node, index = self._find_leaf(_PrefixBound(prefix))
-        while node is not None:
-            self._read_node(node)
-            while index < len(node.keys):
-                key = node.keys[index]
-                head = key[:k] if isinstance(key, tuple) else (key,)[:k]
-                if head != tuple(prefix):
-                    return
-                yield node.values[index]
-                index += 1
-            node = node.next
-            index = 0
+        return self.range_search(_PrefixBound(prefix), _PrefixBound(prefix, above=True))
 
-    def _leftmost_leaf(self) -> _Node:
-        node = self._root
+    def _seek(self, key=BOTTOM_KEY) -> tuple[_Node, int]:
+        """The first leaf position with stored key >= ``key``, reading every
+        node on the descent."""
+        node, bottom = self._root, key is BOTTOM_KEY
         self._read_node(node)
         while not node.leaf:
-            node = node.children[0]
+            node = node.children[0 if bottom else bisect_left(node.keys, key)]
             self._read_node(node)
-        return node
+        return node, 0 if bottom else bisect_left(node.keys, key)
 
-    def _find_leaf(self, key) -> tuple[_Node, int]:
-        """The first leaf position with stored key >= ``key``."""
-        node = self._root
-        self._read_node(node)
+    def _path(self, key=BOTTOM_KEY) -> list:
+        """The cursor at :meth:`_seek`'s leaf: the parent stack of ``(node,
+        child index)`` pairs from the root.  A range search builds it only
+        when it leaves its first leaf, so a point search never pays for it;
+        retracing a descent whose pages were already read reads nothing."""
+        path, node = [], self._root
         while not node.leaf:
-            index = bisect_left(node.keys, key)
+            index = 0 if key is BOTTOM_KEY else bisect_left(node.keys, key)
+            path.append((node, index))
             node = node.children[index]
-            self._read_node(node)
-        return node, bisect_left(node.keys, key)
+        return path
+
+    @staticmethod
+    def _next_leaf(path: list) -> Optional[_Node]:
+        """Move a cursor's parent stack to the following leaf (``None``
+        past the last).  Internal nodes between leaves are not page reads,
+        just as following a leaf chain read none."""
+        while path:
+            parent, index = path.pop()
+            if index + 1 < len(parent.children):
+                path.append((parent, index + 1))
+                node = parent.children[index + 1]
+                while not node.leaf:
+                    path.append((node, 0))
+                    node = node.children[0]
+                return node
+        return None
 
     # ----------------------------------------------------------- snapshots
 
     def clone(self) -> "BTree":
-        """A structural copy sharing keys, tuples, the key function and the
-        page manager (page ids included — a clone is a logical snapshot of
-        the same disk pages, so taking it costs no simulated I/O)."""
+        """An O(1) snapshot: the twin shares the root and, through it, every
+        node, tuple, the key function and the page manager.
+
+        Both trees get fresh owner tokens, so neither owns a shared node any
+        more: each copies a node on its first write to it (path copying,
+        :meth:`_own`), and later writes between snapshots stay in place.
+        Copying is not a page write — a snapshot is a logical view of the
+        same disk pages.  A snapshot given to ``restore_value`` shares its
+        token with the restored tree and must not be written afterwards."""
         twin = BTree.__new__(BTree)
         twin.__dict__.update(self.__dict__)
-        leaves: list[_Node] = []
-        twin._root = _clone_node(self._root, leaves)
-        for left, right in zip(leaves, leaves[1:]):
-            left.next = right
-        if leaves:
-            leaves[-1].next = None
+        self._owner = object()
+        twin._owner = object()
         return twin
+
+    def _new_node(self, leaf: bool, keys=(), values=(), children=()) -> _Node:
+        """A node on a freshly allocated page, owned by this tree."""
+        return _Node(leaf, self.pages.allocate(), self._owner, keys, values, children)
+
+    def _own(self, node: _Node) -> _Node:
+        """``node`` itself if this tree owns it, else an owned copy."""
+        if node.owner is self._owner:
+            return node
+        return _Node(node.leaf, node.page_id, self._owner, node.keys, node.values, node.children)
+
+    def _own_child(self, parent: _Node, index: int) -> _Node:
+        """Own ``parent``'s ``index``-th child, re-linking the owned parent."""
+        child = parent.children[index]
+        if child.owner is not self._owner:
+            child = parent.children[index] = self._own(child)
+        return child
+
+    def _own_path(self, key, path: Optional[list] = None) -> _Node:
+        """Own every node down to a cursor's leaf: the one at ``path``, else
+        the one :meth:`_seek` finds for ``key``.  Returns the owned leaf."""
+        node = self._root = self._own(self._root)
+        depth = 0
+        while not node.leaf:
+            index = path[depth][1] if path else bisect_left(node.keys, key)
+            node = self._own_child(node, index)
+            depth += 1
+        return node
 
     # ------------------------------------------------------------ insertion
 
@@ -214,14 +259,12 @@ class BTree:
         """Insert one tuple (the ``insert`` update function)."""
         fault_point("btree.insert")
         key = self.key(value)
+        self._root = self._own(self._root)
         split = self._insert(self._root, key, value)
         if split is not None:
             separator, right = split
-            new_root = _Node(leaf=False, page_id=self.pages.allocate())
-            new_root.keys = [separator]
-            new_root.children = [self._root, right]
-            self._root = new_root
-            self.pages.write(new_root.page_id)
+            self._root = self._new_node(False, [separator], (), [self._root, right])
+            self.pages.write(self._root.page_id)
         self._count += 1
 
     def stream_insert(self, values: Iterable) -> None:
@@ -248,11 +291,7 @@ class BTree:
         leaves: list[_Node] = []
         for start in range(0, len(items), fill):
             chunk = items[start : start + fill]
-            leaf = _Node(leaf=True, page_id=self.pages.allocate())
-            leaf.keys = [k for k, _ in chunk]
-            leaf.values = [v for _, v in chunk]
-            if leaves:
-                leaves[-1].next = leaf
+            leaf = self._new_node(True, (k for k, _ in chunk), (v for _, v in chunk))
             leaves.append(leaf)
             self.pages.write(leaf.page_id)
         # A final underfull leaf merges with or rebalances against its left
@@ -266,14 +305,11 @@ class BTree:
             self.pages.free(last.page_id)
             if len(keys) <= self.order:
                 prev.keys, prev.values = keys, vals
-                prev.next = None
                 self.pages.write(prev.page_id)
             else:
                 half = len(keys) // 2
                 prev.keys, prev.values = keys[:half], vals[:half]
-                fresh = _Node(leaf=True, page_id=self.pages.allocate())
-                fresh.keys, fresh.values = keys[half:], vals[half:]
-                prev.next = fresh
+                fresh = self._new_node(True, keys[half:], vals[half:])
                 leaves.append(fresh)
                 self.pages.write(prev.page_id)
                 self.pages.write(fresh.page_id)
@@ -284,9 +320,8 @@ class BTree:
             group = self.order  # children per internal node (keys = group-1)
             for start in range(0, len(level), group):
                 children = level[start : start + group]
-                node = _Node(leaf=False, page_id=self.pages.allocate())
-                node.children = children
-                node.keys = [self._subtree_min(c) for c in children[1:]]
+                keys = (self._subtree_min(c) for c in children[1:])
+                node = self._new_node(False, keys, (), children)
                 parents.append(node)
                 self.pages.write(node.page_id)
             # Keep the last internal node legal: merge with the previous one
@@ -304,9 +339,8 @@ class BTree:
                     half = len(children) // 2
                     prev.children = children[:half]
                     prev.keys = [self._subtree_min(c) for c in prev.children[1:]]
-                    fresh = _Node(leaf=False, page_id=self.pages.allocate())
-                    fresh.children = children[half:]
-                    fresh.keys = [self._subtree_min(c) for c in fresh.children[1:]]
+                    keys = (self._subtree_min(c) for c in children[half + 1 :])
+                    fresh = self._new_node(False, keys, (), children[half:])
                     parents.append(fresh)
                     self.pages.write(prev.page_id)
                     self.pages.write(fresh.page_id)
@@ -329,7 +363,10 @@ class BTree:
                 return self._split_leaf(node)
             return None
         index = bisect_left(node.keys, key)
-        split = self._insert(node.children[index], key, value)
+        child = node.children[index]
+        if child.owner is not self._owner:  # _own_child, inlined on the hot path
+            child = node.children[index] = self._own(child)
+        split = self._insert(child, key, value)
         if split is None:
             return None
         separator, right = split
@@ -342,13 +379,9 @@ class BTree:
 
     def _split_leaf(self, node: _Node):
         mid = len(node.keys) // 2
-        right = _Node(leaf=True, page_id=self.pages.allocate())
-        right.keys = node.keys[mid:]
-        right.values = node.values[mid:]
-        node.keys = node.keys[:mid]
-        node.values = node.values[:mid]
-        right.next = node.next
-        node.next = right
+        right = self._new_node(True, node.keys[mid:], node.values[mid:])
+        del node.keys[mid:]
+        del node.values[mid:]
         self.pages.write(node.page_id)
         self.pages.write(right.page_id)
         return right.keys[0], right
@@ -356,11 +389,9 @@ class BTree:
     def _split_internal(self, node: _Node):
         mid = len(node.keys) // 2
         separator = node.keys[mid]
-        right = _Node(leaf=False, page_id=self.pages.allocate())
-        right.keys = node.keys[mid + 1 :]
-        right.children = node.children[mid + 1 :]
-        node.keys = node.keys[:mid]
-        node.children = node.children[: mid + 1]
+        right = self._new_node(False, node.keys[mid + 1 :], (), node.children[mid + 1 :])
+        del node.keys[mid:]
+        del node.children[mid + 1 :]
         self.pages.write(node.page_id)
         self.pages.write(right.page_id)
         return separator, right
@@ -373,15 +404,15 @@ class BTree:
         Returns whether a matching tuple was present.
         """
         fault_point("btree.delete")
-        key = self.key(value)
-        removed = self._delete(self._root, key, value)
-        if removed:
-            self._count -= 1
-            if not self._root.leaf and len(self._root.children) == 1:
-                old = self._root
-                self._root = self._root.children[0]
-                self.pages.free(old.page_id)
-        return removed
+        root = self._delete(self._root, self.key(value), value)
+        if root is None:
+            return False
+        self._count -= 1
+        self._root = root
+        if not root.leaf and len(root.children) == 1:
+            self._root = root.children[0]
+            self.pages.free(root.page_id)
+        return True
 
     def delete_tuples(self, values: Iterable) -> int:
         """Delete every tuple of a stream (the B-tree ``delete`` operator).
@@ -400,31 +431,35 @@ class BTree:
     def _min_keys(self) -> int:
         return self.order // 2
 
-    def _delete(self, node: _Node, key, value) -> bool:
+    def _delete(self, node: _Node, key, value) -> Optional[_Node]:
+        """Remove ``value`` from the subtree at ``node``.  Returns the owned
+        subtree root if it was found, else ``None`` — so only the path to
+        the removed tuple is copied, and a miss copies nothing."""
+        self.pages.read(node.page_id)
+        index = bisect_left(node.keys, key)
         if node.leaf:
-            self.pages.read(node.page_id)
-            index = bisect_left(node.keys, key)
             while index < len(node.keys) and node.keys[index] == key:
                 if node.values[index] == value:
+                    node = self._own(node)
                     del node.keys[index]
                     del node.values[index]
                     self.pages.write(node.page_id)
-                    return True
+                    return node
                 index += 1
-            return False
-        self.pages.read(node.page_id)
-        index = bisect_left(node.keys, key)
+            return None
         # Duplicates may straddle children; try successive children whose
         # range can still contain the key.
         while index < len(node.children):
-            child = node.children[index]
-            if self._delete(child, key, value):
+            child = self._delete(node.children[index], key, value)
+            if child is not None:
+                node = self._own(node)
+                node.children[index] = child
                 self._rebalance(node, index)
-                return True
+                return node
             if index >= len(node.keys) or node.keys[index] != key:
-                return False
+                return None
             index += 1
-        return False
+        return None
 
     def _rebalance(self, parent: _Node, index: int) -> None:
         child = parent.children[index]
@@ -434,12 +469,13 @@ class BTree:
         left = parent.children[index - 1] if index > 0 else None
         right = parent.children[index + 1] if index + 1 < len(parent.children) else None
         if left is not None and len(left.keys) > min_keys:
-            self._borrow_from_left(parent, index, left, child)
+            self._borrow_from_left(parent, index, self._own_child(parent, index - 1), child)
         elif right is not None and len(right.keys) > min_keys:
-            self._borrow_from_right(parent, index, child, right)
+            self._borrow_from_right(parent, index, child, self._own_child(parent, index + 1))
         elif left is not None:
-            self._merge(parent, index - 1, left, child)
+            self._merge(parent, index - 1, self._own_child(parent, index - 1), child)
         elif right is not None:
+            # ``right`` is only read and dropped, so it is not copied.
             self._merge(parent, index, child, right)
 
     def _borrow_from_left(self, parent, index, left, child) -> None:
@@ -472,7 +508,6 @@ class BTree:
         if left.leaf:
             left.keys.extend(right.keys)
             left.values.extend(right.values)
-            left.next = right.next
         else:
             left.keys.append(parent.keys[left_index])
             left.keys.extend(right.keys)
@@ -527,18 +562,23 @@ class BTree:
         return len(originals)
 
     def _replace_in_situ(self, key, old, new) -> bool:
-        node, index = self._find_leaf(key)
+        node, index = self._seek(key)
+        path = None
         while node is not None:
             while index < len(node.keys) and node.keys[index] == key:
                 if node.values[index] == old:
+                    # An owned leaf has an owned path: a node is only ever
+                    # linked under an owned parent.
+                    if node.owner is not self._owner:
+                        node = self._own_path(key, path)
                     node.values[index] = new
                     self.pages.write(node.page_id)
                     return True
                 index += 1
             if index < len(node.keys):
                 return False
-            node = node.next
-            index = 0
+            path = path or self._path(key)
+            node, index = self._next_leaf(path), 0
             if node is not None:
                 self.pages.read(node.page_id)
         return False
@@ -549,33 +589,20 @@ class BTree:
         """Raise :class:`StorageError` if any B+-tree invariant is violated.
 
         Used by the property-based tests: sorted keys, balanced depth, node
-        fill factors, separator correctness, complete leaf chain, and the
-        stored count.
+        fill factors, separator correctness, the stored count, and that no
+        node this tree owns hangs under one it shares.
         """
         leaves: list[_Node] = []
         self._check_node(self._root, depth=0, leaves=leaves, is_root=True)
         depths = {self._leaf_depth(leaf) for leaf in leaves}
         if len(depths) > 1:
             raise StorageError("leaves at differing depths")
-        chained = []
-        node = self._leftmost_leaf_unchecked()
-        while node is not None:
-            chained.append(node)
-            node = node.next
-        if [id(leaf) for leaf in chained] != [id(leaf) for leaf in leaves]:
-            raise StorageError("leaf chain does not match tree order")
         total = sum(len(leaf.keys) for leaf in leaves)
         if total != self._count:
             raise StorageError(f"count mismatch: {total} != {self._count}")
         keys = [key for leaf in leaves for key in leaf.keys]
         if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
             raise StorageError("keys are not globally sorted")
-
-    def _leftmost_leaf_unchecked(self) -> _Node:
-        node = self._root
-        while not node.leaf:
-            node = node.children[0]
-        return node
 
     def _leaf_depth(self, leaf: _Node) -> int:
         """Depth of a leaf found by identity search (invariant checking)."""
@@ -609,6 +636,8 @@ class BTree:
         if len(node.children) != len(node.keys) + 1:
             raise StorageError("internal child count mismatch")
         for i, child in enumerate(node.children):
+            if child.owner is self._owner and node.owner is not self._owner:
+                raise StorageError("owned node under a shared parent")
             self._check_node(child, depth + 1, leaves, is_root=False)
             child_keys = self._subtree_keys(child)
             if not child_keys:
@@ -628,17 +657,19 @@ class BTree:
 
 
 class _PrefixBound:
-    """A lower bound that sorts immediately before every composite key
-    sharing the given prefix (used by :meth:`BTree.prefix_search`).
+    """A bound that sorts immediately before (``above``: after) every
+    composite key sharing the given prefix (used by
+    :meth:`BTree.prefix_search`).
 
     Comparisons with stored tuple keys go through the reflected operators:
     ``stored < bound`` falls back to ``bound.__gt__(stored)``.
     """
 
-    __slots__ = ("prefix",)
+    __slots__ = ("prefix", "above")
 
-    def __init__(self, prefix: tuple):
+    def __init__(self, prefix: tuple, above: bool = False):
         self.prefix = tuple(prefix)
+        self.above = above
 
     def _head(self, other) -> tuple:
         if isinstance(other, tuple):
@@ -646,12 +677,14 @@ class _PrefixBound:
         return (other,)[: len(self.prefix)]
 
     def __lt__(self, other) -> bool:
-        # bound < stored  <=>  prefix <= stored-head
-        return self.prefix <= self._head(other)
+        # bound < stored  <=>  prefix <= stored-head (above: prefix < head)
+        head = self._head(other)
+        return self.prefix < head if self.above else self.prefix <= head
 
     def __gt__(self, other) -> bool:
-        # bound > stored  <=>  stored-head < prefix
-        return self._head(other) < self.prefix
+        # bound > stored  <=>  stored-head < prefix (above: head <= prefix)
+        head = self._head(other)
+        return head <= self.prefix if self.above else head < self.prefix
 
     def __le__(self, other) -> bool:
         return self.__lt__(other)
@@ -663,4 +696,4 @@ class _PrefixBound:
         return False
 
     def __repr__(self) -> str:
-        return f"_PrefixBound({self.prefix!r})"
+        return f"_PrefixBound({self.prefix!r}, above={self.above})"

@@ -11,9 +11,11 @@ no paper example can reach — so statements execute inside a
   dictionaries (``aliases``, ``objects``) are snapshotted — shallow copies,
   a few pointer copies per statement;
 * before an update statement evaluates, the values of every object its term
-  references are *protected*: cloned via the storage structures' cheap
-  ``clone()`` support (structural copies sharing tuples, key functions and
-  page ids, so a snapshot costs no simulated I/O);
+  references are *protected*: snapshotted via the storage structures'
+  ``clone()``, which costs no simulated I/O.  A B-tree snapshot is O(1): the
+  tree is persistent by path copying, so the clone shares every node and a
+  later write copies only the nodes on its path.  The LSD-tree and TID
+  relation still copy their structure, O(n) in their size;
 * on rollback, catalog dictionaries are restored **in place** (the parser
   and typechecker hold live references to them) and protected values are
   restored by swapping the pristine clone's state back into the *original*
@@ -45,9 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 def clone_value(value):
     """A snapshot of an object value.
 
-    Structures that support cheap structural copies expose ``clone()``
-    (B-trees, LSD-trees, TID/temporary relations, catalogs, relations,
-    graphs); containers are copied element-wise; everything else (numbers,
+    Structures that support snapshots expose ``clone()`` (B-trees in O(1),
+    LSD-trees, TID/temporary relations, catalogs, relations and graphs by
+    structural copy); containers are copied element-wise; everything else (numbers,
     strings, tuples-as-values, closures, geometry) is immutable under the
     algebra's update functions and is shared.
     """

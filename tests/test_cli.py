@@ -403,3 +403,12 @@ class TestLintCommand:
     def test_self_lint_clean(self):
         result = run_cli(["lint", "--self"])
         assert result.returncode == 0, result.stdout
+
+
+def test_startup_does_not_import_networkx():
+    # Only the graph model uses networkx, and it imports it on first use.
+    probe = "import sys, repro.__main__; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert result.stdout.strip() == "False", result.stderr

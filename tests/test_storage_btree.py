@@ -151,6 +151,135 @@ class TestIOAccounting:
         assert ranged.delta.reads < scan.delta.reads / 5
 
 
+def straddling():
+    """An order-4 tree of height 4: keys 0..39 plus eight more duplicates
+    of 15, so the nine tuples with key 15 span three leaves."""
+    bt = fresh()
+    for k in range(40):
+        bt.insert((k, 0))
+    for p in range(1, 9):
+        bt.insert((15, p))
+    return bt
+
+
+class TestCursorIO:
+    """Exact simulated I/O of the scan cursor.  A scan reads the descent
+    path, then every leaf it enters; climbing and descending internal
+    nodes between leaves reads nothing, as walking a leaf chain did."""
+
+    def measure(self, bt, work):
+        with bt.pages.measure() as m:
+            work()
+        return m.delta.reads, m.delta.writes
+
+    def test_scan(self):
+        bt = straddling()
+        assert (bt.height, len(bt)) == (4, 48)
+        assert self.measure(bt, lambda: list(bt.scan())) == (25, 0)
+
+    def test_range_across_leaves(self):
+        bt = straddling()
+        assert self.measure(bt, lambda: list(bt.range_search(5, 30))) == (20, 0)
+        assert self.measure(bt, lambda: list(bt.exact_search(15))) == (8, 0)
+
+    def test_prefix_search(self):
+        ct = BTree(key=lambda t: (t[0], t[1]), order=4, pages=PageManager())
+        for a in range(10):
+            for b in range(5):
+                ct.insert((a, b))
+        got = []
+        assert self.measure(ct, lambda: got.extend(ct.prefix_search((4,)))) == (8, 0)
+        assert got == [(4, b) for b in range(5)]
+        assert self.measure(ct, lambda: list(ct.prefix_search(()))) == (28, 0)
+
+    def test_empty_tree(self):
+        bt = fresh()
+        assert self.measure(bt, lambda: list(bt.scan())) == (2, 0)
+        assert self.measure(bt, lambda: list(bt.range_search(1, 2))) == (2, 0)
+
+    def test_modify_duplicates_straddling_leaves(self):
+        bt = straddling()
+        targets = list(bt.exact_search(15))
+        bump = lambda ts: ((k, v + 100) for k, v in ts)
+        assert self.measure(bt, lambda: bt.modify_tuples(targets, bump)) == (45, 9)
+        assert sorted(bt.exact_search(15)) == [(15, p + 100) for p in range(9)]
+
+    def test_modify_after_a_snapshot_costs_the_same(self):
+        bt = straddling()
+        targets = list(bt.exact_search(15))
+        snap = bt.clone()
+        bump = lambda ts: ((k, v + 100) for k, v in ts)
+        assert self.measure(bt, lambda: bt.modify_tuples(targets, bump)) == (45, 9)
+        assert sorted(snap.exact_search(15)) == sorted(targets)
+
+
+class TestSnapshots:
+    def test_clone_shares_the_root(self):
+        bt = straddling()
+        with bt.pages.measure() as m:
+            twin = bt.clone()
+        assert twin._root is bt._root
+        assert (m.delta.reads, m.delta.writes, m.delta.pages_allocated) == (0, 0, 0)
+
+    def test_a_node_is_copied_on_the_first_write_only(self):
+        bt = fresh(order=8)
+        for k in range(0, 200, 2):
+            bt.insert((k, 0))
+        snap = bt.clone()
+        bt.insert((51, 0))
+        root = bt._root
+        assert root is not snap._root
+        bt.insert((53, 0))
+        assert bt._root is root
+        assert list(snap.scan()) == [(k, 0) for k in range(0, 200, 2)]
+        bt.check_invariants()
+
+    def test_range_scan_over_a_snapshot_is_stable(self):
+        bt = fresh()
+        for k in range(60):
+            bt.insert((k, 0))
+        snap = bt.clone()
+        cursor = snap.range_search(10, 49)
+        got = [next(cursor) for _ in range(5)]
+        for k in range(60, 200):  # splits, to a greater height
+            bt.insert((k, 0))
+        for k in range(0, 150):  # borrows and merges, under the cursor
+            assert bt.delete((k, 0))
+        got.extend(cursor)
+        assert got == [(k, 0) for k in range(10, 50)]
+        snap.check_invariants()
+        bt.check_invariants()
+        assert list(bt.scan()) == [(k, 0) for k in range(150, 200)]
+
+    def test_snapshots_survive_splits_borrows_and_merges(self):
+        rng = random.Random(7)
+        bt = fresh()
+        live = [(rng.randrange(60), i) for i in range(300)]
+        for t in live:
+            bt.insert(t)
+        snapshots = []
+        for step in range(600):
+            if step % 7 == 0:
+                snapshots.append((bt.clone(), sorted(live)))
+            if live and rng.random() < 0.7:
+                assert bt.delete(live.pop(rng.randrange(len(live))))
+            else:
+                t = (rng.randrange(60), 300 + step)
+                bt.insert(t)
+                live.append(t)
+        bt.check_invariants()
+        assert sorted(bt.scan()) == sorted(live)
+        for snap, frozen in snapshots:
+            snap.check_invariants()
+            assert sorted(snap.scan()) == frozen
+
+    def test_deleting_a_missing_tuple_copies_nothing(self):
+        bt = straddling()
+        snap = bt.clone()
+        assert not bt.delete((15, 99))
+        assert bt._root is snap._root
+
+
 class TestBulkLoad:
     def test_requires_empty_tree(self):
         bt = fresh()
