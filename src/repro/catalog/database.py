@@ -53,13 +53,6 @@ class Database:
         #: The active :class:`~repro.system.transactions.Transaction`, if any.
         #: Executors install it around statements; ``None`` between them.
         self.transaction = None
-        #: Copy-on-write hook for multi-version concurrency.  When an MVCC
-        #: engine has a transaction workspace installed, it sets this to a
-        #: callable that gives every about-to-be-mutated object a private
-        #: clone *before* the statement-level undo machinery snapshots it —
-        #: so in-place update functions never touch the shared committed
-        #: values other sessions are reading.  ``None`` outside MVCC.
-        self.cow_hook = None
         # Function-valued constructor arguments (B-tree/LSD-tree key
         # functions) are typechecked at type formation time.
         sos.type_system.term_typer = self._type_key_function
@@ -124,14 +117,11 @@ class Database:
     # ----------------------------------------------------------- transactions
 
     def protect(self, *names: str) -> None:
-        """Snapshot object values into the active transaction (no-op when
-        none is running).  ``set_value`` protects its target as a safety
-        net; the executors protect every referenced object *before*
-        evaluating an update term, which is what makes in-place update
-        functions roll back cleanly."""
-        hook = self.cow_hook
-        if hook is not None:
-            hook(names)
+        """Give ``names`` private copies in the active transaction (no-op
+        when none is running).  ``set_value`` protects its target as a
+        safety net; the executors protect every referenced object *before*
+        evaluating an update term, so in-place update functions write only
+        the copies and a rollback has nothing to undo."""
         txn = self.transaction
         if txn is not None and txn.active:
             txn.protect(*names)

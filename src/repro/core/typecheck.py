@@ -583,18 +583,21 @@ class TypeChecker:
         for sup in self.sos.subtypes.supertypes(t)[1:]:
             if self._match_committing(sup, sort, binds, spec) is None:
                 return
-        raise failure
+        raise _Failure(failure)
 
     def _match_committing(
         self, t: Type, sort: Sort, binds: Bindings, spec: OperatorSpec
-    ) -> Optional[_Failure]:
+    ) -> Optional[str]:
         """Match ``t`` on a copy of ``binds`` and keep the copy if it
-        matched; otherwise return the failure and leave ``binds`` alone."""
+        matched; otherwise return the failure's message and leave ``binds``
+        alone.  A message, not the exception: a kept exception's traceback
+        holds this frame's caller, a cycle that pins the statement's whole
+        stack until the cycle collector runs."""
         trial = dict(binds)
         try:
             self._match_type_direct(t, sort, trial, spec)
         except _Failure as exc:
-            return exc
+            return str(exc)
         binds.clear()
         binds.update(trial)
         return None

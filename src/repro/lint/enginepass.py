@@ -49,7 +49,6 @@ GUARDED_ATTRS = frozenset(
         "counters",
         "gauges",
         "histograms",
-        "_saved",
         "_sessions",
         "_entries",
         "_journal",

@@ -6,21 +6,24 @@ One :class:`MVCCEngine` owns a single (optionally durable)
 server (:mod:`repro.server.net`) exposes to the network.  The design
 follows the PR-1 transaction machinery and the PR-3 statistics catalog:
 
-**Snapshots are shallow.**  A transaction begins by copying the catalog
-dictionaries (``aliases``, ``objects``, the statistics entries) — pointer
-copies, exactly what a :class:`~repro.system.transactions.Savepoint` takes.
+**One transaction mechanism.**  An :class:`MVCCTransaction` is a
+:class:`~repro.system.transactions.Transaction`: it begins with a
+:class:`~repro.system.transactions.Savepoint` of the catalog dictionaries
+(``aliases``, ``objects``, the statistics entries) — pointer copies.
 Readers then see the committed :class:`DatabaseObject` instances of their
 snapshot no matter what later writers do.
 
-**Writes are copy-on-write.**  Before an update statement evaluates, the
-engine's :attr:`Database.cow_hook` gives every object the statement will
-touch a *private* clone (``clone_value``: O(1) for a B-tree, which shares
-its nodes with the committed value and copies a node only when the writer
-first changes it; a structural copy for the LSD-tree and TID relation),
-rebinding it in the transaction's workspace.  In-place update
-functions therefore mutate only the clone; the committed value other
-sessions read is never touched.  The write set falls out for free: any
-name whose workspace entry is no longer the snapshot's instance.
+**Writes are copy-on-write.**  Each statement runs as a savepoint of the
+transaction, exactly as a statement of ``run(source, atomic=True)`` does.
+Before an update statement evaluates,
+:meth:`~repro.system.transactions.Transaction.protect` gives every object
+it will touch a *private* clone (``clone_value``: O(1) for a B-tree, which
+shares its nodes with the committed value and copies a node only when the
+writer first changes it; a structural copy for the LSD-tree and TID
+relation) in the workspace.  In-place update functions therefore change
+only the clone; the committed value other sessions read is never touched.
+The write set falls out for free: any name whose workspace entry is no
+longer the snapshot's instance.
 
 **First committer wins.**  The engine keeps a version number per committed
 name.  At commit, any write-set name whose committed version is newer than
@@ -39,12 +42,12 @@ server's job: the engine appends commit records under the manager's
 group-commit policy and only fsyncs eagerly when ``sync=True``.
 
 Statement execution itself is serialized (``threading.RLock``): the engine
-swaps the transaction's workspace into the shared database's catalog
-dictionaries *by content* (the parser and typechecker hold live references
-to the dict instances), runs the statement through the unchanged Section 6
-pipeline, and swaps the committed state back.  Concurrency is between
-transactions, never within a statement — the semantics every paper example
-was verified under.
+installs the transaction's parked workspace into the shared database's
+catalog dictionaries *by content* (the parser and typechecker hold live
+references to the dict instances), runs the statement through the unchanged
+Section 6 pipeline, parks the workspace again and restores the committed
+state.  Concurrency is between transactions, never within a statement —
+the semantics every paper example was verified under.
 """
 
 from __future__ import annotations
@@ -56,72 +59,30 @@ from contextlib import contextmanager
 from typing import Callable, Optional
 
 from repro import observe, telemetry
-from repro.catalog.database import DatabaseObject
 from repro.core.algebra import ResourceLimits
 from repro.errors import CatalogError, ConflictError, SOSError, StatementError, wrap_statement_error
 from repro.lang.parser import split_statements
 from repro.observe import Event, Tracer
 from repro.system.sos_system import SystemResult, build_relational_system
-from repro.system.transactions import clone_value
+from repro.system.transactions import Savepoint, Transaction
 from repro.testing.faults import fault_point
 
 
-class MVCCTransaction:
-    """One transaction's snapshot, workspace, and buffered WAL statements.
-
-    ``aliases`` / ``objects`` / ``stats`` are the *workspace* — the dicts
-    installed into the shared database while this transaction executes a
-    statement.  The ``snapshot_*`` twins are frozen at begin; the write set
-    is every name whose workspace entry differs from its snapshot entry by
-    identity (copy-on-write guarantees a privatized or created object is a
-    fresh instance).
+class MVCCTransaction(Transaction):
+    """A :class:`~repro.system.transactions.Transaction` over a snapshot of
+    the committed store, plus what MVCC adds: the commit version it started
+    from, the statements it buffers for the WAL, and its *workspace* — the
+    catalog state its statements have reached, parked as a
+    :class:`~repro.system.transactions.Savepoint` while other transactions
+    run.  The write set is ``snapshot.changes(workspace)``.  Discarding it
+    restores nothing: the committed store never held its writes.
     """
 
-    __slots__ = (
-        "start_version",
-        "aliases",
-        "objects",
-        "stats",
-        "snapshot_aliases",
-        "snapshot_objects",
-        "snapshot_stats",
-        "statements",
-        "cow",
-        "state",
-    )
-
     def __init__(self, database, start_version: int):
+        super().__init__(database)
         self.start_version = start_version
-        self.aliases = dict(database.aliases)
-        self.objects = dict(database.objects)
-        self.stats = database.stats.snapshot()
-        self.snapshot_aliases = dict(self.aliases)
-        self.snapshot_objects = dict(self.objects)
-        self.snapshot_stats = dict(self.stats)
         self.statements: list[str] = []
-        self.cow: set[str] = set()
-        self.state = "active"
-
-    @property
-    def active(self) -> bool:
-        return self.state == "active"
-
-    def write_sets(self) -> tuple[dict, set, dict, set]:
-        """``(object writes, object drops, alias writes, alias drops)`` —
-        identity diffs of the workspace against the snapshot."""
-        obj_writes = {
-            name: obj
-            for name, obj in self.objects.items()
-            if self.snapshot_objects.get(name) is not obj
-        }
-        obj_drops = set(self.snapshot_objects) - set(self.objects)
-        alias_writes = {
-            name: t
-            for name, t in self.aliases.items()
-            if self.snapshot_aliases.get(name) is not t
-        }
-        alias_drops = set(self.snapshot_aliases) - set(self.aliases)
-        return obj_writes, obj_drops, alias_writes, alias_drops
+        self.workspace = self.snapshot
 
 
 class CommitJournal:
@@ -340,7 +301,6 @@ class MVCCEngine:
         }
         self.open_transactions = 0
         self._lock = threading.RLock()
-        self._saved = None
         self._sessions = 0
         self.closed = False
 
@@ -369,24 +329,27 @@ class MVCCEngine:
                 )
             return txn
 
-    def _bump(self, name: str) -> None:
+    def _bump(self, name: str, amount: int = 1) -> None:
         # lint: disable=ENG001 -- audited: every caller already holds
         # self._lock (begin/commit/rollback critical sections).
-        self.metrics[name] = self.metrics.get(name, 0) + 1
+        self.metrics[name] = self.metrics.get(name, 0) + amount
         if observe.ENABLED:
-            observe.incr(name)
+            observe.incr(name, amount)
         if telemetry.ENABLED:
-            telemetry.incr(name)
+            telemetry.incr(name, amount)
         self.tracer.emit(name, kind="counter", value=self.metrics[name])
 
-    def _transaction_closed(self) -> None:
-        """A transaction left the ``active`` state (commit, conflict, or
-        rollback) — maintain the open-transaction gauge."""
+    def _transaction_closed(self, txn: MVCCTransaction) -> None:
+        """``txn`` left the ``active`` state (commit, conflict, or
+        rollback) — maintain the open-transaction gauge and count the
+        snapshot objects it privatized."""
         # lint: disable=ENG001 -- audited: only called from commit/rollback
         # paths that hold self._lock.
         self.open_transactions -= 1
         if telemetry.ENABLED:
             telemetry.gauge("mvcc.open_transactions", self.open_transactions)
+        if txn.privatizations:
+            self._bump("mvcc.privatizations", txn.privatizations)
 
     @contextmanager
     def _recording(self, recorder: Optional[Callable[[Event], None]]):
@@ -425,12 +388,8 @@ class MVCCEngine:
             if not txn.active:
                 raise CatalogError(f"transaction is {txn.state}")
             chunk = source.strip()
-            self._install(txn)
-            try:
-                with self._recording(recorder):
-                    result = self._run_plain(chunk, collect=collect)
-            finally:
-                self._extract(txn)
+            with self._workspace(txn), self._recording(recorder):
+                result = self._run_plain(chunk, collect=collect)
             if result.kind != "query":
                 txn.statements.append(chunk)
             return result
@@ -440,16 +399,13 @@ class MVCCEngine:
     ) -> dict:
         with self._lock:
             self._require_open()
-            self._install(txn)
-            try:
+            with self._workspace(txn):
                 saved = self.system.durability
                 self.system.durability = None
                 try:
                     return self.system.explain(source, analyze=analyze)
                 finally:
                     self.system.durability = saved
-            finally:
-                self._extract(txn)
 
     def _run_plain(self, chunk: str, *, collect: bool) -> SystemResult:
         """One statement through the ordinary pipeline, with per-statement
@@ -480,58 +436,23 @@ class MVCCEngine:
             if collect != saved_collect:
                 system.set_tracing(saved_collect)
 
-    # ------------------------------------------------- workspace installation
+    # ------------------------------------------------------------- workspace
 
-    def _install(self, txn: MVCCTransaction) -> None:
-        """Swap ``txn``'s workspace into the shared database (by content —
-        the parser and typechecker hold live references to the dicts)."""
+    @contextmanager
+    def _workspace(self, txn: MVCCTransaction):
+        """Install ``txn``'s workspace into the shared database as the
+        active transaction, then park it again and restore the committed
+        state.  The caller holds the lock."""
         db = self.database
-        # lint: disable=ENG001 -- audited: workspace install/extract runs
-        # only inside run/commit critical sections that hold self._lock.
-        self._saved = (dict(db.aliases), dict(db.objects), db.stats.snapshot())
-        db.aliases.clear()
-        db.aliases.update(txn.aliases)
-        db.objects.clear()
-        db.objects.update(txn.objects)
-        db.stats.restore(txn.stats)
-        db.cow_hook = lambda names: self._privatize(txn, names)
-
-    def _extract(self, txn: MVCCTransaction) -> None:
-        """Copy the (possibly mutated) workspace back out of the database
-        and restore the committed state."""
-        db = self.database
-        db.cow_hook = None
-        txn.aliases = dict(db.aliases)
-        txn.objects = dict(db.objects)
-        txn.stats = db.stats.snapshot()
-        aliases, objects, stats = self._saved
-        # lint: disable=ENG001 -- audited: see _install; lock held by caller.
-        self._saved = None
-        db.aliases.clear()
-        db.aliases.update(aliases)
-        db.objects.clear()
-        db.objects.update(objects)
-        db.stats.restore(stats)
-
-    def _privatize(self, txn: MVCCTransaction, names) -> None:
-        """Copy-on-write: give each about-to-be-mutated object a private
-        clone in the installed workspace (once per transaction)."""
-        db = self.database
-        for name in names:
-            if name in txn.cow:
-                continue
-            obj = db.objects.get(name)
-            if obj is None:
-                continue
-            if txn.snapshot_objects.get(name) is not obj:
-                # Created (or already privatized) inside this transaction.
-                txn.cow.add(name)
-                continue
-            private = DatabaseObject(obj.name, obj.type, obj.level)
-            private.value = clone_value(obj.value)
-            db.objects[name] = private
-            txn.cow.add(name)
-            self._bump("mvcc.privatizations")
+        committed = Savepoint(db)
+        txn.workspace.restore(db)
+        db.transaction = txn
+        try:
+            yield
+        finally:
+            db.transaction = None
+            txn.workspace = Savepoint(db)
+            committed.restore(db)
 
     # ---------------------------------------------------------------- commit
 
@@ -560,7 +481,9 @@ class MVCCEngine:
             if not txn.active:
                 raise CatalogError(f"cannot commit a {txn.state} transaction")
             start = time.perf_counter()
-            obj_writes, obj_drops, alias_writes, alias_drops = txn.write_sets()
+            obj_writes, obj_drops, alias_writes, alias_drops = (
+                txn.snapshot.changes(txn.workspace)
+            )
             conflicts = sorted(
                 {
                     name
@@ -575,7 +498,7 @@ class MVCCEngine:
             )
             if conflicts:
                 txn.state = "aborted"
-                self._transaction_closed()
+                self._transaction_closed(txn)
                 self._bump("mvcc.conflicts")
                 self.journal.record(token, "conflict", names=tuple(conflicts))
                 raise ConflictError(
@@ -601,8 +524,8 @@ class MVCCEngine:
                         # commit must fsync inside the critical section so
                         # the durable order matches the commit order.
                         dur.flush()
-                txn.state = "committed"
-                self._transaction_closed()
+                txn.commit()
+                self._transaction_closed(txn)
                 self._bump("mvcc.commits")
                 self.journal.record(token, "committed")
             if telemetry.ENABLED:
@@ -632,10 +555,11 @@ class MVCCEngine:
             self.alias_versions[name] = version  # lint: disable=ENG001 -- lock held by commit()
         # Statistics entries are immutable copy-on-write values; publish the
         # changed ones without conflict checks (metadata: last writer wins).
-        for name, entry in txn.stats.items():
-            if txn.snapshot_stats.get(name) is not entry:
+        before, after = txn.snapshot.stats, txn.workspace.stats
+        for name, entry in after.items():
+            if before.get(name) is not entry:
                 db.stats.entries[name] = entry
-        for name in set(txn.snapshot_stats) - set(txn.stats):
+        for name in before.keys() - after.keys():
             db.stats.entries.pop(name, None)
 
     def rollback(self, txn: MVCCTransaction) -> None:
@@ -643,7 +567,7 @@ class MVCCEngine:
         with self._lock:
             if txn.active:
                 txn.state = "rolled-back"
-                self._transaction_closed()
+                self._transaction_closed(txn)
                 self._bump("mvcc.rollbacks")
 
     def sync_wal(self) -> None:

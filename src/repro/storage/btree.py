@@ -217,8 +217,8 @@ class BTree:
         more: each copies a node on its first write to it (path copying,
         :meth:`_own`), and later writes between snapshots stay in place.
         Copying is not a page write — a snapshot is a logical view of the
-        same disk pages.  A snapshot given to ``restore_value`` shares its
-        token with the restored tree and must not be written afterwards."""
+        same disk pages.  Transactions write only the twin (copy-on-write),
+        so the original stays the pre-statement value."""
         twin = BTree.__new__(BTree)
         twin.__dict__.update(self.__dict__)
         self._owner = object()

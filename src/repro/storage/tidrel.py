@@ -9,6 +9,7 @@ search method for updates).  Tuples live on simulated pages; a TID is
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import StorageError
@@ -18,8 +19,16 @@ from repro.testing.faults import fault_point
 from repro import observe
 
 
+_heap_ids = count(1)
+
+
 class TidRelation:
-    """A heap file of tuples addressed by TIDs."""
+    """A heap file of tuples addressed by TIDs.
+
+    ``heap_id`` names the heap across its snapshots (:meth:`clone` keeps
+    it), so a secondary index can find its base object after copy-on-write
+    has replaced the instance it was built over.
+    """
 
     def __init__(
         self,
@@ -30,6 +39,7 @@ class TidRelation:
         self.page_capacity = page_capacity
         self.pages = pages if pages is not None else GLOBAL_PAGES
         self.name = name
+        self.heap_id = next(_heap_ids)
         self._pages: list[tuple[int, list]] = []
         self._count = 0
 
@@ -150,9 +160,10 @@ class SecondaryIndex:
         )
 
     def clone(self) -> "SecondaryIndex":
-        """A snapshot copy of the index tree; the underlying heap relation
-        reference is shared (the transaction layer restores heap content in
-        place, so the reference stays valid across rollbacks)."""
+        """A snapshot copy of the index tree (O(1), see :meth:`BTree.clone`).
+        The heap reference is shared: copy-on-write never writes a heap
+        another object still holds, so the index keeps reading the heap
+        version it was built over."""
         twin = SecondaryIndex.__new__(SecondaryIndex)
         twin.__dict__.update(self.__dict__)
         twin._tree = self._tree.clone()

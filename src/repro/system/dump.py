@@ -147,17 +147,20 @@ def _value_statements(database, obj) -> list[str]:
 def _sindex_statements(database, obj) -> list[str]:
     """Rebuild a secondary index with ``build_index`` over its base object.
 
-    The base relation is found by identity (the index holds a live
-    reference to its heap); the indexed attribute comes off the index's
+    The base is the object holding a version of the index's heap — same
+    ``heap_id``: a write to the heap after ``build_index`` replaced its
+    instance by a copy.  The indexed attribute comes off the index's
     representation type ``sindex(tuple, attrname, dtype)``.  Dumped after
     every data statement, so the rebuilt index covers all tuples.
     """
     index = obj.value
+    heap_id = index.relation.heap_id
     base_name = next(
         (
             other.name
             for other in database.objects.values()
-            if other.value is index.relation
+            if isinstance(other.value, TidRelation)
+            and other.value.heap_id == heap_id
         ),
         None,
     )

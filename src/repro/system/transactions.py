@@ -1,42 +1,44 @@
 """Transactional statement execution over a :class:`Database`.
 
 The paper's Section 6 session model is a sequence of statements whose
-optimizer-driven translation mutates catalog state and representation
-objects.  An error mid-statement (for example after an update function has
-already mutated a B-tree in place) must not strand the database in a state
-no paper example can reach — so statements execute inside a
-:class:`Transaction`:
+optimizer-driven translation changes catalog state and representation
+objects.  An update is an update function whose result is assigned back to
+its first argument, so a statement is a move from one catalog value to the
+next.  An error mid-statement (for example after an update function has
+already changed a B-tree) must not strand the database in a state no paper
+example can reach — so statements execute inside a :class:`Transaction`,
+and every scope rolls back the same way, by copy-on-write:
 
 * at transaction start (and at every :class:`Savepoint`), the catalog
-  dictionaries (``aliases``, ``objects``) are snapshotted — shallow copies,
-  a few pointer copies per statement;
-* before an update statement evaluates, the values of every object its term
-  references are *protected*: snapshotted via the storage structures'
-  ``clone()``, which costs no simulated I/O.  A B-tree snapshot is O(1): the
-  tree is persistent by path copying, so the clone shares every node and a
+  dictionaries (``aliases``, ``objects``, statistics entries) are
+  snapshotted — shallow copies, a few pointer copies per statement;
+* before an update statement evaluates, every object its term references
+  is *protected*: :meth:`Transaction.protect` puts a fresh
+  :class:`DatabaseObject` whose value is a ``clone()`` of the old one into
+  the catalog, so the statement writes the copy and the object the
+  savepoint holds is never written.  A B-tree snapshot is O(1): the tree
+  is persistent by path copying, so the clone shares every node and a
   later write copies only the nodes on its path.  The LSD-tree and TID
   relation still copy their structure, O(n) in their size;
-* on rollback, catalog dictionaries are restored **in place** (the parser
-  and typechecker hold live references to them) and protected values are
-  restored by swapping the pristine clone's state back into the *original*
-  value instance — preserving object identity, so cross-references between
-  values (a secondary index holding its heap relation, for example) survive
-  the rollback.
+* on rollback, the catalog dictionaries are restored **in place** (the
+  parser and typechecker hold live references to them).  Nothing else is
+  undone: the restored dictionaries hold the untouched pre-statement
+  objects.
 
-The SOS system wraps every statement in
-:func:`statement_transaction`; ``run(source, atomic=True)`` wraps a whole
-program in one transaction with a savepoint per statement.
+The SOS system wraps every statement in :func:`statement_transaction`;
+``run(source, atomic=True)`` wraps a whole program in one transaction with
+a savepoint per statement, and so does an MVCC transaction
+(:mod:`repro.server.mvcc`), whose write set is :meth:`Savepoint.changes`
+from its snapshot to its workspace.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
+from repro.catalog.database import Database, DatabaseObject
 from repro.core.terms import Term, free_names
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.catalog.database import Database
 
 
 # ---------------------------------------------------------------------------
@@ -63,46 +65,12 @@ def clone_value(value):
     return value
 
 
-def _slots_of(cls: type) -> list[str]:
-    slots: list[str] = []
-    for klass in cls.__mro__:
-        declared = getattr(klass, "__slots__", ())
-        if isinstance(declared, str):
-            declared = (declared,)
-        slots.extend(declared)
-    return slots
-
-
-def restore_value(original, clone) -> None:
-    """Swap the snapshot's state back into the original value instance.
-
-    In-place restoration (rather than rebinding the clone) keeps every
-    alias of the original value valid — e.g. a secondary index that holds a
-    reference to its heap relation.
-    """
-    if original is clone or original is None:
-        return
-    if isinstance(original, list):
-        original[:] = clone
-        return
-    d = getattr(original, "__dict__", None)
-    if d is not None:
-        d.clear()
-        d.update(clone.__dict__)
-        return
-    for slot in _slots_of(type(original)):
-        try:
-            setattr(original, slot, getattr(clone, slot))
-        except AttributeError:
-            pass
-
-
 # ---------------------------------------------------------------------------
 # Referenced-object discovery
 # ---------------------------------------------------------------------------
 
 
-def referenced_objects(term: Term, database: "Database") -> set[str]:
+def referenced_objects(term: Term, database: Database) -> set[str]:
     """Names of database objects a typechecked term references.
 
     Lambda-bound names shadow objects (same rule as the system's level
@@ -117,35 +85,64 @@ def referenced_objects(term: Term, database: "Database") -> set[str]:
 
 
 class Savepoint:
-    """A point a transaction can roll back to.
+    """A catalog state a transaction can return to.
 
-    Holds shallow copies of the catalog dictionaries (``aliases``,
-    ``objects``, statistics entries — all copy-on-write, so shallow is
-    sound) as of its creation, plus an undo log of ``name -> (object,
-    original value, pristine clone)`` for values protected after its
-    creation.
+    Shallow copies of the catalog dictionaries (``aliases``, ``objects``,
+    statistics entries).  Shallow is sound because none of their entries is
+    written: statistics entries are immutable, and :meth:`Transaction.protect`
+    replaces an object before a statement changes its value.
     """
 
-    __slots__ = ("aliases", "objects", "stats", "undo")
+    __slots__ = ("aliases", "objects", "stats")
 
-    def __init__(self, aliases: dict, objects: dict, stats: Optional[dict] = None):
-        self.aliases = aliases
-        self.objects = objects
-        self.stats = stats if stats is not None else {}
-        self.undo: dict[str, tuple] = {}
+    def __init__(self, database: Database):
+        self.aliases = dict(database.aliases)
+        self.objects = dict(database.objects)
+        self.stats = database.stats.snapshot()
+
+    def restore(self, database: Database) -> None:
+        """Make this the catalog state of ``database``, in place."""
+        database.aliases.clear()
+        database.aliases.update(self.aliases)
+        database.objects.clear()
+        database.objects.update(self.objects)
+        database.stats.restore(self.stats)
+
+    def changes(self, later: "Savepoint") -> tuple[dict, set, dict, set]:
+        """``(object writes, object drops, alias writes, alias drops)`` from
+        this state to ``later`` — identity diffs: copy-on-write makes every
+        created or written object a fresh instance."""
+        obj_writes = {
+            name: obj
+            for name, obj in later.objects.items()
+            if self.objects.get(name) is not obj
+        }
+        alias_writes = {
+            name: t
+            for name, t in later.aliases.items()
+            if self.aliases.get(name) is not t
+        }
+        return (
+            obj_writes,
+            self.objects.keys() - later.objects.keys(),
+            alias_writes,
+            self.aliases.keys() - later.aliases.keys(),
+        )
 
 
 class Transaction:
     """All-or-nothing execution of one or more statements over a database.
 
     States: ``active`` → ``committed`` | ``rolled-back``.  A transaction is
-    not reusable after leaving ``active``.
+    not reusable after leaving ``active``.  ``privatizations`` counts the
+    objects of :attr:`snapshot` that :meth:`protect` replaced.
     """
 
-    def __init__(self, database: "Database"):
+    def __init__(self, database: Database):
         self.database = database
         self.state = "active"
-        self._savepoints: list[Savepoint] = [self._capture()]
+        self.privatizations = 0
+        self._savepoints: list[Savepoint] = [Savepoint(database)]
 
     # ----------------------------------------------------------- lifecycle
 
@@ -153,18 +150,29 @@ class Transaction:
     def active(self) -> bool:
         return self.state == "active"
 
-    def _capture(self) -> Savepoint:
-        db = self.database
-        return Savepoint(
-            dict(db.aliases), dict(db.objects), db.stats.snapshot()
-        )
+    @property
+    def snapshot(self) -> Savepoint:
+        """The catalog state the transaction began from."""
+        return self._savepoints[0]
 
     def savepoint(self) -> Savepoint:
         """Mark the current state; :meth:`rollback` can return to it."""
         self._require_active()
-        sp = self._capture()
+        sp = Savepoint(self.database)
         self._savepoints.append(sp)
         return sp
+
+    def release(self, savepoint: Savepoint) -> None:
+        """Forget ``savepoint`` and every later one; their changes stay."""
+        del self._savepoints[self._index(savepoint) :]
+
+    def _index(self, savepoint: Savepoint) -> int:
+        try:
+            return self._savepoints.index(savepoint)
+        except ValueError:
+            raise RuntimeError(
+                "savepoint does not belong to this transaction"
+            ) from None
 
     def _require_active(self) -> None:
         if self.state != "active":
@@ -173,55 +181,41 @@ class Transaction:
     # ---------------------------------------------------------- protection
 
     def protect(self, *names: str) -> None:
-        """Snapshot the values of ``names`` (once per savepoint) so a later
-        rollback can restore them.  Must be called *before* any in-place
-        mutation of the statement being executed — the executors protect
-        every object an update term references before evaluating it."""
+        """Copy-on-write: give each of ``names`` a private object whose
+        value is a clone, so the object the newest savepoint holds is never
+        written.  At most once per savepoint — an object created or
+        privatized since then is already private.  Must be called *before*
+        the statement changes a value; the executors protect every object
+        an update term references before evaluating it."""
         self._require_active()
-        sp = self._savepoints[-1]
+        objects = self.database.objects
+        newest = self._savepoints[-1].objects
         for name in names:
-            if name in sp.undo:
+            obj = objects.get(name)
+            if obj is None or newest.get(name) is not obj:
                 continue
-            obj = self.database.objects.get(name)
-            if obj is None:
-                continue
-            sp.undo[name] = (obj, obj.value, clone_value(obj.value))
+            private = DatabaseObject(obj.name, obj.type, obj.level)
+            private.value = clone_value(obj.value)
+            objects[name] = private
+            if self.snapshot.objects.get(name) is obj:
+                self.privatizations += 1
 
     # ------------------------------------------------------------- outcome
 
     def commit(self) -> None:
-        """Keep all changes; the undo logs are dropped."""
+        """Keep all changes; the savepoints are dropped."""
         self._require_active()
         self.state = "committed"
         self._savepoints.clear()
 
     def rollback(self, savepoint: Optional[Savepoint] = None) -> None:
-        """Undo every change since ``savepoint`` (or since the transaction
-        began).  Rolling back to a savepoint keeps the transaction active;
-        a full rollback ends it."""
+        """Return to ``savepoint`` (or to the transaction's start).
+        Rolling back to a savepoint keeps the transaction active; a full
+        rollback ends it."""
         self._require_active()
-        if savepoint is None:
-            index = 0
-        else:
-            try:
-                index = self._savepoints.index(savepoint)
-            except ValueError:
-                raise RuntimeError("savepoint does not belong to this transaction")
-        # Newest first, so the oldest (pre-statement) snapshot wins.
-        for sp in reversed(self._savepoints[index:]):
-            for obj, original, clone in sp.undo.values():
-                if original is not None and original is not clone:
-                    restore_value(original, clone)
-                obj.value = original
-        target = self._savepoints[index]
-        db = self.database
-        db.aliases.clear()
-        db.aliases.update(target.aliases)
-        db.objects.clear()
-        db.objects.update(target.objects)
-        db.stats.restore(target.stats)
+        index = 0 if savepoint is None else self._index(savepoint)
+        self._savepoints[index].restore(self.database)
         del self._savepoints[index + 1 :]
-        target.undo.clear()
         if savepoint is None:
             self.state = "rolled-back"
 
@@ -245,13 +239,14 @@ class Transaction:
 
 
 @contextmanager
-def statement_transaction(database: "Database") -> Iterator[Transaction]:
+def statement_transaction(database: Database) -> Iterator[Transaction]:
     """The per-statement atomicity scope used by the executors.
 
-    Outside any program transaction this opens (and commits / rolls back) a
-    fresh transaction.  Inside one — ``run(source, atomic=True)`` — it
-    creates a savepoint, so a failing statement rolls back to the previous
-    statement boundary and the error decides the fate of the whole program.
+    Outside any transaction this opens (and commits / rolls back) a fresh
+    one.  Inside one — ``run(source, atomic=True)`` or an MVCC transaction —
+    it takes a savepoint, so a failing statement rolls back to the previous
+    statement boundary and leaves the outer transaction usable; the
+    savepoint is released when the statement ends.
 
     Also resets the evaluator's resource-guard counters, making the step
     budget and depth limit per-statement bounds.
@@ -265,22 +260,15 @@ def statement_transaction(database: "Database") -> Iterator[Transaction]:
         except BaseException:
             outer.rollback(sp)
             raise
+        finally:
+            outer.release(sp)
         return
-    txn = Transaction(database)
-    database.transaction = txn
-    try:
+    with program_transaction(database) as txn:
         yield txn
-    except BaseException:
-        txn.rollback()
-        raise
-    else:
-        txn.commit()
-    finally:
-        database.transaction = None
 
 
 @contextmanager
-def program_transaction(database: "Database") -> Iterator[Transaction]:
+def program_transaction(database: Database) -> Iterator[Transaction]:
     """An explicit multi-statement transaction (``run(..., atomic=True)``):
     any statement failure rolls the whole program back."""
     if database.transaction is not None:

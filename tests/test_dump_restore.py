@@ -239,3 +239,38 @@ update rep := insert(rep, items, bt)
             fresh.database.objects["rep"].value.rows
             == full_system.database.objects["rep"].value.rows
         )
+
+
+INDEXED_HEAP = """
+type item = tuple(<(sku, string), (price, int)>)
+create heap : tidrel(item)
+create idx : sindex(item, price, int)
+update heap := insert(heap, mktuple[<(sku, "a"), (price, 1)>])
+update idx := build_index(heap, price)
+update heap := insert(heap, mktuple[<(sku, "b"), (price, 2)>])
+"""
+
+
+class TestSecondaryIndexAfterHeapWrite:
+    """A write to the heap after ``build_index`` replaces the heap instance
+    the index holds by a copy; the dump must still name the index's base,
+    in process and under MVCC."""
+
+    @pytest.mark.parametrize("runner", ["system", "engine"])
+    def test_dump_names_build_index_over_the_heap(self, runner):
+        if runner == "system":
+            system = build_relational_system()
+            system.run(INDEXED_HEAP)
+            text = dump_program(system.database)
+        else:
+            from repro.server import MVCCEngine
+
+            engine = MVCCEngine()
+            engine.session().run(INDEXED_HEAP)
+            text = engine.dump()
+        assert "update idx := build_index(heap, price)" in text
+        fresh = build_relational_system()
+        restore_program(fresh, text)
+        for price, sku in ((1, "a"), (2, "b")):
+            r = fresh.run_one(f"query idx sindex_exact[{price}]")
+            assert [t.attr("sku") for t in r.value] == [sku]

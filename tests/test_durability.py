@@ -316,3 +316,31 @@ class TestStatsRecovery:
         assert recovered.stats("items") == {}
         report = recovered.explain("items select[k >= 2]")
         assert report["cost_counters"].get("cost.stats_hit", 0) == 0
+
+
+class TestSecondaryIndexRecovery:
+    def test_index_survives_checkpoint_after_heap_write(self, tmp_path):
+        """``build_index``, then a heap insert, then a checkpoint: the
+        checkpoint dump must rebuild the index over the heap."""
+        from repro.server import MVCCEngine
+
+        data_dir = str(tmp_path / "db")
+        engine = MVCCEngine(data_dir=data_dir)
+        engine.session().run(
+            """
+type item = tuple(<(sku, string), (price, int)>)
+create heap : tidrel(item)
+create idx : sindex(item, price, int)
+update heap := insert(heap, mktuple[<(sku, "a"), (price, 1)>])
+update idx := build_index(heap, price)
+update heap := insert(heap, mktuple[<(sku, "b"), (price, 2)>])
+"""
+        )
+        engine.checkpoint()
+        engine.close()
+        reopened = MVCCEngine(data_dir=data_dir)
+        try:
+            r = reopened.session().run_one("query idx sindex_exact[1]")
+            assert [t.attr("sku") for t in r.value] == ["a"]
+        finally:
+            reopened.close()

@@ -4,12 +4,15 @@ The core property, asserted for **every** registered fault site: take a
 mixed Section-6 session, inject a fault at the Nth hit of the site during
 one more statement, and the database state (catalog, aliases, every object
 value) is exactly the pre-statement state; clearing the fault and re-running
-the same statement succeeds and changes the state.
+the same statement succeeds and changes the state.  The same probes run
+inside an open MVCC transaction, where the fault must also leave the
+committed store untouched and the transaction able to commit.
 """
 
 import pytest
 
 from repro.errors import SOSError
+from repro.server import MVCCEngine
 from repro.system import SOSSystem, build_relational_system
 from repro.system.transactions import statement_transaction
 from repro.testing import (
@@ -37,14 +40,7 @@ def state(name, i):
     )
 
 
-@pytest.fixture()
-def session():
-    """A mixed Section-6 session: model relations over a B-tree and an
-    LSD-tree, scratch representation structures, a model-level relation
-    executed directly, and the ``rep`` catalog."""
-    system = build_relational_system()
-    system.run(
-        """
+SCHEMA = """
 type city = tuple(<(cname, string), (center, point), (pop, int)>)
 type state = tuple(<(sname, string), (region, pgon)>)
 create cities : rel(city)
@@ -58,12 +54,24 @@ create scratch_tid : tidrel(city)
 create aux : rel(city)
 create aux_rep : btree(city, pop, int)
 """
-    )
+
+
+def _populate(run_one) -> None:
     for i, pop in enumerate([100, 5000, 20000, 7, 7]):
-        system.run_one(f"update cities := insert(cities, {city('c%d' % i, i, i, pop)})")
+        run_one(f"update cities := insert(cities, {city('c%d' % i, i, i, pop)})")
     for i in range(3):
-        system.run_one(f"update states := insert(states, {state('s%d' % i, i)})")
-    system.run_one("update scratch_tid := stream_insert(scratch_tid, cities_rep feed)")
+        run_one(f"update states := insert(states, {state('s%d' % i, i)})")
+    run_one("update scratch_tid := stream_insert(scratch_tid, cities_rep feed)")
+
+
+@pytest.fixture()
+def session():
+    """A mixed Section-6 session: model relations over a B-tree and an
+    LSD-tree, scratch representation structures, a model-level relation
+    executed directly, and the ``rep`` catalog."""
+    system = build_relational_system()
+    system.run(SCHEMA)
+    _populate(system.run_one)
     # a model-level relation executed directly by a system with no optimizer
     direct = SOSSystem(system.database)
     direct.run_one("create mrel : rel(city)")
@@ -84,6 +92,8 @@ def _stmt(runner: str, text: str):
         target = system if runner == "system" else SOSSystem(system.database)
         target.run_one(text)
 
+    # An engine session can run the statements of the optimizing system.
+    probe.statement = text if runner == "system" else None
     return probe
 
 
@@ -171,6 +181,58 @@ def test_crash_consistency_at_every_site(session, site):
     # and actually changes the state.
     probe(session)
     assert database_fingerprint(session.database) != before
+
+
+# --------------------------------------------------------------------------
+# The same probes inside an open MVCC transaction
+# --------------------------------------------------------------------------
+
+ENGINE_PROBES = {
+    site: (at, probe.statement)
+    for site, (at, probe) in PROBES.items()
+    if getattr(probe, "statement", None) is not None
+}
+
+
+@pytest.fixture()
+def engine_session():
+    engine = MVCCEngine()
+    session = engine.session()
+    session.run(SCHEMA)
+    _populate(session.run_one)
+    return engine, session
+
+
+def _workspace_fingerprint(engine, session):
+    """The state the session's open transaction has reached (its parked
+    workspace, installed for the look)."""
+    with engine._lock, engine._workspace(session._txn):
+        return database_fingerprint(engine.database)
+
+
+@pytest.mark.parametrize("site", sorted(ENGINE_PROBES))
+def test_crash_consistency_inside_an_mvcc_transaction(engine_session, site):
+    engine, session = engine_session
+    at, statement = ENGINE_PROBES[site]
+    committed = database_fingerprint(engine.database)
+    session.begin()
+    # an earlier write, so the statement's savepoint is not the snapshot
+    session.run_one(f"update cities := insert(cities, {city('w', 5, 5, 4000)})")
+    before = _workspace_fingerprint(engine, session)
+    with inject(site, at=at) as plan:
+        with pytest.raises(InjectedFault):
+            session.run_one(statement)
+        assert plan.triggered
+    assert _workspace_fingerprint(engine, session) == before
+    assert database_fingerprint(engine.database) == committed
+    # the transaction is still usable, its writes stay private until it
+    # commits, and the commit publishes exactly its workspace
+    session.run_one(statement)
+    after = _workspace_fingerprint(engine, session)
+    assert after != before
+    assert database_fingerprint(engine.database) == committed
+    session.commit()
+    assert database_fingerprint(engine.database) == after
 
 
 # --------------------------------------------------------------------------

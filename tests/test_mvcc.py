@@ -167,6 +167,31 @@ class TestSessionContract:
             session.begin()
 
 
+class TestPrivatizations:
+    """``mvcc.privatizations`` counts the committed objects a transaction
+    copied before writing them, once per object per transaction."""
+
+    def test_single_row_model_insert_privatizes_model_and_rep(self):
+        engine = MVCCEngine()
+        session = engine.session()
+        session.run(SCHEMA)
+        before = engine.metrics["mvcc.privatizations"]
+        session.run_one(INSERT.format(name="aa", pop=1))
+        assert engine.metrics["mvcc.privatizations"] == before + 2
+
+    def test_repeated_writes_in_one_transaction_count_once(self):
+        engine = MVCCEngine()
+        session = engine.session()
+        session.run(SCHEMA)
+        before = engine.metrics["mvcc.privatizations"]
+        session.begin()
+        for i in range(3):
+            session.run_one(INSERT.format(name=f"c{i}", pop=i))
+        session.commit()
+        assert engine.metrics["mvcc.privatizations"] == before + 2
+        assert count(session) == 3
+
+
 class TestDurableMVCC:
     def _wal_bytes(self, data_dir):
         total = 0

@@ -16,7 +16,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.geometry import Point, Rect
 from repro.storage import BTree, LSDTree
 from repro.storage.io import PageManager
-from repro.system.transactions import restore_value
 
 keys = st.integers(min_value=0, max_value=40)
 payloads = st.integers(min_value=0, max_value=5)
@@ -25,9 +24,10 @@ payloads = st.integers(min_value=0, max_value=5)
 class BTreeMachine(RuleBasedStateMachine):
     """Random inserts, deletes, modifies, snapshots and rollbacks.
 
-    ``twin`` gets the same inserts, deletes and modifies but never takes a
-    snapshot; on a rollback it restores a deep copy of itself saved at the
-    snapshot.  Its page counters must equal the tree's after every step, so
+    A rollback adopts a clone of a snapshot as the live tree, as
+    copy-on-write does, so the snapshot itself stays unchanged.  ``twin``
+    gets the same inserts, deletes and modifies but never takes a snapshot;
+    on a rollback it adopts a deep copy of itself saved at the snapshot.  Its page counters must equal the tree's after every step, so
     the copying a snapshot causes is invisible to page accounting.
     """
 
@@ -90,8 +90,8 @@ class BTreeMachine(RuleBasedStateMachine):
     @rule(index=st.integers(min_value=0, max_value=10**6))
     def rollback(self, index):
         snap, frozen, twin = self.snapshots[index % len(self.snapshots)]
-        restore_value(self.tree, snap)
-        restore_value(self.twin, copy.deepcopy(twin, {id(twin.pages): twin.pages}))
+        self.tree = snap.clone()
+        self.twin = copy.deepcopy(twin, {id(twin.pages): twin.pages})
         self.reference = list(frozen)
 
     @invariant()

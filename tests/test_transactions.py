@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.algebra import Relation
-from repro.core.types import TypeApp, rel_type, tuple_type
+from repro.core.types import TypeApp
 from repro.errors import CatalogError, OptimizationError, StatementError
 from repro.storage.io import PageManager
 from repro.storage.tidrel import SecondaryIndex, TidRelation
@@ -11,12 +10,9 @@ from repro.system import SOSSystem, build_relational_system
 from repro.system.transactions import (
     Transaction,
     clone_value,
-    restore_value,
     statement_transaction,
 )
 from repro.testing import database_fingerprint
-
-INT = TypeApp("int")
 
 CITY = 'mktuple[<(cname, "{name}"), (center, pt({x}, {y})), (pop, {pop})>]'
 
@@ -42,21 +38,6 @@ update rep := insert(rep, cities, cities_rep)
 
 
 class TestCloneRestore:
-    def test_list_roundtrip(self):
-        original = [1, 2, 3]
-        snapshot = clone_value(original)
-        original.append(4)
-        restore_value(original, snapshot)
-        assert original == [1, 2, 3]
-
-    def test_relation_roundtrip(self):
-        rel_t = rel_type(tuple_type([("a", INT)]))
-        rel = Relation(rel_t, [])
-        snapshot = clone_value(rel)
-        rel.rows.append("x")
-        restore_value(rel, snapshot)
-        assert rel.rows == []
-
     def test_immutables_are_shared(self):
         assert clone_value(42) == 42
         assert clone_value("s") == "s"
@@ -140,11 +121,12 @@ class TestTransaction:
             txn.rollback(sp)
 
     def test_rollback_preserves_value_identity_and_aliases(self):
-        """Rollback restores the *original* value instances in place, so a
-        secondary index keeps pointing at the (restored) heap relation."""
+        """Protection gives the statement private copies, so a rollback
+        brings back the pre-statement objects, whose values were never
+        written, and a secondary index still answers over its heap."""
         pages = PageManager()
         heap = TidRelation(pages=pages)
-        tids = heap.stream_insert([(i, f"t{i}") for i in range(10)])
+        heap.stream_insert([(i, f"t{i}") for i in range(10)])
         index = SecondaryIndex(heap, key=lambda t: t[0], pages=pages)
         index.build()
 
@@ -157,14 +139,19 @@ class TestTransaction:
 
         txn = Transaction(db)
         txn.protect("heap_obj", "index_obj")
-        tid = heap.insert((99, "t99"))
-        index.insert(tid, (99, "t99"))
+        private_heap = db.objects["heap_obj"].value
+        private_index = db.objects["index_obj"].value
+        assert private_heap is not heap and private_index is not index
+        tid = private_heap.insert((99, "t99"))
+        private_index.insert(tid, (99, "t99"))
         txn.rollback()
 
-        assert db.objects["heap_obj"].value is heap  # same instance
-        assert index.relation is heap  # aliasing intact
-        assert len(heap) == 10
+        assert db.objects["heap_obj"] is obj and obj.value is heap
+        assert db.objects["index_obj"] is iobj and iobj.value is index
+        assert len(heap) == 10  # never written
         assert [t[0] for t in heap.scan()] == list(range(10))
+        assert index.relation is heap  # aliasing intact
+        assert list(index.fetch_range(3, 3)) == [(3, "t3")]
         assert list(index.tids_in_range(99, 99)) == []
 
 
@@ -198,6 +185,24 @@ class TestStatementAtomicity:
         with pytest.raises(OptimizationError):
             session.run_one(f"update loners := insert(loners, {city('x', 1, 1, 1)})")
         assert database_fingerprint(db) == before
+
+
+    def test_statement_leaves_no_reference_cycles(self, session):
+        """The frames of a statement hold its savepoints.  A reference
+        cycle through them would keep every object the statement replaced
+        alive until the cycle collector runs."""
+        import gc
+
+        insert = f"update cities := insert(cities, {city('x', 9, 9, 123)})"
+        session.run_one(insert)  # warm the caches
+        gc.collect()
+        gc.disable()
+        try:
+            session.run_one(insert)
+            session.run_one("query cities_rep feed count")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAtomicPrograms:
@@ -295,3 +300,17 @@ class TestStatementTransactionHelper:
                 raise ValueError("boom")
         assert db.transaction is None
         assert not db.has_object("fresh")
+
+    def test_statement_releases_its_savepoint(self, session):
+        """A statement inside a transaction drops its savepoint (and any
+        later one) when it ends, so a long transaction keeps none."""
+        from repro.system.transactions import program_transaction
+
+        db = session.database
+        with program_transaction(db) as txn:
+            with statement_transaction(db):
+                inner = txn.savepoint()
+                db.create("fresh", TypeApp("int"))
+            with pytest.raises(RuntimeError):
+                txn.rollback(inner)
+        assert db.has_object("fresh")
