@@ -192,6 +192,11 @@ class OperatorSpec:
     level: str = "model"
     doc: str = ""
     impl: Optional[Callable] = field(default=None, compare=False)
+    inline: Optional[str] = field(default=None, compare=False)
+    """The Python expression ``impl`` computes, over operand names ``{0}``,
+    ``{1}``, ...; set only on pure operators.  The evaluator splices it
+    into the one generated function of a closed parameter function
+    (:meth:`~repro.core.algebra.Evaluator.fuse`)."""
     eager: bool = False
     """If true, stream-valued operands are fully consumed before the call
     (used by operators whose semantics require materialized input)."""

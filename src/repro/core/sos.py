@@ -233,6 +233,7 @@ class SignatureBuilder:
         result: Union[Sort, TypeOperator, None] = None,
         syntax: Optional[str] = None,
         impl: Optional[Callable] = None,
+        inline: Optional[str] = None,
         is_update: bool = False,
         level: str = "model",
         doc: str = "",
@@ -252,6 +253,7 @@ class SignatureBuilder:
             level=level,
             doc=doc,
             impl=impl,
+            inline=inline,
             eager=eager,
             post_check=post_check,
             span=span,

@@ -30,6 +30,22 @@ _COMPARISONS = {
     ">": operator.gt,
 }
 
+# The Python expression each comparison and arithmetic ``impl`` computes
+# (``OperatorSpec.inline``).  A comparison's ``TypeError`` becomes an
+# ``ExecutionError`` only in the impl; a fused function that raises falls
+# back to the impls, so the two need not agree on failures.
+_INLINE = {
+    "=": "{0} == {1}",
+    "!=": "{0} != {1}",
+    "<": "{0} < {1}",
+    "<=": "{0} <= {1}",
+    ">=": "{0} >= {1}",
+    ">": "{0} > {1}",
+    "+": "{0} + {1}",
+    "-": "{0} - {1}",
+    "*": "{0} * {1}",
+}
+
 
 def _comparable(fn, name):
     def impl(ctx, a, b):
@@ -54,6 +70,7 @@ def add_comparisons(builder, data_kind: Kind, level: str = "hybrid") -> None:
             result=TypeSort(BOOL),
             syntax="( _ # _ )",
             impl=_comparable(fn, name),
+            inline=_INLINE[name],
             level=level,
             doc=f"comparison {name} on any DATA type",
         )
@@ -83,6 +100,7 @@ def add_arithmetic(builder, data_kind: Kind, level: str = "hybrid") -> None:
             result=TypeOperator(f"arith_{name}", data_kind, _numeric_result),
             syntax="( _ # _ )",
             impl=(lambda fn: lambda ctx, a, b: fn(a, b))(fn),
+            inline=_INLINE[name],
             level=level,
             doc=f"numeric {name} with int/real promotion",
         )
@@ -92,6 +110,7 @@ def add_arithmetic(builder, data_kind: Kind, level: str = "hybrid") -> None:
         result=TypeSort(REAL),
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a / b,
+        inline="{0} / {1}",
         level=level,
         doc="real division",
     )
@@ -101,6 +120,7 @@ def add_arithmetic(builder, data_kind: Kind, level: str = "hybrid") -> None:
         result=TypeSort(INT),
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a // b,
+        inline="{0} // {1}",
         level=level,
         doc="integer division",
     )
@@ -110,6 +130,7 @@ def add_arithmetic(builder, data_kind: Kind, level: str = "hybrid") -> None:
         result=TypeSort(INT),
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a % b,
+        inline="{0} % {1}",
         level=level,
         doc="integer remainder",
     )
@@ -123,6 +144,7 @@ def add_logic(builder, level: str = "hybrid") -> None:
         result=TypeSort(BOOL),
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a and b,
+        inline="{0} and {1}",
         level=level,
         doc="conjunction",
     )
@@ -132,6 +154,7 @@ def add_logic(builder, level: str = "hybrid") -> None:
         result=TypeSort(BOOL),
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a or b,
+        inline="{0} or {1}",
         level=level,
         doc="disjunction",
     )
@@ -141,6 +164,7 @@ def add_logic(builder, level: str = "hybrid") -> None:
         result=TypeSort(BOOL),
         syntax="# ( _ )",
         impl=lambda ctx, a: not a,
+        inline="not {0}",
         level=level,
         doc="negation",
     )

@@ -231,6 +231,8 @@ class SOSServer:
         self._handlers: set[asyncio.Task] = set()
         self._live_sessions: set[EngineSession] = set()
         self._inflight = 0
+        self._idle = asyncio.Event()  # set exactly while _inflight == 0
+        self._idle.set()
         telemetry.enable()
         telemetry.REGISTRY.declare(**CORE_METRIC_FAMILIES)
 
@@ -272,9 +274,10 @@ class SOSServer:
         self.draining = True
         if telemetry.ENABLED:
             telemetry.gauge("server.draining", 1)
-        deadline = start + timeout
-        while self._inflight > 0 and time.perf_counter() < deadline:
-            await asyncio.sleep(0.005)
+        try:
+            await asyncio.wait_for(self._idle.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass  # stragglers keep running; their sessions are aborted below
         for session in tuple(self._live_sessions):
             session.abort_open_transaction()
         await asyncio.to_thread(self.engine.sync_wal)
@@ -390,10 +393,13 @@ class SOSServer:
                         )
                     request = json.loads(line)
                     self._inflight += 1
+                    self._idle.clear()
                     try:
                         response = await self._dispatch(session, request)
                     finally:
                         self._inflight -= 1
+                        if self._inflight == 0:
+                            self._idle.set()
                 except InjectedFault:
                     # server.ack (or a fault plan armed over the wire)
                     # fired: drop the connection without answering, like a

@@ -146,7 +146,9 @@ class FaultPlan:
 
 
 # The armed plans, keyed by site.  ``None`` (the common case) lets
-# :func:`fault_point` return after a single global load.
+# :func:`fault_point` return after a single global load, and lets a
+# ``repro.core.algebra.Closure`` run its fused function, which has no
+# fault points.
 _ARMED: Optional[dict[str, FaultPlan]] = None
 
 

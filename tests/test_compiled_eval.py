@@ -3,13 +3,18 @@ check of a term-walking interpreter: resource guards and fault points fire
 *inside* a per-tuple parameter function, closures capture the right
 bindings, and errors surface when evaluation reaches them — not when the
 term is compiled.  The step counts and per-operator tuple counts hard-coded
-here were recorded with the interpreter this evaluator replaced.
+here were recorded with the interpreter this evaluator replaced.  A closed
+parameter function's fused form (``Evaluator.fuse``) must agree with its
+per-node body, and must step aside whenever a guard is armed.
 """
 
+import functools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import connect
 from repro.core.algebra import (
@@ -18,8 +23,9 @@ from repro.core.algebra import (
     Evaluator,
     ResourceLimits,
     SecondOrderAlgebra,
+    TupleValue,
 )
-from repro.core.operators import ResolvedOp
+from repro.core.operators import AttributeFamily, ResolvedOp
 from repro.core.terms import Apply, Fun, ListTerm, Literal, Var
 from repro.core.types import TypeApp
 from repro.errors import (
@@ -30,6 +36,7 @@ from repro.errors import (
 )
 from repro.geometry import Point, Rect
 from repro.optimizer import cost_based_optimizer
+from repro.storage.btree import BOTTOM_KEY, TOP_KEY
 from repro.storage.lsdtree import LSDTree
 from repro.testing import InjectedFault, database_fingerprint, inject
 
@@ -437,3 +444,228 @@ class TestLSDTreeAgainstBruteForce:
         assert sorted(tree.overlap_search(Rect(20, 20, 30, 30))) == [1]
         assert sorted(tree.overlap_search(Rect(10, 0, 10, 30))) == [0, 1]
         assert sorted(tree.overlap_search(Rect(21, 21, 30, 30))) == []
+
+
+# ---------------------------------------------------------------------------
+# (g) the fused parameter function against the per-node body
+# ---------------------------------------------------------------------------
+
+FUSE_SCHEMA = (
+    "type row = tuple(<(a, int), (b, int), (x, real), (s, string), (f, bool)>)"
+)
+ATTRS = ("a", "b", "x", "s", "f")
+BINARY = (
+    "=", "!=", "<", "<=", ">=", ">", "+", "-", "*", "/", "div", "mod", "and", "or",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _fuse_session():
+    session = connect()
+    session.run(FUSE_SCHEMA)
+    return session
+
+
+def _row_type():
+    return _fuse_session().database.aliases["row"]
+
+
+def _build(shape):
+    """A term with resolved operators, built without the typechecker so
+    that ill-typed applications (mixed types, ``bottom`` against an int)
+    reach the operator impls."""
+    kind = shape[0]
+    if kind == "lit":
+        return Literal(shape[1])
+    if kind == "attr":
+        resolved = AttributeFamily().resolve(shape[1], (_row_type(),))
+        return Apply(shape[1], (Var("t"),), resolved=resolved)
+    op, args = shape[1], tuple(_build(arg) for arg in shape[2:])
+    sos = _fuse_session().database.sos
+    (spec,) = sos.operators_of_arity(op, len(args))
+    return Apply(op, args, resolved=ResolvedOp(result_type=None, spec=spec))
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 — the outcome is compared
+        return ("raise", type(exc), str(exc))
+    return ("value", type(value), value)
+
+
+def _both_paths(body):
+    """The closure with its fused function, and one without (the per-node
+    body alone, as a body the fuser declines is compiled)."""
+    evaluator = _fuse_session().database.evaluator
+    fun = Fun((("t", _row_type()),), body)
+    fused = Closure(fun, {}, evaluator)
+    per_node = Closure(fun, {}, evaluator, evaluator.compile(body))
+    assert per_node._fused is None
+    return fused, per_node
+
+
+_literals = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-2, 2, allow_nan=False),
+    st.text("ab", max_size=2),
+    st.booleans(),
+    st.sampled_from([BOTTOM_KEY, TOP_KEY]),
+).map(lambda v: ("lit", v))
+_shapes = st.recursive(
+    st.one_of(st.sampled_from(ATTRS).map(lambda n: ("attr", n)), _literals),
+    lambda kids: st.one_of(
+        st.tuples(st.just("op"), st.sampled_from(BINARY), kids, kids),
+        st.tuples(st.just("op"), st.just("not"), kids),
+    ),
+    max_leaves=8,
+)
+_rows = st.tuples(
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.floats(-2, 2, allow_nan=False),
+    st.text("ab", max_size=2),
+    st.booleans(),
+)
+
+
+class TestFusedAgainstPerNode:
+    @settings(max_examples=300, deadline=None)
+    @given(_shapes, st.lists(_rows, min_size=1, max_size=4))
+    def test_same_value_or_same_error(self, shape, rows):
+        fused, per_node = _both_paths(_build(shape))
+        assert fused._fused is not None  # every generated body is closed
+        for values in rows:
+            row = TupleValue(_row_type(), values)
+            expected = _outcome(per_node, row)
+            assert _outcome(fused, row) == expected
+            raw = _outcome(fused._fused, row)
+            if raw[0] == "value":  # the generated code alone agrees, too
+                assert raw == expected
+
+    def test_and_evaluates_its_right_side_when_the_left_is_false(self):
+        # false and (bottom < 1): the per-node impl of ``and`` receives both
+        # operands, so the comparison's error is the statement's error
+        shape = ("op", "and", ("lit", False), ("op", "<", ("lit", BOTTOM_KEY), ("lit", 1)))
+        fused, per_node = _both_paths(_build(shape))
+        row = TupleValue(_row_type(), (1, 2, 0.5, "a", True))
+        with pytest.raises(TypeError):
+            fused._fused(row)
+        with pytest.raises(ExecutionError, match="not comparable with <"):
+            fused(row)
+        assert _outcome(fused, row) == _outcome(per_node, row)
+
+    def test_division_by_zero_raises_the_impl_error(self):
+        fused, per_node = _both_paths(_build(("op", "div", ("attr", "a"), ("lit", 0))))
+        row = TupleValue(_row_type(), (1, 2, 0.5, "a", True))
+        assert _outcome(fused, row)[:2] == ("raise", ZeroDivisionError)
+        assert _outcome(fused, row) == _outcome(per_node, row)
+
+    def test_wrong_arity_raises_the_per_node_error(self):
+        fused, _ = _both_paths(_build(("attr", "a")))
+        with pytest.raises(ExecutionError, match="expects 1 argument"):
+            fused()
+
+    def test_declined_bodies_compile_as_before(self, db):
+        evaluator = db.database.evaluator
+        int_t = TypeApp("int")
+        free_name = db.database.typechecker.check(
+            Fun((("n", int_t),), Fun((("x", int_t),), Apply("+", (Var("x"), Var("n")))))
+        ).body
+        nested = db.database.typechecker.check(
+            Fun((("n", int_t),), Fun((("x", int_t),), Var("n")))
+        )
+        opaque = Fun(
+            (("x", int_t),),
+            Apply("picky", (Var("x"),), resolved=ResolvedOp(int_t, impl=lambda ctx, x: abs(x))),
+        )
+        untyped = Fun((("x", int_t),), Apply("+", (Var("x"), Literal(1))))
+        for fun in (free_name, nested, opaque, untyped):
+            assert evaluator.fuse(fun) is None
+            assert Closure(fun, {}, evaluator)._fused is None
+        assert Closure(opaque, {}, evaluator)(-4) == 4
+
+    def test_one_generated_function_per_shape(self, db):
+        evaluator = db.database.evaluator
+        item = db.database.aliases["item"]
+
+        def predicate(g):
+            return db.database.typechecker.check(
+                Fun((("t", item),), Apply("=", (Apply("grp", (Var("t"),)), Literal(g))))
+            )
+
+        three, four = evaluator.fuse(predicate(3)), evaluator.fuse(predicate(4))
+        assert three.__code__ is four.__code__
+        row = next(iter(db.query("items_rep feed filter[grp = 3]").value))
+        assert (three(row), four(row)) == (True, False)
+
+
+@pytest.fixture()
+def per_node_calls(monkeypatch):
+    """Counts the runs of every closure's per-node body."""
+    calls = []
+    init = Closure.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        body = self._body
+
+        def counted(env):
+            calls.append(1)
+            return body(env)
+
+        self._body = counted
+
+    monkeypatch.setattr(Closure, "__init__", counting_init)
+    return calls
+
+
+class TestFastPathAndGuards:
+    def test_unguarded_scan_runs_no_per_node_body(self, db, per_node_calls):
+        assert db.query(SCAN).value == 43
+        assert per_node_calls == []
+
+    def test_unguarded_bulk_update_runs_no_per_node_body(self, per_node_calls):
+        session = _fresh()
+        per_node_calls.clear()  # the LSD-tree key function is not closed
+        session.run_one(BULK_UPDATE)
+        # only the once-per-statement fun (s: stream) replace(s, name, ...)
+        # runs per node; the per-tuple predicate and new value are fused
+        assert len(per_node_calls) == 1
+        assert session.query('items_rep feed filter[name = "m1"] count').value == 43
+
+    def test_resource_limits_take_the_per_node_body(self, db, per_node_calls):
+        db.database.set_resource_limits(max_steps=10**9)
+        assert db.query(SCAN).value == 43
+        assert len(per_node_calls) == N_ITEMS
+
+    def test_fault_plan_takes_the_per_node_body(self, db, per_node_calls):
+        with inject("evaluator.apply", at=10**9) as plan:
+            assert db.query(SCAN).value == 43
+        assert len(per_node_calls) == N_ITEMS
+        assert plan.hits == 3 + 2 * N_ITEMS
+
+    def test_arming_mid_statement_falls_back_on_the_next_call(self, db, per_node_calls):
+        rows = list(db.query("items_rep feed").value)[:4]
+        item = db.database.aliases["item"]
+        fun = db.database.typechecker.check(
+            Fun((("t", item),), Apply("=", (Apply("grp", (Var("t"),)), Literal(3))))
+        )
+        closure = Closure(fun, {}, db.database.evaluator)
+        closure(rows[0])
+        with inject("btree.insert", at=10**9):
+            closure(rows[1])
+            closure(rows[2])
+        closure(rows[3])
+        assert len(per_node_calls) == 2
+
+    def test_filter_counts_are_the_same_on_both_paths(self, db, per_node_calls):
+        fast = db.explain(SCAN, analyze=True)
+        assert per_node_calls == []
+        db.database.set_resource_limits(max_steps=10**9)
+        guarded = db.explain(SCAN, analyze=True)
+        assert len(per_node_calls) == N_ITEMS
+        assert fast["value"] == guarded["value"] == 43
+        counts = _operator_counts(fast["metrics"]["operators"])
+        assert counts == _operator_counts(guarded["metrics"]["operators"])
+        assert counts["filter"] == (300, 43)

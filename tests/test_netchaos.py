@@ -13,6 +13,8 @@ recovery of the data directory.
 
 from __future__ import annotations
 
+import asyncio
+import json
 import os
 import socket
 import sys
@@ -31,6 +33,7 @@ from repro.errors import (
     is_retryable,
 )
 from repro.server import start_server
+from repro.server.net import SOSServer
 from repro.server.client import (
     NetworkSession,
     RetryPolicy,
@@ -277,6 +280,53 @@ class TestDrainAndAdmission:
             assert count(local) == 1
         finally:
             local.close()
+
+    def test_drain_waits_for_the_inflight_request_without_polling(self, monkeypatch):
+        """drain() wakes when the last in-flight request finishes, not on a
+        timer: with asyncio.sleep made to fail it still returns, and the
+        held request is acknowledged."""
+
+        async def scenario():
+            server = SOSServer()
+            host, port = await server.start("127.0.0.1", 0)
+            entered, release = asyncio.Event(), asyncio.Event()
+
+            async def held(session, request):
+                entered.set()
+                await release.wait()
+                return {"ok": True, "result": "held"}
+
+            server._dispatch = held
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(b'{"op": "ping"}\n')
+                await writer.drain()
+                await entered.wait()
+                real_sleep = asyncio.sleep
+
+                async def no_polling(delay, result=None):
+                    raise AssertionError("drain polled with asyncio.sleep")
+
+                monkeypatch.setattr(asyncio, "sleep", no_polling)
+                drain = asyncio.ensure_future(server.drain(timeout=5.0))
+                for _ in range(3):  # let drain start waiting
+                    tick = asyncio.get_running_loop().create_future()
+                    asyncio.get_running_loop().call_soon(tick.set_result, None)
+                    await tick
+                assert server.draining and not drain.done()
+                release.set()
+                elapsed = await asyncio.wait_for(drain, 5.0)
+                monkeypatch.setattr(asyncio, "sleep", real_sleep)
+                response = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                return elapsed, response, server._inflight
+            finally:
+                writer.close()
+                await server.stop()
+
+        elapsed, response, inflight = asyncio.run(scenario())
+        assert 0.0 <= elapsed < 5.0
+        assert response == {"ok": True, "result": "held"}
+        assert inflight == 0
 
     def test_max_connections_sheds_load(self):
         with start_server(max_connections=1) as handle:
