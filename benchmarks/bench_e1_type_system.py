@@ -3,7 +3,7 @@ matching throughput (the operations behind every typecheck)."""
 
 import pytest
 
-from repro.core.patterns import PApp, PBind, PVar, match_type
+from repro.core.patterns import PBind, PVar, match_type
 from repro.core.types import TypeApp, rel_type, tuple_type
 from repro.models.relational import relational_model
 
@@ -44,7 +44,7 @@ def test_check_type_rejects(benchmark, ts):
     benchmark(run)
 
 
-FIG1 = PBind("stream", PApp("stream", (PBind("tuple", PApp("tuple", (PVar("list"),))),)))
+FIG1 = PBind("stream", TypeApp("stream", (PBind("tuple", TypeApp("tuple", (PVar("list"),))),)))
 
 
 @pytest.mark.parametrize("width", [2, 16, 64])

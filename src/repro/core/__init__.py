@@ -56,14 +56,7 @@ from repro.core.terms import (
     substitute_term,
 )
 from repro.core.patterns import (
-    PAny,
-    PApp,
     PBind,
-    PFun,
-    PList,
-    PLit,
-    PSym,
-    PTuple,
     PVar,
     TypePattern,
     match_type,
@@ -134,13 +127,6 @@ __all__ = [
     "TypePattern",
     "PVar",
     "PBind",
-    "PApp",
-    "PList",
-    "PTuple",
-    "PLit",
-    "PSym",
-    "PFun",
-    "PAny",
     "match_type",
     "OperatorSpec",
     "Quantifier",

@@ -25,6 +25,10 @@ function types (``FunType``) and product types (``ProductType``); these occur
 as the types of views (``( -> city_rel)``) and parameterized views
 (``(string -> city_rel)``) in Section 2.4 of the paper.
 
+A type term may also contain metavariables, which makes it a *pattern*
+(:mod:`repro.core.patterns`): ``PVar`` stands for a cut-off subtree and
+``PBind`` labels an internal node (paper Figure 1).
+
 All type terms are immutable and structurally comparable/hashable, which the
 optimizer's pattern matcher and the typechecker rely on.
 """
@@ -43,7 +47,7 @@ class Type:
 
     __slots__ = ()
 
-    def __str__(self) -> str:  # pragma: no cover - overridden, kept for safety
+    def __str__(self) -> str:
         return format_type(self)
 
 
@@ -177,6 +181,25 @@ class ProductType(Type):
         return format_type(self)
 
 
+@dataclass(frozen=True, slots=True)
+class PVar(Type):
+    """A type metavariable: in a pattern, a cut-off subtree that matches any
+    type argument and binds it to ``name`` (paper Figure 1).  Rule types
+    write it ``?name``."""
+
+    name: str
+
+
+@dataclass(frozen=True, slots=True)
+class PBind(Type):
+    """``name: pattern`` — an internal node of a pattern labelled by a
+    metavariable: binds the whole matched argument to ``name`` and matches
+    ``pattern`` against it (paper Figure 1)."""
+
+    name: str
+    pattern: TypeArg
+
+
 def _format_arg(arg: TypeArg) -> str:
     if isinstance(arg, Type):
         return format_type(arg)
@@ -197,10 +220,10 @@ def format_type(t: Type) -> str:
         return f"({arrow}{format_type(t.result)})"
     if isinstance(t, ProductType):
         return "(" + " x ".join(format_type(p) for p in t.parts) + ")"
-    if type(t).__str__ is not Type.__str__:
-        # A type defined outside this module that renders itself, such as
-        # a rule type variable (``?tuple1``).
-        return str(t)
+    if isinstance(t, PVar):
+        return f"?{t.name}"
+    if isinstance(t, PBind):
+        return f"{t.name}: {_format_arg(t.pattern)}"
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -317,3 +340,5 @@ def walk_type(t: TypeArg) -> Iterable[TypeArg]:
     elif isinstance(t, ProductType):
         for p in t.parts:
             yield from walk_type(p)
+    elif isinstance(t, PBind):
+        yield from walk_type(t.pattern)

@@ -10,18 +10,10 @@ line.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.kinds import Kind
 from repro.core.operators import OperatorSpec, TypeOperator
-from repro.core.patterns import (
-    PApp,
-    PBind,
-    PFun,
-    PList,
-    PTuple,
-    TypePattern,
-)
 from repro.core.sorts import (
     AppSort,
     BindSort,
@@ -209,26 +201,8 @@ def _check_signature_clashes(sos, report: LintReport, source: str) -> None:
 # ----------------------------------------------------------------- SOS004
 
 
-def _pattern_apps(pattern: TypePattern) -> Iterable[PApp]:
-    if isinstance(pattern, PApp):
-        yield pattern
-        for a in pattern.args:
-            yield from _pattern_apps(a)
-    elif isinstance(pattern, PBind):
-        yield from _pattern_apps(pattern.pattern)
-    elif isinstance(pattern, PList):
-        yield from _pattern_apps(pattern.element)
-    elif isinstance(pattern, PTuple):
-        for i in pattern.items:
-            yield from _pattern_apps(i)
-    elif isinstance(pattern, PFun):
-        for a in pattern.args:
-            yield from _pattern_apps(a)
-        yield from _pattern_apps(pattern.result)
-
-
 def _check_app(
-    app: PApp, sos, report: LintReport, source: str, subject: str, span
+    app: TypeApp, sos, report: LintReport, source: str, subject: str, span
 ) -> None:
     ts = sos.type_system
     line, column = span
@@ -266,13 +240,15 @@ def _check_pattern_constructors(sos, report: LintReport, source: str) -> None:
         for q in spec.quantifiers:
             if q.pattern is None:
                 continue
-            for app in _pattern_apps(q.pattern):
-                _check_app(app, sos, report, source, spec.name, _span(spec))
+            for app in walk_type(q.pattern):
+                if isinstance(app, TypeApp):
+                    _check_app(app, sos, report, source, spec.name, _span(spec))
     for rule in sos.subtypes.rules:
         subject = f"{format_pattern(rule.sub)} < {format_pattern(rule.sup)}"
         for pattern in (rule.sub, rule.sup):
-            for app in _pattern_apps(pattern):
-                _check_app(app, sos, report, source, subject, _span(rule))
+            for app in walk_type(pattern):
+                if isinstance(app, TypeApp):
+                    _check_app(app, sos, report, source, subject, _span(rule))
 
 
 # -------------------------------------------------------- SOS005 / SOS006
@@ -321,19 +297,14 @@ def _check_syntax(sos, report: LintReport, source: str) -> None:
 # ----------------------------------------------------------------- SOS007
 
 
-def _pattern_head(pattern: TypePattern) -> Optional[str]:
-    if isinstance(pattern, PApp):
-        return pattern.constructor
-    if isinstance(pattern, PBind):
-        return _pattern_head(pattern.pattern)
-    return None
-
-
 def _check_subtype_cycles(sos, report: LintReport, source: str) -> None:
     edges: dict[str, set[str]] = {}
     spans: dict[tuple[str, str], tuple] = {}
     for rule in sos.subtypes.rules:
-        sub, sup = _pattern_head(rule.sub), _pattern_head(rule.sup)
+        sub, sup = (
+            next((t.constructor for t in walk_type(p) if isinstance(t, TypeApp)), None)
+            for p in (rule.sub, rule.sup)
+        )
         if sub is None or sup is None:
             continue
         edges.setdefault(sub, set()).add(sup)
@@ -406,8 +377,9 @@ def _check_unreachable_reps(sos, report: LintReport, source: str) -> None:
         for q in spec.quantifiers:
             kinds.update(_quantifier_kind_names(q.kind))
             if q.pattern is not None:
-                for app in _pattern_apps(q.pattern):
-                    mentioned.add(app.constructor)
+                mentioned.update(
+                    t.constructor for t in walk_type(q.pattern) if isinstance(t, TypeApp)
+                )
         for sort in spec.arg_sorts:
             _sort_mentions(sort, mentioned, kinds)
         if not isinstance(spec.result, TypeOperator):
@@ -426,7 +398,10 @@ def _check_unreachable_reps(sos, report: LintReport, source: str) -> None:
     while changed:
         changed = False
         for rule in sos.subtypes.rules:
-            sub, sup = _pattern_head(rule.sub), _pattern_head(rule.sup)
+            sub, sup = (
+                next((t.constructor for t in walk_type(p) if isinstance(t, TypeApp)), None)
+                for p in (rule.sub, rule.sup)
+            )
             if sub and sup and sup in mentioned and sub not in mentioned:
                 mentioned.add(sub)
                 changed = True

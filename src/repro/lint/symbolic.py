@@ -12,15 +12,11 @@ every sort (see the ``wildcard`` hooks in :mod:`repro.core.typecheck` and
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.patterns import TypePattern, instantiate_pattern
 from repro.core.terms import Fun, Var
 from repro.core.types import (
     TermArg,
     Type,
     TypeApp,
-    TypeArg,
     tuple_type,
 )
 
@@ -61,17 +57,6 @@ def synth_tuple(attrs: list[tuple[str, Type]]) -> TypeApp:
     return tuple_type(attrs)
 
 
-def instantiate_type_pattern(
-    pattern: TypePattern, tbinds: dict[str, TypeArg]
-) -> Optional[TypeArg]:
-    """Instantiate a rule's type pattern under symbolic bindings, returning
-    ``None`` when a variable is unbound (the caller falls back to ANY)."""
-    try:
-        return instantiate_pattern(pattern, tbinds)
-    except KeyError:
-        return None
-
-
 def fresh_term_arg(param_type: Type) -> TermArg:
     """A placeholder function argument for function-valued constructor
     positions (the LSD-tree key function): the identity lambda."""
@@ -83,6 +68,5 @@ __all__ = [
     "AnyType",
     "INT",
     "fresh_term_arg",
-    "instantiate_type_pattern",
     "synth_tuple",
 ]

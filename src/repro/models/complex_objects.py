@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from repro.core.algebra import SecondOrderAlgebra
 from repro.core.operators import Quantifier, TypeOperator
-from repro.core.patterns import PApp, PVar
 from repro.core.sorts import FunSort, KindSort, ListSort, ProductSort, TypeSort, VarSort
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
-from repro.core.types import Type, TypeApp, attrs_of
+from repro.core.types import PVar, Type, TypeApp, attrs_of
 from repro.models.common import BOOL, add_comparisons, add_logic, register_atomic_carriers
 from repro.models.relational import IDENT_T, _check_tuple
 
@@ -103,7 +102,7 @@ class ObjectSet:
         return "{" + ", ".join(repr(e) for e in self.elements) + "}"
 
 
-SET_PATTERN = PApp("set", (PVar("obj"),))
+SET_PATTERN = TypeApp("set", (PVar("obj"),))
 
 
 def _mkset_type(type_system, binds, descriptors) -> Type:

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from repro.core.algebra import Relation, SecondOrderAlgebra, TupleValue
 from repro.core.operators import Quantifier
-from repro.core.patterns import PApp, PVar
 from repro.core.sorts import AppSort, FunSort, KindSort, TypeSort, VarSort
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
-from repro.core.types import Type, TypeApp
+from repro.core.types import PVar, Type, TypeApp
 from repro.errors import ExecutionError
 from repro.models.common import (
     BOOL,
@@ -37,7 +36,7 @@ from repro.models.common import (
 )
 from repro.models.relational import REL_PATTERN, _check_rel, _select_impl
 
-GRAPH_PATTERN = PApp("graph", (PVar("ntuple"), PVar("etuple")))
+GRAPH_PATTERN = TypeApp("graph", (PVar("ntuple"), PVar("etuple")))
 
 
 class GraphValue:

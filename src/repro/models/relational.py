@@ -39,10 +39,10 @@ from __future__ import annotations
 
 from repro.core.algebra import Relation, SecondOrderAlgebra, TupleValue
 from repro.core.operators import Quantifier, TypeOperator
-from repro.core.patterns import PApp, PVar
 from repro.core.sorts import FunSort, KindSort, ListSort, TypeSort, VarSort
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
 from repro.core.types import (
+    PVar,
     Sym,
     Type,
     TypeApp,
@@ -62,7 +62,7 @@ from repro.models.spatial import register_spatial_carriers
 
 IDENT_T = TypeApp("ident")
 
-REL_PATTERN = PApp("rel", (PVar("tuple"),))
+REL_PATTERN = TypeApp("rel", (PVar("tuple"),))
 """The pattern ``rel(tuple)`` used by most quantifiers below."""
 
 
@@ -210,8 +210,8 @@ def add_relational_operators(builder: SignatureBuilder) -> None:
     builder.op(
         "join",
         quantifiers=(
-            Quantifier("rel1", rel_kind, PApp("rel", (PVar("tuple1"),))),
-            Quantifier("rel2", rel_kind, PApp("rel", (PVar("tuple2"),))),
+            Quantifier("rel1", rel_kind, TypeApp("rel", (PVar("tuple1"),))),
+            Quantifier("rel2", rel_kind, TypeApp("rel", (PVar("tuple2"),))),
         ),
         args=(
             VarSort("rel1"),

@@ -19,7 +19,6 @@ original term.
 from repro.optimizer.termmatch import (
     MatchState,
     RuleVar,
-    TypeVar,
     instantiate,
     match_pattern,
 )
@@ -34,7 +33,6 @@ from repro.optimizer.standard_rules import (
 )
 
 __all__ = [
-    "TypeVar",
     "RuleVar",
     "MatchState",
     "match_pattern",

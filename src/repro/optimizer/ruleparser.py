@@ -17,7 +17,8 @@ kind declare term variables (with an optional binding pattern); quantifiers
 with a functionality ``(t -> r)`` declare operator variables.  The left- and
 right-hand sides are ordinary concrete-syntax expressions parsed by the same
 model-independent parser as queries; rule type variables simply enter the
-parser as type aliases bound to :class:`~repro.optimizer.termmatch.TypeVar`.
+parser as type aliases bound to :class:`~repro.core.types.PVar`.  Type
+patterns are read by the specification parser's pattern reader.
 Conditions are catalog lookups ``cat(v1, ..., vn)`` and type tests
 ``v : pattern`` (a test against ``relrep(...)`` allows subtyping).
 """
@@ -27,10 +28,10 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from repro.core.patterns import PApp, PVar, TypePattern, pattern_variables
+from repro.core.patterns import TypePattern, pattern_variables
 from repro.core.sos import SecondOrderSignature
 from repro.core.terms import Apply, Var, free_names, walk_terms
-from repro.core.types import Type, TypeApp
+from repro.core.types import PVar, Type, TypeApp
 from repro.errors import ParseError
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
@@ -40,7 +41,8 @@ from repro.optimizer.conditions import (
     TypeCondition,
 )
 from repro.optimizer.rules import RewriteRule
-from repro.optimizer.termmatch import RuleVar, TypeVar
+from repro.optimizer.termmatch import RuleVar
+from repro.spec.parser import Tokens, read_type_pattern
 
 
 def parse_rule(text: str, sos: SecondOrderSignature, name: str = "rule") -> RewriteRule:
@@ -56,7 +58,7 @@ def parse_rule(text: str, sos: SecondOrderSignature, name: str = "rule") -> Rewr
     term_vars = {
         v.name for v in variables.values() if not v.is_operator_var
     } | condition_vars
-    aliases = {tv: TypeVar(tv) for tv in type_vars}
+    aliases = {tv: PVar(tv) for tv in type_vars}
     parser = Parser(sos, aliases=aliases, is_object=term_vars.__contains__)
     lhs = parser.parse_expression(lhs_text.strip())
     rhs = parser.parse_expression(rhs_text.strip())
@@ -126,7 +128,7 @@ def _split(text: str) -> tuple[list[str], str, str, str]:
 def _parse_quantifiers(line: str, sos) -> list[tuple[RuleVar, set[str]]]:
     """All ``forall`` clauses on one line."""
     out: list[tuple[RuleVar, set[str]]] = []
-    toks = _cursor(line)
+    toks = Tokens(tokenize(line))
     while toks.peek().kind != "EOF":
         word = toks.next()
         if word.text != "forall":
@@ -142,7 +144,7 @@ def _parse_quantifiers(line: str, sos) -> list[tuple[RuleVar, set[str]]]:
             if toks.peek().text == "(":
                 fun_args, fun_result, tvs = _parse_functionality(toks, sos)
             else:
-                pattern = _parse_type_pattern(toks)
+                pattern = read_type_pattern(toks)
                 tvs = pattern_variables(pattern) - {var}
         if toks.peek().text == "in":
             toks.next()
@@ -182,24 +184,13 @@ def _parse_functionality(toks, sos) -> tuple[tuple[Type, ...], Type, set[str]]:
 
 
 def _rule_type(toks, sos, tvs: set[str]) -> Type:
-    name = toks.next().text
-    if sos.type_system.has_constructor(name):
-        return TypeApp(name)
-    tvs.add(name)
-    return TypeVar(name)
-
-
-def _parse_type_pattern(toks) -> TypePattern:
-    name = toks.next().text
-    if toks.peek().text != "(":
-        return PVar(name)
-    toks.next()
-    args = [_parse_type_pattern(toks)]
-    while toks.peek().text == ",":
-        toks.next()
-        args.append(_parse_type_pattern(toks))
-    toks.expect(")")
-    return PApp(name, tuple(args))
+    """A type pattern in which a bare name of a declared type is that
+    constant type (``point``), not a variable."""
+    pattern = read_type_pattern(toks)
+    if isinstance(pattern, PVar) and sos.type_system.has_constructor(pattern.name):
+        return TypeApp(pattern.name)
+    tvs |= pattern_variables(pattern)
+    return pattern
 
 
 def _parse_conditions(
@@ -213,7 +204,7 @@ def _parse_conditions(
     if not stripped:
         return conditions, new_vars
     for clause in _split_on_and(stripped):
-        toks = _cursor(clause)
+        toks = Tokens(tokenize(clause))
         first = toks.next().text
         if toks.peek().text == "(":
             toks.next()
@@ -228,8 +219,8 @@ def _parse_conditions(
             conditions.append(CatalogCondition(first, tuple(args)))
         elif toks.peek().text == ":":
             toks.next()
-            pattern = _parse_type_pattern(toks)
-            subtype_ok = isinstance(pattern, PApp) and pattern.constructor == "relrep"
+            pattern = read_type_pattern(toks)
+            subtype_ok = isinstance(pattern, TypeApp) and pattern.constructor == "relrep"
             type_vars |= pattern_variables(pattern)
             conditions.append(TypeCondition(first, pattern, subtype_ok=subtype_ok))
         else:
@@ -240,25 +231,3 @@ def _parse_conditions(
 def _split_on_and(text: str) -> list[str]:
     parts = re.split(r"\band\b", text)
     return [p.strip() for p in parts if p.strip()]
-
-
-class _cursor:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    def peek(self, ahead: int = 0):
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, text: str):
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, got {tok}", tok.line, tok.column)
-        return tok

@@ -23,9 +23,8 @@ Index rules precede scan fallbacks in each step, so the first applicable
 
 from __future__ import annotations
 
-from repro.core.patterns import PApp, PVar
 from repro.core.terms import Apply, Call, Fun, Literal, Var
-from repro.core.types import Sym, TypeApp
+from repro.core.types import PVar, Sym, TypeApp
 from repro.optimizer.conditions import (
     CatalogCondition,
     FunCondition,
@@ -34,22 +33,22 @@ from repro.optimizer.conditions import (
 )
 from repro.optimizer.engine import Optimizer, OptimizerStep
 from repro.optimizer.rules import RewriteRule, rule_vars
-from repro.optimizer.termmatch import RuleVar, TypeVar
+from repro.optimizer.termmatch import RuleVar
 
 REP_CATALOG = "rep"
 
-T1 = TypeVar("tuple1")
-T2 = TypeVar("tuple2")
+T1 = PVar("tuple1")
+T2 = PVar("tuple2")
 
-REL1 = RuleVar("rel1", type_pattern=PApp("rel", (PVar("tuple1"),)))
-REL2 = RuleVar("rel2", type_pattern=PApp("rel", (PVar("tuple2"),)))
+REL1 = RuleVar("rel1", type_pattern=TypeApp("rel", (PVar("tuple1"),)))
+REL2 = RuleVar("rel2", type_pattern=TypeApp("rel", (PVar("tuple2"),)))
 
-RELREP1 = TypeCondition("rep1", PApp("relrep", (PVar("tuple1"),)), subtype_ok=True)
-RELREP2 = TypeCondition("rep2", PApp("relrep", (PVar("tuple2"),)), subtype_ok=True)
+RELREP1 = TypeCondition("rep1", TypeApp("relrep", (PVar("tuple1"),)), subtype_ok=True)
+RELREP2 = TypeCondition("rep2", TypeApp("relrep", (PVar("tuple2"),)), subtype_ok=True)
 BTREE1 = TypeCondition(
-    "bt1", PApp("btree", (PVar("tuple1"), PVar("attr"), PVar("dtype")))
+    "bt1", TypeApp("btree", (PVar("tuple1"), PVar("attr"), PVar("dtype")))
 )
-LSD2 = TypeCondition("lsd2", PApp("lsdtree", (PVar("tuple2"), PVar("f"))))
+LSD2 = TypeCondition("lsd2", TypeApp("lsdtree", (PVar("tuple2"), PVar("f"))))
 
 REP_REL1 = CatalogCondition(REP_CATALOG, ("rel1", "rep1"))
 REP_REL2 = CatalogCondition(REP_CATALOG, ("rel2", "rep2"))
@@ -68,7 +67,7 @@ def _attr_cmp_pred(op: str) -> Fun:
 def _select_vars() -> dict:
     return rule_vars(
         REL1,
-        RuleVar("attr", fun_args=(T1,), fun_result=TypeVar("dtype")),
+        RuleVar("attr", fun_args=(T1,), fun_result=PVar("dtype")),
         RuleVar("c1"),
     )
 
@@ -141,7 +140,7 @@ def select_between_rule() -> RewriteRule:
     )
     variables = rule_vars(
         REL1,
-        RuleVar("attr", fun_args=(T1,), fun_result=TypeVar("dtype")),
+        RuleVar("attr", fun_args=(T1,), fun_result=PVar("dtype")),
         RuleVar("c1"),
         RuleVar("c2"),
     )
@@ -217,8 +216,8 @@ def _equi_join_rule(method: str) -> RewriteRule:
         variables=rule_vars(
             REL1,
             REL2,
-            RuleVar("a1", fun_args=(T1,), fun_result=TypeVar("dtype")),
-            RuleVar("a2", fun_args=(T2,), fun_result=TypeVar("dtype")),
+            RuleVar("a1", fun_args=(T1,), fun_result=PVar("dtype")),
+            RuleVar("a2", fun_args=(T2,), fun_result=PVar("dtype")),
         ),
         lhs=Apply("join", (Var("rel1"), Var("rel2"), pred)),
         rhs=Apply(
@@ -288,8 +287,8 @@ def equi_join_index_rule() -> RewriteRule:
         variables=rule_vars(
             REL1,
             REL2,
-            RuleVar("a1", fun_args=(T1,), fun_result=TypeVar("dtype")),
-            RuleVar("a2", fun_args=(T2,), fun_result=TypeVar("dtype")),
+            RuleVar("a1", fun_args=(T1,), fun_result=PVar("dtype")),
+            RuleVar("a2", fun_args=(T2,), fun_result=PVar("dtype")),
         ),
         lhs=Apply("join", (Var("rel1"), Var("rel2"), pred)),
         rhs=rhs,
@@ -299,7 +298,7 @@ def equi_join_index_rule() -> RewriteRule:
             CatalogCondition(REP_CATALOG, ("rel2", "bt2")),
             TypeCondition(
                 "bt2",
-                PApp("btree", (PVar("tuple2"), PVar("attr2"), PVar("dtype"))),
+                TypeApp("btree", (PVar("tuple2"), PVar("attr2"), PVar("dtype"))),
             ),
             FunCondition(_join_attr_is_inner_key, "a2 is the inner B-tree key"),
             StatsCondition(
@@ -362,14 +361,14 @@ def insert_rule() -> RewriteRule:
 def rel_insert_rule() -> RewriteRule:
     return RewriteRule(
         name="rel_insert_to_rep",
-        variables=rule_vars(REL1, RuleVar("rel2", type_pattern=PApp("rel", (PVar("tuple1"),)))),
+        variables=rule_vars(REL1, RuleVar("rel2", type_pattern=TypeApp("rel", (PVar("tuple1"),)))),
         lhs=Apply("rel_insert", (Var("rel1"), Var("rel2"))),
         rhs=Apply("stream_insert", (Var("rep1"), Apply("feed", (Var("rep2"),)))),
         conditions=(
             REP_REL1,
             RELREP1,
             CatalogCondition(REP_CATALOG, ("rel2", "rep2")),
-            TypeCondition("rep2", PApp("relrep", (PVar("tuple1"),)), subtype_ok=True),
+            TypeCondition("rep2", TypeApp("relrep", (PVar("tuple1"),)), subtype_ok=True),
         ),
         doc="bulk insert -> stream_insert from the source representation",
     )
@@ -633,7 +632,7 @@ def select_fusion_rule() -> RewriteRule:
     return RewriteRule(
         name="select_fusion",
         variables=rule_vars(
-            RuleVar("r", type_pattern=PApp("rel", (PVar("tuple1"),))),
+            RuleVar("r", type_pattern=TypeApp("rel", (PVar("tuple1"),))),
             RuleVar("p1"),
             RuleVar("p2"),
         ),

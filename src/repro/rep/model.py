@@ -32,7 +32,6 @@ from __future__ import annotations
 from repro.core.algebra import Closure, SecondOrderAlgebra, Stream
 from repro.core.constructors import ConstructorSpec
 from repro.core.operators import Quantifier, TypeOperator
-from repro.core.patterns import PApp, PVar
 from repro.core.sorts import (
     AppSort,
     BindSort,
@@ -45,6 +44,7 @@ from repro.core.sorts import (
 )
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
 from repro.core.types import (
+    PVar,
     Sym,
     TermArg,
     Type,
@@ -63,10 +63,10 @@ from repro.storage import BOTTOM_KEY, TOP_KEY, BTree, LSDTree, SRel, TidRelation
 RECT_T = TypeApp("rect")
 POINT_T = TypeApp("point")
 
-STREAM_PATTERN = PApp("stream", (PVar("tuple"),))
-RELREP_PATTERN = PApp("relrep", (PVar("tuple"),))
-BTREE3_PATTERN = PApp("btree", (PVar("tuple"), PVar("attrname"), PVar("dtype")))
-LSD_PATTERN = PApp("lsdtree", (PVar("tuple"), PVar("f")))
+STREAM_PATTERN = TypeApp("stream", (PVar("tuple"),))
+RELREP_PATTERN = TypeApp("relrep", (PVar("tuple"),))
+BTREE3_PATTERN = TypeApp("btree", (PVar("tuple"), PVar("attrname"), PVar("dtype")))
+LSD_PATTERN = TypeApp("lsdtree", (PVar("tuple"), PVar("f")))
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +571,16 @@ def add_representation_level(builder: SignatureBuilder) -> None:
     )
 
     # subtypes: every concrete representation is a relrep
-    builder.subtype(PApp("srel", (PVar("tuple"),)), PApp("relrep", (PVar("tuple"),)))
-    builder.subtype(PApp("tidrel", (PVar("tuple"),)), PApp("relrep", (PVar("tuple"),)))
-    builder.subtype(BTREE3_PATTERN, PApp("relrep", (PVar("tuple"),)))
+    builder.subtype(TypeApp("srel", (PVar("tuple"),)), TypeApp("relrep", (PVar("tuple"),)))
+    builder.subtype(TypeApp("tidrel", (PVar("tuple"),)), TypeApp("relrep", (PVar("tuple"),)))
+    builder.subtype(BTREE3_PATTERN, TypeApp("relrep", (PVar("tuple"),)))
     builder.subtype(
-        PApp("btree", (PVar("tuple"), PVar("f"))), PApp("relrep", (PVar("tuple"),))
+        TypeApp("btree", (PVar("tuple"), PVar("f"))), TypeApp("relrep", (PVar("tuple"),))
     )
-    builder.subtype(LSD_PATTERN, PApp("relrep", (PVar("tuple"),)))
+    builder.subtype(LSD_PATTERN, TypeApp("relrep", (PVar("tuple"),)))
     builder.subtype(
-        PApp("mbtree", (PVar("tuple"), PVar("keys"))),
-        PApp("relrep", (PVar("tuple"),)),
+        TypeApp("mbtree", (PVar("tuple"), PVar("keys"))),
+        TypeApp("relrep", (PVar("tuple"),)),
     )
 
     # Secondary indexes: access paths over TID relations, not relreps.
@@ -607,11 +607,11 @@ def _add_sindex_operators(builder, sindex_k, tidrel_k) -> None:
     sindex_q = Quantifier(
         "sindex",
         sindex_k,
-        PApp("sindex", (PVar("tuple"), PVar("attrname"), PVar("dtype"))),
+        TypeApp("sindex", (PVar("tuple"), PVar("attrname"), PVar("dtype"))),
     )
     builder.op(
         "build_index",
-        quantifiers=(Quantifier("tidrel", tidrel_k, PApp("tidrel", (PVar("tuple"),))),),
+        quantifiers=(Quantifier("tidrel", tidrel_k, TypeApp("tidrel", (PVar("tuple"),))),),
         args=(VarSort("tidrel"), TypeSort(IDENT_T)),
         result=TypeOperator("build_index", sindex_k, _sindex_type),
         impl=_build_index_impl,
@@ -642,7 +642,7 @@ def _add_sindex_operators(builder, sindex_k, tidrel_k) -> None:
 
 def _add_mbtree_operators(builder, mbtree_k, data, stream_k) -> None:
     mbtree_q = Quantifier(
-        "mbtree", mbtree_k, PApp("mbtree", (PVar("tuple"), PVar("keys")))
+        "mbtree", mbtree_k, TypeApp("mbtree", (PVar("tuple"), PVar("keys")))
     )
     builder.op(
         "prefix",
@@ -818,8 +818,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "search_join",
         quantifiers=(
-            Quantifier("stream1", stream_k, PApp("stream", (PVar("tuple1"),))),
-            Quantifier("stream2", stream_k, PApp("stream", (PVar("tuple2"),))),
+            Quantifier("stream1", stream_k, TypeApp("stream", (PVar("tuple1"),))),
+            Quantifier("stream2", stream_k, TypeApp("stream", (PVar("tuple2"),))),
         ),
         args=(
             VarSort("stream1"),
@@ -860,8 +860,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "merge_join",
         quantifiers=(
-            Quantifier("stream1", stream_k, PApp("stream", (PVar("tuple1"),))),
-            Quantifier("stream2", stream_k, PApp("stream", (PVar("tuple2"),))),
+            Quantifier("stream1", stream_k, TypeApp("stream", (PVar("tuple1"),))),
+            Quantifier("stream2", stream_k, TypeApp("stream", (PVar("tuple2"),))),
         ),
         args=(
             VarSort("stream1"),
@@ -880,8 +880,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "hash_join",
         quantifiers=(
-            Quantifier("stream1", stream_k, PApp("stream", (PVar("tuple1"),))),
-            Quantifier("stream2", stream_k, PApp("stream", (PVar("tuple2"),))),
+            Quantifier("stream1", stream_k, TypeApp("stream", (PVar("tuple1"),))),
+            Quantifier("stream2", stream_k, TypeApp("stream", (PVar("tuple2"),))),
         ),
         args=(
             VarSort("stream1"),
@@ -956,11 +956,11 @@ def _add_search_operators(builder, btree_k, lsd_k, ord_kind) -> None:
 def _add_structure_updates(builder, btree_k, lsd_k, tidrel_k, srel_k, stream_k) -> None:
     btree3_q = Quantifier("btree", btree_k, BTREE3_PATTERN)
     btree2_q = Quantifier(
-        "btree", btree_k, PApp("btree", (PVar("tuple"), PVar("f")))
+        "btree", btree_k, TypeApp("btree", (PVar("tuple"), PVar("f")))
     )
     lsd_q = Quantifier("lsdtree", lsd_k, LSD_PATTERN)
-    tidrel_q = Quantifier("tidrel", tidrel_k, PApp("tidrel", (PVar("tuple"),)))
-    srel_q = Quantifier("srel", srel_k, PApp("srel", (PVar("tuple"),)))
+    tidrel_q = Quantifier("tidrel", tidrel_k, TypeApp("tidrel", (PVar("tuple"),)))
+    srel_q = Quantifier("srel", srel_k, TypeApp("srel", (PVar("tuple"),)))
     stream_sort = AppSort("stream", (VarSort("tuple"),))
     stream_fun = FunSort((stream_sort,), stream_sort)
 

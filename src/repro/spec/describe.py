@@ -9,20 +9,10 @@ composed system actually contains.
 from __future__ import annotations
 
 from repro.core.operators import OperatorSpec, TypeOperator
-from repro.core.patterns import (
-    PAny,
-    PApp,
-    PBind,
-    PFun,
-    PList,
-    PLit,
-    PSym,
-    PTuple,
-    PVar,
-    TypePattern,
-)
+from repro.core.patterns import TypePattern
 from repro.core.sorts import format_sort
 from repro.core.sos import SecondOrderSignature
+from repro.core.types import PBind, PVar, TypeApp
 
 
 def describe_signature(sos: SecondOrderSignature, level: str | None = None) -> str:
@@ -88,25 +78,12 @@ def _quantifier_text(q) -> str:
 
 
 def format_pattern(p: TypePattern) -> str:
+    """A pattern in the specification notation: variables by bare name,
+    a labelled node as ``name: pattern``."""
     if isinstance(p, PVar):
         return p.name
     if isinstance(p, PBind):
         return f"{p.name}: {format_pattern(p.pattern)}"
-    if isinstance(p, PApp):
-        if not p.args:
-            return p.constructor
+    if isinstance(p, TypeApp) and p.args:
         return p.constructor + "(" + ", ".join(format_pattern(a) for a in p.args) + ")"
-    if isinstance(p, PTuple):
-        return "(" + ", ".join(format_pattern(i) for i in p.items) + ")"
-    if isinstance(p, PList):
-        return format_pattern(p.element) + "+"
-    if isinstance(p, PLit):
-        return repr(p.value)
-    if isinstance(p, PSym):
-        return p.name
-    if isinstance(p, PFun):
-        args = " x ".join(format_pattern(a) for a in p.args)
-        return f"({args} -> {format_pattern(p.result)})"
-    if isinstance(p, PAny):
-        return "_"
-    raise TypeError(f"not a pattern: {p!r}")
+    return str(p)

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Optional
 
 from repro.core.constructors import ConstructorSpec
 from repro.core.operators import Quantifier, TypeOperator
-from repro.core.patterns import PApp, PVar, TypePattern
+from repro.core.patterns import TypePattern, pattern_variables
 from repro.core.sorts import (
     AppSort,
     BindSort,
@@ -43,7 +43,7 @@ from repro.core.sorts import (
     VarSort,
 )
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
-from repro.core.types import TypeApp
+from repro.core.types import PVar, TypeApp
 from repro.errors import ParseError, SpecificationError
 from repro.lang.lexer import Token, tokenize
 
@@ -153,7 +153,7 @@ class _SpecParser:
             for entry in entries:
                 self._parse_operator_line(entry)
 
-    def _toks(self, entry: "_Line") -> "_Tokens":
+    def _toks(self, entry: "_Line") -> "Tokens":
         """Tokenize one buffered line, rebasing token positions onto the
         original specification text."""
         lineno, offset, text = entry
@@ -161,7 +161,7 @@ class _SpecParser:
             replace(tok, line=lineno, column=tok.column + offset)
             for tok in tokenize(text)
         ]
-        return _Tokens(rebased)
+        return Tokens(rebased)
 
     # ----------------------------------------------------------------- kinds
 
@@ -207,23 +207,11 @@ class _SpecParser:
     def _parse_subtype(self, entry: "_Line") -> None:
         toks = self._toks(entry)
         start = toks.peek()
-        sub = self._pattern(toks)
+        sub = read_type_pattern(toks)
         toks.expect("<")
-        sup = self._pattern(toks)
+        sup = read_type_pattern(toks)
         toks.end()
         self.builder.subtype(sub, sup, span=(start.line, start.column))
-
-    def _pattern(self, toks: "_Tokens") -> TypePattern:
-        name = toks.name("pattern")
-        if toks.peek().text != "(":
-            return PVar(name)
-        toks.next()
-        args = [self._pattern(toks)]
-        while toks.peek().text == ",":
-            toks.next()
-            args.append(self._pattern(toks))
-        toks.expect(")")
-        return PApp(name, tuple(args))
 
     # -------------------------------------------------------------- operators
 
@@ -292,7 +280,7 @@ class _SpecParser:
                 # Malformed syntax patterns surface as positioned errors.
                 raise ParseError(str(exc), start.line, start.column) from exc
 
-    def _op_name(self, toks: "_Tokens") -> str:
+    def _op_name(self, toks: "Tokens") -> str:
         tok = toks.next()
         if tok.kind in ("NAME", "KEYWORD"):
             return tok.text
@@ -300,7 +288,7 @@ class _SpecParser:
             return tok.text
         raise ParseError(f"expected an operator name, got {tok}", tok.line, tok.column)
 
-    def _operator_result(self, toks: "_Tokens"):
+    def _operator_result(self, toks: "Tokens"):
         """Either a sort, or ``var: KIND`` denoting a type operator."""
         if (
             toks.peek().kind == "NAME"
@@ -329,7 +317,7 @@ class _SpecParser:
             pattern: Optional[TypePattern] = None
             if toks.peek().text == ":":
                 toks.next()
-                pattern = self._pattern_tokens(toks)
+                pattern = read_type_pattern(toks)
             tok = toks.next()
             if tok.text != "in":
                 raise ParseError(
@@ -341,7 +329,7 @@ class _SpecParser:
                 toks.next()
         return quantifiers
 
-    def _quantifier_kind(self, toks: "_Tokens"):
+    def _quantifier_kind(self, toks: "Tokens"):
         first = self.builder.kind(toks.name("kind"))
         if toks.peek().text != "|":
             return first
@@ -351,22 +339,10 @@ class _SpecParser:
             alternatives.append(KindSort(self.builder.kind(toks.name("kind"))))
         return UnionSort(tuple(alternatives))
 
-    def _pattern_tokens(self, toks: "_Tokens") -> TypePattern:
-        name = toks.name("pattern")
-        if toks.peek().text != "(":
-            return PVar(name)
-        toks.next()
-        args = [self._pattern_tokens(toks)]
-        while toks.peek().text == ",":
-            toks.next()
-            args.append(self._pattern_tokens(toks))
-        toks.expect(")")
-        return PApp(name, tuple(args))
-
     # ------------------------------------------------------------------ sorts
 
     def _sort_product(
-        self, toks: "_Tokens", vars_allowed: Optional[dict]
+        self, toks: "Tokens", vars_allowed: Optional[dict]
     ) -> list[Sort]:
         """``s1 x s2 x ...`` — the argument sorts of a constructor/operator."""
         sorts = [self._sort_atom_with_suffix(toks, vars_allowed)]
@@ -400,8 +376,6 @@ class _SpecParser:
         quantified = {q.var for q in self.quantifiers}
         for q in self.quantifiers:
             if q.pattern is not None:
-                from repro.core.patterns import pattern_variables
-
                 quantified |= pattern_variables(q.pattern)
         is_var = name in quantified or (
             vars_allowed is not None and name in vars_allowed
@@ -471,7 +445,22 @@ class _SpecParser:
         return ProductSort(tuple(parts))
 
 
-class _Tokens:
+def read_type_pattern(toks: "Tokens") -> TypePattern:
+    """``name`` or ``name(p1, ..., pn)``: a bare name is a pattern variable,
+    an application a type constructor over argument patterns."""
+    name = toks.name("pattern")
+    if toks.peek().text != "(":
+        return PVar(name)
+    toks.next()
+    args = [read_type_pattern(toks)]
+    while toks.peek().text == ",":
+        toks.next()
+        args.append(read_type_pattern(toks))
+    toks.expect(")")
+    return TypeApp(name, tuple(args))
+
+
+class Tokens:
     """A tiny token cursor."""
 
     def __init__(self, tokens: list[Token]):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.patterns import PApp, PVar
+from repro.core.patterns import PVar
 from repro.core.terms import Apply, Var
 from repro.core.types import Sym, TypeApp, tuple_type
 from repro.optimizer.conditions import (
@@ -82,7 +82,7 @@ class TestTypeCondition:
         state = _state_with_rel(db)
         state.vbinds["r"] = _obj(db, "rep2")
         condition = TypeCondition(
-            "r", PApp("btree", (PVar("t"), PVar("a"), PVar("d")))
+            "r", TypeApp("btree", (PVar("t"), PVar("a"), PVar("d")))
         )
         (solution,) = list(condition.solutions(state, db))
         assert solution.tbinds["a"] == Sym("pop")
@@ -92,18 +92,18 @@ class TestTypeCondition:
         state = _state_with_rel(db)
         state.vbinds["r"] = _obj(db, "rep2")
         condition = TypeCondition(
-            "r", PApp("relrep", (PVar("t"),)), subtype_ok=True
+            "r", TypeApp("relrep", (PVar("t"),)), subtype_ok=True
         )
         assert len(list(condition.solutions(state, db))) == 1
 
     def test_no_subtype_without_flag(self, db):
         state = _state_with_rel(db)
         state.vbinds["r"] = _obj(db, "rep2")
-        condition = TypeCondition("r", PApp("relrep", (PVar("t"),)))
+        condition = TypeCondition("r", TypeApp("relrep", (PVar("t"),)))
         assert list(condition.solutions(state, db)) == []
 
     def test_unbound_variable_yields_nothing(self, db):
-        condition = TypeCondition("ghost", PApp("relrep", (PVar("t"),)))
+        condition = TypeCondition("ghost", TypeApp("relrep", (PVar("t"),)))
         assert list(condition.solutions(MatchState(), db)) == []
 
 
@@ -150,7 +150,7 @@ class TestBacktracking:
         """rep(rel1, r) has two solutions; the btree type test keeps one."""
         conditions = (
             CatalogCondition("rep", ("rel1", "r")),
-            TypeCondition("r", PApp("btree", (PVar("t"), PVar("a"), PVar("d")))),
+            TypeCondition("r", TypeApp("btree", (PVar("t"), PVar("a"), PVar("d")))),
         )
         solutions = list(solve_conditions(conditions, _state_with_rel(db), db))
         assert len(solutions) == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.patterns import PApp, PVar, instantiate_pattern, match_type
+from repro.core.patterns import PVar, instantiate_pattern, match_type
 from repro.core.subtypes import SubtypeRelation, SubtypeRule
 from repro.core.terms import walk_terms
 from repro.core.types import Sym, Type, TypeApp, tuple_type, walk_type
@@ -22,18 +22,18 @@ def relation():
     rel = SubtypeRelation()
     rel.add(
         SubtypeRule(
-            PApp("btree", (PVar("tuple"), PVar("a"), PVar("d"))),
-            PApp("relrep", (PVar("tuple"),)),
+            TypeApp("btree", (PVar("tuple"), PVar("a"), PVar("d"))),
+            TypeApp("relrep", (PVar("tuple"),)),
         )
     )
-    rel.add(SubtypeRule(PApp("srel", (PVar("tuple"),)), PApp("relrep", (PVar("tuple"),))))
+    rel.add(SubtypeRule(TypeApp("srel", (PVar("tuple"),)), TypeApp("relrep", (PVar("tuple"),))))
     return rel
 
 
 class TestRules:
     def test_right_side_variables_must_be_bound(self):
         with pytest.raises(SpecificationError):
-            SubtypeRule(PApp("a", (PVar("x"),)), PApp("b", (PVar("y"),)))
+            SubtypeRule(TypeApp("a", (PVar("x"),)), TypeApp("b", (PVar("y"),)))
 
 
 class TestRelation:
@@ -61,8 +61,8 @@ class TestRelation:
     def test_transitivity(self):
         rel = SubtypeRelation(
             [
-                SubtypeRule(PApp("a", (PVar("t"),)), PApp("b", (PVar("t"),))),
-                SubtypeRule(PApp("b", (PVar("t"),)), PApp("c", (PVar("t"),))),
+                SubtypeRule(TypeApp("a", (PVar("t"),)), TypeApp("b", (PVar("t"),))),
+                SubtypeRule(TypeApp("b", (PVar("t"),)), TypeApp("c", (PVar("t"),))),
             ]
         )
         assert rel.is_subtype(TypeApp("a", (INT,)), TypeApp("c", (INT,)))
@@ -70,8 +70,8 @@ class TestRelation:
     def test_cyclic_rules_terminate(self):
         rel = SubtypeRelation(
             [
-                SubtypeRule(PApp("a", (PVar("t"),)), PApp("b", (PVar("t"),))),
-                SubtypeRule(PApp("b", (PVar("t"),)), PApp("a", (PVar("t"),))),
+                SubtypeRule(TypeApp("a", (PVar("t"),)), TypeApp("b", (PVar("t"),))),
+                SubtypeRule(TypeApp("b", (PVar("t"),)), TypeApp("a", (PVar("t"),))),
             ]
         )
         assert rel.is_subtype(TypeApp("a", (INT,)), TypeApp("b", (INT,)))
@@ -142,5 +142,5 @@ class TestClosureTable:
 
     def test_add_clears_the_table(self, relation):
         assert relation.supertypes(TypeApp("a", (INT,))) == (TypeApp("a", (INT,)),)
-        relation.add(SubtypeRule(PApp("a", (PVar("t"),)), PApp("b", (PVar("t"),))))
+        relation.add(SubtypeRule(TypeApp("a", (PVar("t"),)), TypeApp("b", (PVar("t"),))))
         assert relation.is_subtype(TypeApp("a", (INT,)), TypeApp("b", (INT,)))

@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.api import connect
-from repro.core.patterns import PApp, PVar
+from repro.core.patterns import PVar
+from repro.core.types import TypeApp
 from repro.core.terms import Apply, Fun, Literal, Var
 from repro.errors import CatalogError, LintError
 from repro.lint import (
@@ -28,7 +29,7 @@ from repro.lint import (
 from repro.optimizer.conditions import CatalogCondition, TypeCondition
 from repro.optimizer.engine import Optimizer, OptimizerStep
 from repro.optimizer.rules import RewriteRule, rule_vars
-from repro.optimizer.termmatch import RuleVar, TypeVar
+from repro.optimizer.termmatch import RuleVar
 
 BAD_SPEC = """\
 kinds IDENT, DATA, TUPLE, REL, REP, GHOST
@@ -196,8 +197,8 @@ class TestSpecPass:
             assert len(report) == 0, report.render_text()
 
 
-REP1 = RuleVar("rep1", type_pattern=PApp("srel", (PVar("tuple1"),)))
-REL1 = RuleVar("rel1", type_pattern=PApp("rel", (PVar("tuple1"),)))
+REP1 = RuleVar("rep1", type_pattern=TypeApp("srel", (PVar("tuple1"),)))
+REL1 = RuleVar("rel1", type_pattern=TypeApp("rel", (PVar("tuple1"),)))
 
 
 @pytest.fixture()
@@ -230,7 +231,7 @@ class TestRulePass:
             rule_vars(REP1),
             Apply("feed", (Var("rep1"),)),
             Var("rep1"),
-            (TypeCondition("ghost", PApp("relrep", (PVar("t"),))),),
+            (TypeCondition("ghost", TypeApp("relrep", (PVar("t"),))),),
         )
         _, codes = _codes_for([rule], db)
         assert codes == {"RUL002"}
@@ -254,13 +255,13 @@ class TestRulePass:
             rule_vars(REL1),
             Apply(
                 "select",
-                (Var("rel1"), Fun((("t1", TypeVar("tuple1")),), Literal(True))),
+                (Var("rel1"), Fun((("t1", PVar("tuple1")),), Literal(True))),
             ),
             Apply("count", (Apply("feed", (Var("rep1"),)),)),
             (
                 CatalogCondition("rep", ("rel1", "rep1")),
                 TypeCondition(
-                    "rep1", PApp("relrep", (PVar("tuple1"),)), subtype_ok=True
+                    "rep1", TypeApp("relrep", (PVar("tuple1"),)), subtype_ok=True
                 ),
             ),
         )
@@ -313,7 +314,7 @@ class TestRulePass:
             (
                 CatalogCondition("rep", ("rel1", "rep1")),
                 TypeCondition(
-                    "rep1", PApp("relrep", (PVar("tuple1"),)), subtype_ok=True
+                    "rep1", TypeApp("relrep", (PVar("tuple1"),)), subtype_ok=True
                 ),
             ),
         )
@@ -401,13 +402,13 @@ def _broken_optimizer():
         rule_vars(REL1),
         Apply(
             "select",
-            (Var("rel1"), Fun((("t1", TypeVar("tuple1")),), Literal(True))),
+            (Var("rel1"), Fun((("t1", PVar("tuple1")),), Literal(True))),
         ),
         Apply("count", (Apply("feed", (Var("rep1"),)),)),
         (
             CatalogCondition("rep", ("rel1", "rep1")),
             TypeCondition(
-                "rep1", PApp("relrep", (PVar("tuple1"),)), subtype_ok=True
+                "rep1", TypeApp("relrep", (PVar("tuple1"),)), subtype_ok=True
             ),
         ),
     )

@@ -432,10 +432,10 @@ def requalify_rule():
 
     ``p`` is bound under the pattern's lambda, so it mentions ``t`` whenever
     the selection body does."""
-    from repro.optimizer.termmatch import TypeVar
+    from repro.core.patterns import PVar
 
     def shape():
-        return Apply("select", (Var("r"), Fun((("t", TypeVar("tup")),), Var("p"))))
+        return Apply("select", (Var("r"), Fun((("t", PVar("tup")),), Var("p"))))
 
     return RewriteRule(
         name="requalify",

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.core.patterns import PApp, PVar
+from repro.core.patterns import PVar
 from repro.core.terms import Apply, Fun, Literal, Var, same_term
 from repro.core.typecheck import TypeChecker
-from repro.core.types import TypeApp, rel_type, tuple_type
+from repro.core.types import FunType, TypeApp, rel_type, tuple_type
 from repro.models.relational import relational_model
 from repro.optimizer.termmatch import (
     MatchState,
     RuleVar,
-    TypeVar,
     instantiate,
     match_pattern,
 )
@@ -48,15 +47,15 @@ SELECT_PATTERN = Apply(
     (
         Var("rel1"),
         Fun(
-            (("t1", TypeVar("tuple1")),),
+            (("t1", PVar("tuple1")),),
             Apply(">", (Apply("attr", (Var("t1"),)), Var("c1"))),
         ),
     ),
 )
 
 SELECT_VARS = {
-    "rel1": RuleVar("rel1", type_pattern=PApp("rel", (PVar("tuple1"),))),
-    "attr": RuleVar("attr", fun_args=(TypeVar("tuple1"),), fun_result=TypeVar("dtype")),
+    "rel1": RuleVar("rel1", type_pattern=TypeApp("rel", (PVar("tuple1"),))),
+    "attr": RuleVar("attr", fun_args=(PVar("tuple1"),), fun_result=PVar("dtype")),
     "c1": RuleVar("c1"),
 }
 
@@ -141,6 +140,48 @@ class TestMatching:
         assert match_pattern(pattern, bad, variables, MatchState(), sos) is None
 
 
+class TestVariablesBelowFunctionTypes:
+    """Rule type variables match and instantiate below function, list and
+    tuple types, not only below constructor applications."""
+
+    def test_operator_variable_with_function_result(self, env):
+        sos, _ = env
+        # An operator whose result is a function over cities; the matcher
+        # reads only the subject's annotations.
+        owner = tuple_type([("oname", STRING)])
+        subject = Apply(
+            "score", (Var("o", type=owner),), type=FunType((CITY,), INT)
+        )
+        variables = {
+            "f": RuleVar(
+                "f",
+                fun_args=(PVar("owner"),),
+                fun_result=FunType((PVar("tuple1"),), INT),
+            ),
+            "x": RuleVar("x"),
+        }
+        pattern = Apply("f", (Var("x"),))
+        state = match_pattern(pattern, subject, variables, MatchState(), sos)
+        assert state is not None
+        assert state.op_name("f") == "score"
+        assert state.tbinds["tuple1"] == CITY
+        assert state.tbinds["owner"] == owner
+        variables["f"] = RuleVar(
+            "f", fun_args=(PVar("owner"),), fun_result=FunType((PVar("tuple1"),), STRING)
+        )
+        assert match_pattern(pattern, subject, variables, MatchState(), sos) is None
+
+    def test_lambda_parameter_with_function_type(self, env):
+        sos, tc = env
+        subject = tc.check(Fun((("h", FunType((CITY,), INT)),), Var("h")))
+        pattern = Fun((("g", FunType((PVar("tuple1"),), PVar("dtype"))),), Var("g"))
+        state = match_pattern(pattern, subject, {}, MatchState(), sos)
+        assert state is not None
+        assert state.tbinds == {"tuple1": CITY, "dtype": INT}
+        built = instantiate(pattern, state)
+        assert built.params[0][1] == FunType((CITY,), INT)
+
+
 class TestInstantiation:
     def test_rhs_substitutes_everything(self, env):
         sos, tc = env
@@ -154,7 +195,7 @@ class TestInstantiation:
             (
                 Apply("range", (Var("bt1"), Var("c1"), Var("top"))),
                 Fun(
-                    (("t1", TypeVar("tuple1")),),
+                    (("t1", PVar("tuple1")),),
                     Apply(">", (Apply("attr", (Var("t1"),)), Var("c1"))),
                 ),
             ),
@@ -165,12 +206,12 @@ class TestInstantiation:
         assert same_term(ranged.args[0], Var("cities_rep"))
         assert same_term(ranged.args[1], Literal(1000))
         fun = built.args[1]
-        assert fun.params[0][1] == CITY  # TypeVar resolved
+        assert fun.params[0][1] == CITY  # type variable resolved
         assert fun.body.args[0].op == "pop"  # operator variable resolved
 
     def test_nested_typevar_in_param_type(self, env):
         sos, tc = env
         state = MatchState(tbinds={"tuple1": CITY})
-        template = Fun((("s", TypeApp("stream", (TypeVar("tuple1"),))),), Var("s"))
+        template = Fun((("s", TypeApp("stream", (PVar("tuple1"),))),), Var("s"))
         built = instantiate(template, state)
         assert built.params[0][1] == TypeApp("stream", (CITY,))

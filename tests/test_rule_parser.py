@@ -45,6 +45,22 @@ class TestParsing:
                 "forall x in REL.\nx => x if nonsense + 1", system.database.sos
             )
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("forall rel1: rel(,) in REL.\nrel1 => rel1", 18),
+            ("forall a: (tuple1 -> 7).\nforall x in REL.\nx => x", 22),
+            ("forall rel1: rel(tuple1) in REL.\nrel1 => rel1 if rel1 : rel(+)", 12),
+        ],
+    )
+    def test_type_pattern_needs_names(self, system, text, column):
+        """Type patterns, in quantifiers, functionalities and conditions
+        alike, are read by the specification parser's pattern reader, which
+        rejects a token that is not a name with its position."""
+        with pytest.raises(ParseError, match="expected pattern") as info:
+            parse_rule(text, system.database.sos)
+        assert (info.value.line, info.value.column) == (1, column)
+
     def test_unbound_rhs_variable_rejected(self, system):
         """A declared variable the RHS uses but nothing binds is a parse
         error, not a latent KeyError when the rule fires."""
