@@ -3,8 +3,8 @@
 ``catalog`` essentially describes n-ary relations whose components are names
 of database objects (identifiers).  The paper treats it as a predefined type
 whose rows can be tested like PROLOG predicates inside optimization rules —
-:meth:`CatalogValue.lookup` provides exactly that: match a row pattern with
-``None`` wildcards and get the bindings back.
+:meth:`CatalogValue.lookup` provides exactly that: match a row pattern in
+which ``None`` matches any value and get the bindings back.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.core.operators import Quantifier
-from repro.core.sorts import KindSort, TypeSort, UnionSort, VarSort
+from repro.core.sorts import UnionSort
 from repro.core.sos import SignatureBuilder
-from repro.core.types import Sym, Type, TypeApp
+from repro.core.types import PVar, Sym, Type, TypeApp
 from repro.testing.faults import fault_point
 
 IDENT_T = TypeApp("ident")
@@ -61,7 +61,7 @@ class CatalogValue:
         return False
 
     def lookup(self, pattern: Sequence[Optional[object]]) -> Iterator[tuple]:
-        """All rows matching the pattern; ``None`` components are wildcards.
+        """All rows matching the pattern; a ``None`` component matches any value.
 
         This is the PROLOG-predicate view of a catalog used by rule
         conditions: ``rep(cities, X)`` becomes ``lookup((Sym('cities'),
@@ -109,18 +109,18 @@ def add_catalog_level(builder: SignatureBuilder) -> None:
     ident = builder.kind("IDENT")
     data = builder.kind("DATA")
     cat_kind = builder.kind("CATALOG")
-    component = UnionSort((KindSort(ident), KindSort(data)))
+    component = UnionSort((PVar("", ident), PVar("", data)))
     for width in range(1, MAX_CATALOG_WIDTH + 1):
         builder.constructor(
             "catalog", [component] * width, cat_kind, level="hybrid"
         )
         quantifier = Quantifier("cat", cat_kind)
-        ident_args = tuple(TypeSort(IDENT_T) for _ in range(width))
+        ident_args = tuple(IDENT_T for _ in range(width))
         builder.op(
             "insert",
             quantifiers=(quantifier,),
-            args=(VarSort("cat"),) + ident_args,
-            result=VarSort("cat"),
+            args=(PVar("cat"),) + ident_args,
+            result=PVar("cat"),
             impl=_catalog_insert(width),
             is_update=True,
             level="hybrid",
@@ -130,8 +130,8 @@ def add_catalog_level(builder: SignatureBuilder) -> None:
         builder.op(
             "cat_remove",
             quantifiers=(quantifier,),
-            args=(VarSort("cat"),) + ident_args,
-            result=VarSort("cat"),
+            args=(PVar("cat"),) + ident_args,
+            result=PVar("cat"),
             impl=_catalog_remove(width),
             is_update=True,
             level="hybrid",
@@ -142,7 +142,7 @@ def add_catalog_level(builder: SignatureBuilder) -> None:
         "empty",
         quantifiers=(Quantifier("cat", cat_kind),),
         args=(),
-        result=VarSort("cat"),
+        result=PVar("cat"),
         impl=lambda ctx: CatalogValue(ctx.result_type),
         level="hybrid",
         doc="an empty catalog of the expected type",

@@ -25,18 +25,7 @@ from repro.core.types import (
     rel_type,
     tuple_type,
 )
-from repro.core.sorts import (
-    AppSort,
-    BindSort,
-    FunSort,
-    KindSort,
-    ListSort,
-    ProductSort,
-    Sort,
-    TypeSort,
-    UnionSort,
-    VarSort,
-)
+from repro.core.sorts import ListSort, Sort, UnionSort
 from repro.core.constructors import ConstructorSpec, TypeConstructor
 from repro.core.signature import TypeSystem
 from repro.core.terms import (
@@ -98,15 +87,8 @@ __all__ = [
     "attr_type",
     "format_type",
     "Sort",
-    "AppSort",
-    "KindSort",
-    "TypeSort",
-    "VarSort",
-    "BindSort",
-    "ProductSort",
     "UnionSort",
     "ListSort",
-    "FunSort",
     "TypeConstructor",
     "ConstructorSpec",
     "TypeSystem",

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.kinds import Kind
+from repro.core.patterns import format_pattern
 from repro.core.sorts import Sort
 from repro.core.types import TypeArg
 
@@ -40,10 +41,11 @@ class ConstructorSpec:
 class TypeConstructor:
     """An operator of the top-level signature Γ.
 
-    ``arg_sorts`` may mention kinds, concrete types, and — via
-    :class:`~repro.core.sorts.BindSort` / :class:`~repro.core.sorts.VarSort`
-    — variables bound by earlier argument positions, which is how the paper
-    specifies the function-indexed B-tree and the LSD-tree.
+    ``arg_sorts`` are sort patterns: kinds (anonymous kinded ``PVar`` nodes),
+    concrete types — a ground type means *a value of that type*, e.g. an
+    identifier for ``ident`` — and, via ``PBind`` / ``PVar``, variables
+    bound by earlier argument positions, which is how the paper specifies
+    the function-indexed B-tree and the LSD-tree.
     """
 
     name: str
@@ -63,9 +65,7 @@ class TypeConstructor:
         return not self.arg_sorts
 
     def __str__(self) -> str:
-        from repro.core.sorts import format_sort
-
         if self.is_constant:
             return f"-> {self.result_kind.name}  {self.name}"
-        args = " x ".join(format_sort(s) for s in self.arg_sorts)
+        args = " x ".join(format_pattern(s) for s in self.arg_sorts)
         return f"{args} -> {self.result_kind.name}  {self.name}"

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.core.kinds import Kind
-from repro.core.patterns import Bindings, TypePattern
-from repro.core.sorts import Sort, UnionSort, format_sort
-from repro.core.types import Type, attr_index
+from repro.core.patterns import Bindings, TypePattern, format_pattern
+from repro.core.sorts import Sort, UnionSort
+from repro.core.types import Type, TypeApp, attr_index
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.signature import TypeSystem
@@ -46,11 +46,17 @@ class Quantifier:
     kind: Union[Kind, UnionSort]
     pattern: Optional[TypePattern] = None
 
+    @property
+    def kinds(self) -> tuple[Kind, ...]:
+        """The kind, or each kind of a union."""
+        if isinstance(self.kind, Kind):
+            return (self.kind,)
+        return tuple(a.kind for a in self.kind.alternatives)
+
     def __str__(self) -> str:
-        kind = self.kind.name if isinstance(self.kind, Kind) else format_sort(self.kind)
         if self.pattern is None:
-            return f"forall {self.var} in {kind}"
-        return f"forall {self.var}: <pattern> in {kind}"
+            return f"forall {self.var} in {self.kind}"
+        return f"forall {self.var}: {format_pattern(self.pattern)} in {self.kind}"
 
 
 class SyntaxPattern:
@@ -211,11 +217,11 @@ class OperatorSpec:
     (:mod:`repro.spec.parser`); diagnostics anchor here."""
 
     def __str__(self) -> str:
-        args = " x ".join(format_sort(s) for s in self.arg_sorts)
+        args = " x ".join(format_pattern(s) for s in self.arg_sorts)
         result = (
             f"{self.result.name}: {self.result.result_kind.name}"
             if isinstance(self.result, TypeOperator)
-            else format_sort(self.result)
+            else format_pattern(self.result)
         )
         arrow = "~>" if self.is_update else "->"
         return f"{args} {arrow} {result}  {self.name}"
@@ -269,8 +275,6 @@ class AttributeFamily:
             return None
         tup = arg_types[0]
         if self.constructors is not None:
-            from repro.core.types import TypeApp
-
             if not isinstance(tup, TypeApp) or tup.constructor not in self.constructors:
                 return None
         entry = attr_index(tup, name)

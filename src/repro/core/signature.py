@@ -16,30 +16,23 @@ from typing import Optional
 
 from repro.core.constructors import TypeConstructor
 from repro.core.kinds import Kind
-from repro.core.sorts import (
-    AppSort,
-    BindSort,
-    FunSort,
-    KindSort,
-    ListSort,
-    ProductSort,
-    Sort,
-    TypeSort,
-    UnionSort,
-    VarSort,
-)
+from repro.core.patterns import format_pattern, instantiate_type, match_into
+from repro.core.sorts import ListSort, Sort, UnionSort
 from repro.core.types import (
     ArgList,
     ArgTuple,
     FunType,
     Lit,
+    PBind,
     ProductType,
+    PVar,
     Sym,
     TermArg,
     Type,
     TypeApp,
     TypeArg,
     format_type,
+    walk_type,
 )
 from repro.errors import KindError, SpecificationError, TypeFormationError
 
@@ -99,26 +92,10 @@ class TypeSystem:
         return ctor
 
     def _check_sort_kinds(self, sort: Sort, where: str) -> None:
-        if isinstance(sort, KindSort):
-            if sort.kind.name not in self._kinds:
-                raise KindError(f"unknown kind {sort.kind} in constructor {where}")
-        elif isinstance(sort, BindSort):
-            self._check_sort_kinds(sort.sort, where)
-        elif isinstance(sort, AppSort):
-            for a in sort.args:
-                self._check_sort_kinds(a, where)
-        elif isinstance(sort, ProductSort):
-            for p in sort.parts:
-                self._check_sort_kinds(p, where)
-        elif isinstance(sort, UnionSort):
-            for a in sort.alternatives:
-                self._check_sort_kinds(a, where)
-        elif isinstance(sort, ListSort):
-            self._check_sort_kinds(sort.element, where)
-        elif isinstance(sort, FunSort):
-            for a in sort.args:
-                self._check_sort_kinds(a, where)
-            self._check_sort_kinds(sort.result, where)
+        for node in walk_type(sort):
+            if isinstance(node, PVar) and node.kind is not None:
+                if node.kind.name not in self._kinds:
+                    raise KindError(f"unknown kind {node.kind} in constructor {where}")
 
     # -- lookup --------------------------------------------------------------
 
@@ -206,20 +183,21 @@ class TypeSystem:
         return None
 
     def has_kind(self, t: Type, kind: Kind | UnionSort | str) -> bool:
-        """Does type ``t`` belong to ``kind`` (or to any kind of a union)?"""
-        if getattr(t, "wildcard", False):
-            return True
+        """Does type ``t`` belong to ``kind`` (or to any kind of a union)?
+
+        A metavariable belongs to the kind it is annotated with; one
+        without an annotation stands for an unknown type, which may be of
+        any kind."""
         if isinstance(kind, str):
             kind = self.kind(kind)
         if isinstance(kind, UnionSort):
-            return any(
-                isinstance(a, KindSort) and self.has_kind(t, a.kind)
-                for a in kind.alternatives
-            )
-        if self.kind_of(t) == kind:
-            return True
+            return any(self.has_kind(t, a.kind) for a in kind.alternatives)
         if isinstance(t, TypeApp):
-            return kind in self._extra_kinds.get(t.constructor, ())
+            return self.kind_of(t) == kind or kind in self._extra_kinds.get(
+                t.constructor, ()
+            )
+        if isinstance(t, PVar):
+            return t.kind is None or t.kind == kind
         return False
 
     # -- well-formedness -------------------------------------------------------
@@ -228,10 +206,9 @@ class TypeSystem:
         """Validate that ``t`` is a well-formed type term of this signature.
 
         Returns ``t`` for chaining; raises :class:`TypeFormationError`
-        otherwise.  Function and product types are checked componentwise.
+        otherwise.  Function and product types are checked componentwise; a
+        metavariable stands for a well-formed type.
         """
-        if getattr(t, "wildcard", False):
-            return t
         if isinstance(t, TypeApp):
             overloads = self.overloads(t.constructor)
             matching = [c for c in overloads if len(c.arg_sorts) == len(t.args)]
@@ -260,6 +237,8 @@ class TypeSystem:
             for p in t.parts:
                 self.check_type(p)
             return t
+        if isinstance(t, PVar):
+            return t
         raise TypeFormationError(f"not a type term: {t!r}")
 
     def _check_args(
@@ -279,11 +258,11 @@ class TypeSystem:
     def _check_arg(
         self, arg: TypeArg, sort: Sort, env: dict[str, TypeArg], where: str
     ) -> None:
-        if isinstance(sort, BindSort):
-            self._check_arg(arg, sort.sort, env, where)
+        if isinstance(sort, PBind):
+            self._check_arg(arg, sort.pattern, env, where)
             env[sort.name] = arg
             return
-        if isinstance(sort, KindSort):
+        if isinstance(sort, PVar) and sort.kind is not None:
             if not isinstance(arg, (TypeApp, FunType, ProductType)):
                 raise TypeFormationError(
                     f"{where}: expected a type of kind {sort.kind}, got {arg!r}"
@@ -294,10 +273,7 @@ class TypeSystem:
                     f"{where}: {format_type(arg)} is not of kind {sort.kind}"
                 )
             return
-        if isinstance(sort, TypeSort):
-            self._check_value_arg(arg, sort.type, where)
-            return
-        if isinstance(sort, VarSort):
+        if isinstance(sort, PVar):
             bound = env.get(sort.name)
             if bound is None:
                 raise SpecificationError(
@@ -310,7 +286,7 @@ class TypeSystem:
                     f"{where}: argument {arg!r} does not match bound {sort.name}"
                 )
             return
-        if isinstance(sort, ProductSort):
+        if isinstance(sort, ProductType):
             if not isinstance(arg, ArgTuple) or len(arg.items) != len(sort.parts):
                 raise TypeFormationError(
                     f"{where}: expected a {len(sort.parts)}-tuple, got {arg!r}"
@@ -341,8 +317,12 @@ class TypeSystem:
             for item in arg.items:
                 self._check_arg(item, sort.element, env, where)
             return
-        if isinstance(sort, FunSort):
+        if isinstance(sort, FunType):
             self._check_function_arg(arg, sort, env, where)
+            return
+        if isinstance(sort, TypeApp):
+            # A ground type in a constructor signature: a value of that type.
+            self._check_value_arg(arg, sort, where)
             return
         raise SpecificationError(f"{where}: unsupported sort {sort!r}")
 
@@ -370,7 +350,7 @@ class TypeSystem:
         )
 
     def _check_function_arg(
-        self, arg: TypeArg, sort: FunSort, env: dict[str, TypeArg], where: str
+        self, arg: TypeArg, sort: FunType, env: dict[str, TypeArg], where: str
     ) -> None:
         from repro.core.terms import Fun, OpRef
 
@@ -392,7 +372,7 @@ class TypeSystem:
             )
         expected_params = []
         for (_, ptype), psort in zip(term.params, sort.args):
-            expected = self._resolve_sort_type(psort, env)
+            expected = instantiate_type(psort, env)
             expected_params.append(expected if expected is not None else ptype)
             if ptype is None:
                 continue
@@ -413,36 +393,17 @@ class TypeSystem:
             self._check_function_result(arg.term, sort, env, where)
 
     def _check_function_result(
-        self, term, sort: FunSort, env: dict[str, TypeArg], where: str
+        self, term, sort: FunType, env: dict[str, TypeArg], where: str
     ) -> None:
         """After the body is typed, its result must match the result sort."""
-        from repro.core.types import FunType as _FunType
-
         fun_type = getattr(term, "type", None)
-        if not isinstance(fun_type, _FunType):
-            return
-        result = fun_type.result
-        if isinstance(sort.result, KindSort):
-            if not self.has_kind(result, sort.result.kind):
-                raise TypeFormationError(
-                    f"{where}: key function yields {format_type(result)}, "
-                    f"which is not of kind {sort.result.kind}"
-                )
-            return
-        expected = self._resolve_sort_type(sort.result, env)
-        if expected is not None and result != expected:
+        if isinstance(fun_type, FunType) and not match_into(
+            sort.result,
+            fun_type.result,
+            dict(env),
+            lambda var, t, _: var.kind is None or self.has_kind(t, var.kind),
+        ):
             raise TypeFormationError(
-                f"{where}: key function yields {format_type(result)}, "
-                f"required {format_type(expected)}"
+                f"{where}: key function yields {format_type(fun_type.result)}, "
+                f"required {format_pattern(sort.result)}"
             )
-
-    def _resolve_sort_type(
-        self, sort: Sort, env: dict[str, TypeArg]
-    ) -> Optional[Type]:
-        """Resolve a sort to a concrete type under ``env``, if possible."""
-        if isinstance(sort, TypeSort):
-            return sort.type
-        if isinstance(sort, VarSort):
-            bound = env.get(sort.name)
-            return bound if isinstance(bound, Type) else None
-        return None

@@ -4,17 +4,14 @@ Given a base set of sorts, the *extended* sort set closes it under products
 ``(s1 x ... x sn)``, unions ``(s1 | ... | sn)``, lists ``s+`` and function
 sorts ``(s1 x ... x sn -> s)``.
 
-Sorts occur in two places:
-
-* in type-constructor signatures, where the leaves are kinds
-  (:class:`KindSort`), concrete types (:class:`TypeSort`) or — for dependent
-  constructor signatures such as the function-indexed B-tree — variables
-  bound by earlier argument positions (:class:`BindSort` / :class:`VarSort`);
-* in operator specifications, where the leaves are concrete types and the
-  variables bound by the spec's quantifiers.
-
-The same classes serve both uses; what a :class:`VarSort` may be bound to is
-determined by the surrounding signature or operator spec.
+A sort is a type pattern (:mod:`repro.core.patterns`): a ground type is
+itself, ``PVar`` a variable bound by a quantifier or — in a constructor
+signature — by an earlier ``PBind`` argument position, a kind ``K`` the
+anonymous ``PVar("", K)``, and products and functions are
+:class:`~repro.core.types.ProductType` and
+:class:`~repro.core.types.FunType` over patterns.  Only unions and lists
+say something a type pattern cannot — "either" and "one or more
+operands" — so they are the two wrappers defined here.
 """
 
 from __future__ import annotations
@@ -22,161 +19,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.core.kinds import Kind
-from repro.core.types import Type, format_type
-
-
-class SortBase:
-    """Abstract base class of all sorts."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:  # pragma: no cover - subclasses override
-        return format_sort(self)
+from repro.core.patterns import TypePattern, format_pattern
+from repro.core.types import Shape
 
 
 @dataclass(frozen=True, slots=True)
-class KindSort(SortBase):
-    """A kind used as a sort — any type of that kind matches."""
-
-    kind: Kind
-
-
-@dataclass(frozen=True, slots=True)
-class TypeSort(SortBase):
-    """A concrete type used as a sort — matches exactly that type
-    (or a subtype of it, where a subtype relation is in force)."""
-
-    type: Type
-
-
-@dataclass(frozen=True, slots=True)
-class VarSort(SortBase):
-    """A reference to a variable bound by a quantifier or an earlier
-    :class:`BindSort` argument position."""
-
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class BindSort(SortBase):
-    """Binds the matched argument to ``name`` while matching ``sort``.
-
-    Used in dependent constructor signatures, e.g. the function-indexed
-    B-tree ``tuple x (tuple -> ord: ORD) -> BTREE`` binds the first argument
-    to ``tuple`` so the function sort can refer to it.
-    """
-
-    name: str
-    sort: "Sort"
-
-
-@dataclass(frozen=True, slots=True)
-class AppSort(SortBase):
-    """A constructor application over sorts, e.g. ``stream(tuple)`` where
-    ``tuple`` is a quantified variable.
-
-    Used mostly as a *result* sort — ``feed``'s result ``stream(tuple)``
-    instantiates to a concrete stream type once ``tuple`` is bound."""
-
-    constructor: str
-    args: tuple["Sort", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ProductSort(SortBase):
-    """A product sort ``(s1 x ... x sn)``."""
-
-    parts: tuple["Sort", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class UnionSort(SortBase):
+class UnionSort(Shape):
     """A union sort ``(s1 | ... | sn)`` — matches if any alternative does."""
 
     alternatives: tuple["Sort", ...]
 
+    @property
+    def parts(self) -> tuple["Sort", ...]:
+        return self.alternatives
+
+    def __str__(self) -> str:
+        return "(" + " | ".join(format_pattern(a) for a in self.alternatives) + ")"
+
 
 @dataclass(frozen=True, slots=True)
-class ListSort(SortBase):
+class ListSort(Shape):
     """A list sort ``s+`` — one or more arguments of sort ``s``."""
 
     element: "Sort"
 
+    @property
+    def parts(self) -> tuple["Sort", ...]:
+        return (self.element,)
 
-@dataclass(frozen=True, slots=True)
-class FunSort(SortBase):
-    """A function sort ``(s1 x ... x sn -> s)``."""
-
-    args: tuple["Sort", ...]
-    result: "Sort"
-
-
-Sort = Union[
-    KindSort,
-    TypeSort,
-    VarSort,
-    BindSort,
-    AppSort,
-    ProductSort,
-    UnionSort,
-    ListSort,
-    FunSort,
-]
+    def __str__(self) -> str:
+        return format_pattern(self.element) + "+"
 
 
-def format_sort(s: Sort) -> str:
-    """Render a sort in the paper's notation (ASCII arrows and ``x``)."""
-    if isinstance(s, KindSort):
-        return s.kind.name
-    if isinstance(s, TypeSort):
-        return format_type(s.type)
-    if isinstance(s, VarSort):
-        return s.name
-    if isinstance(s, BindSort):
-        return f"{s.name}: {format_sort(s.sort)}"
-    if isinstance(s, AppSort):
-        return s.constructor + "(" + ", ".join(format_sort(a) for a in s.args) + ")"
-    if isinstance(s, ProductSort):
-        return "(" + " x ".join(format_sort(p) for p in s.parts) + ")"
-    if isinstance(s, UnionSort):
-        return "(" + " | ".join(format_sort(a) for a in s.alternatives) + ")"
-    if isinstance(s, ListSort):
-        return format_sort(s.element) + "+"
-    if isinstance(s, FunSort):
-        args = " x ".join(format_sort(a) for a in s.args)
-        arrow = f"{args} -> " if s.args else "-> "
-        return f"({arrow}{format_sort(s.result)})"
-    raise TypeError(f"not a sort: {s!r}")
-
-
-def sort_variables(s: Sort) -> set[str]:
-    """All variable names referenced or bound inside a sort."""
-    if isinstance(s, VarSort):
-        return {s.name}
-    if isinstance(s, BindSort):
-        return {s.name} | sort_variables(s.sort)
-    if isinstance(s, AppSort):
-        out: set[str] = set()
-        for a in s.args:
-            out |= sort_variables(a)
-        return out
-    if isinstance(s, ProductSort):
-        out: set[str] = set()
-        for p in s.parts:
-            out |= sort_variables(p)
-        return out
-    if isinstance(s, UnionSort):
-        out = set()
-        for a in s.alternatives:
-            out |= sort_variables(a)
-        return out
-    if isinstance(s, ListSort):
-        return sort_variables(s.element)
-    if isinstance(s, FunSort):
-        out = set()
-        for a in s.args:
-            out |= sort_variables(a)
-        out |= sort_variables(s.result)
-        return out
-    return set()
+Sort = Union[TypePattern, UnionSort, ListSort]

@@ -29,7 +29,7 @@ from repro.core.operators import (
 )
 from repro.core.patterns import TypePattern
 from repro.core.signature import TypeSystem
-from repro.core.sorts import KindSort, Sort, UnionSort
+from repro.core.sorts import Sort
 from repro.core.subtypes import SubtypeRelation, SubtypeRule
 from repro.core.constructors import ConstructorSpec, TypeConstructor
 from repro.errors import SpecificationError
@@ -67,12 +67,7 @@ class SecondOrderSignature:
 
     def _validate_spec(self, spec: OperatorSpec) -> None:
         for q in spec.quantifiers:
-            kinds = (
-                [a.kind for a in q.kind.alternatives if isinstance(a, KindSort)]
-                if isinstance(q.kind, UnionSort)
-                else [q.kind]
-            )
-            for kind in kinds:
+            for kind in q.kinds:
                 if not self.type_system.has_kind_named(kind.name):
                     raise SpecificationError(
                         f"operator {spec.name}: unknown kind {kind} in quantifier"

@@ -46,19 +46,14 @@ from repro.core.operators import (
     ResolvedOp,
     TypeOperator,
 )
-from repro.core.patterns import Bindings, PVar, match_type, pattern_variables
-from repro.core.sorts import (
-    AppSort,
-    BindSort,
-    FunSort,
-    KindSort,
-    ListSort,
-    ProductSort,
-    Sort,
-    TypeSort,
-    UnionSort,
-    VarSort,
+from repro.core.patterns import (
+    Bindings,
+    PVar,
+    format_pattern,
+    instantiate_type,
+    match_into,
 )
+from repro.core.sorts import ListSort, Sort, UnionSort
 from repro.core.sos import SecondOrderSignature
 from repro.core.terms import (
     Apply,
@@ -82,6 +77,15 @@ from repro.core.types import (
     TypeApp,
     attr_type,
     format_type,
+    walk_type,
+)
+from repro.core.unify import (
+    Subst,
+    fresh_var,
+    match_unify,
+    resolve,
+    substitute,
+    unify,
 )
 from repro.errors import NoMatchingOperator, SpecificationError, TypeCheckError
 
@@ -91,7 +95,24 @@ TypeEnv = dict[str, Type]
 
 
 class _Failure(Exception):
-    """Internal: one spec candidate failed to match (not a user error)."""
+    """Internal: one spec candidate failed to match (not a user error).
+
+    ``detail`` is the message, or a function that renders it: most
+    failures are dropped when a later candidate matches, so a mismatch
+    formats its types only if a report needs them.  ``inside`` marks a
+    failure from inside an operand — its own term did not check — rather
+    than a mismatch of its type; ``operand`` is the 1-based position it
+    came from.  Together they rank how deep a candidate got, so the report
+    leads with the one that got furthest."""
+
+    def __init__(self, detail: "str | Callable[[], str]", inside: bool = False):
+        super().__init__()
+        self.detail = detail
+        self.inside = inside
+        self.operand = 0
+
+    def __str__(self) -> str:
+        return _render(self.detail)
 
 
 class TypeChecker:
@@ -114,18 +135,34 @@ class TypeChecker:
         )
         self._implicit_frames: list[list[tuple[str, Type]]] = []
         self._fresh = 0
+        self._subst: Subst = {}
+        self._quantifiers: tuple[Quantifier, ...] = ()
+        self._binding_check = self._check_binding
 
     # ------------------------------------------------------------------ API
 
-    def check(self, term: Term, env: Optional[TypeEnv] = None) -> Term:
+    def check(
+        self, term: Term, env: Optional[TypeEnv] = None, subst: Optional[Subst] = None
+    ) -> Term:
         """Typecheck ``term``; returns the elaborated term with ``type`` set,
         sharing every subterm of ``term`` whose annotations hold.
+
+        ``subst`` is a substitution of flexible type variables
+        (:mod:`repro.core.unify`) that the types in ``env`` may mention; the
+        check solves for them in place.  An ordinary statement has none,
+        and its operand types are matched without unification.
 
         Raises :class:`TypeCheckError` (or a subclass) on failure.
         """
         if env is None:
             env = {}
-        return self._check(term, env)
+        if subst is None:
+            return self._check(term, env)
+        outer, self._subst = self._subst, subst
+        try:
+            return self._check(term, env)
+        finally:
+            self._subst = outer
 
     def type_of(self, term: Term, env: Optional[TypeEnv] = None) -> Type:
         checked = self.check(term, env)
@@ -217,7 +254,12 @@ class TypeChecker:
                 )
             pairs = zip(term.params, expected_params)
             for (name, declared), expected in pairs:
-                if declared is not None and expected is not None and declared != expected:
+                if (
+                    declared is not None
+                    and expected is not None
+                    and declared != expected
+                    and not (self._subst and unify(declared, expected, self._subst))
+                ):
                     raise TypeCheckError(
                         f"parameter {name} declared as {format_type(declared)}, "
                         f"required {format_type(expected)}"
@@ -262,10 +304,16 @@ class TypeChecker:
                 return self._check_apply(Apply(head, term.args), env)
         fn = self._check(term.fn, env)
         fn_type = fn.type
-        if getattr(fn_type, "wildcard", False):
-            # Calling a lint wildcard: the arguments are checked on their
-            # own; the result is again unconstrained.
-            return Call(fn, tuple(self._check(a, env) for a in term.args), fn_type)
+        if self._subst:
+            fn_type = resolve(fn_type, self._subst)
+            if isinstance(fn_type, PVar) and fn_type.name in self._subst:
+                # A function value of unknown type: the call gives its shape.
+                shape = FunType(
+                    tuple(fresh_var(self._subst) for _ in term.args),
+                    fresh_var(self._subst),
+                )
+                unify(fn_type, shape, self._subst)
+                fn_type = shape
         if not isinstance(fn_type, FunType):
             raise TypeCheckError(
                 f"{format_term(fn)} is not a function value "
@@ -291,14 +339,18 @@ class TypeChecker:
         exactly like an operand position with sort ``expected``."""
         if env is None:
             env = {}
-        dummy = OperatorSpec(
-            name="<expected>",
-            quantifiers=(),
-            arg_sorts=(TypeSort(expected),),
-            result=TypeSort(expected),
-        )
+        if self._subst:
+            # The expected type may mention unknowns, which a pattern
+            # would read as its own variables: unify with it instead.
+            new_term = self._check(term, env)
+            if not unify(new_term.type, expected, self._subst):
+                raise TypeCheckError(
+                    f"expected {format_type(substitute(expected, self._subst))}, "
+                    f"got {format_type(substitute(new_term.type, self._subst))}"
+                )
+            return new_term
         try:
-            new_term, _ = self._match_term(term, TypeSort(expected), {}, env, dummy)
+            new_term, _ = self._match_term(term, expected, {}, env, ())
         except _Failure as exc:
             raise TypeCheckError(str(exc)) from None
         return new_term
@@ -307,29 +359,23 @@ class TypeChecker:
 
     def _check_apply(self, term: Apply, env: TypeEnv) -> Apply:
         arity = len(term.args)
-        failures: list[str] = []
+        failures: dict[OperatorSpec, tuple[tuple[bool, int], object]] = {}
         for spec in self.sos.operators_of_arity(term.op, arity):
+            saved = self._subst and dict(self._subst)
             try:
                 return self._try_spec(term, spec, env)
-            except (_Failure, TypeCheckError) as exc:
-                failures.append(str(exc))
+            except _Failure as exc:
+                failures[spec] = ((exc.inside, exc.operand), exc.detail)
+            except TypeCheckError as exc:
+                failures[spec] = ((False, 0), str(exc))
+            self._restore(saved)
         resolved = self._try_families(term, env)
         if resolved is not None:
             return resolved
         named = self.sos.operators(term.op)
         if not named:
             raise NoMatchingOperator(f"unknown operator: {term.op}")
-        tried = iter(failures)
-        detail = "; ".join(
-            f"[{spec}]: "
-            + (
-                next(tried)
-                if len(spec.arg_sorts) == arity
-                else f"expects {len(spec.arg_sorts)} operand(s), got {arity}"
-            )
-            for spec in named
-        )
-        raise NoMatchingOperator(f"no functionality of {term.op} matches: {detail}")
+        raise NoMatchingOperator(_no_match_report(term.op, arity, named, failures))
 
     def _try_families(self, term: Apply, env: TypeEnv) -> Optional[Apply]:
         if len(term.args) != 1 or not self.sos.families:
@@ -350,26 +396,44 @@ class TypeChecker:
         binds: Bindings = {}
         checked: list[Term] = []
         descriptors: list[object] = []
-        for arg, sort in zip(term.args, spec.arg_sorts):
-            new_arg, descriptor = self._match_term(arg, sort, binds, env, spec)
-            checked.append(new_arg)
-            descriptors.append(descriptor)
-        if spec.post_check is not None:
+        try:
+            for arg, sort in zip(term.args, spec.arg_sorts):
+                new_arg, descriptor = self._match_term(
+                    arg, sort, binds, env, spec.quantifiers
+                )
+                checked.append(new_arg)
+                descriptors.append(descriptor)
+        except _Failure as exc:
+            exc.operand = len(checked) + 1
+            raise
+        unknown = False
+        if self._subst:
+            # What is solved so far; a dependent constraint over a type
+            # still unknown is not refuted.
+            binds = {k: _settle(v, self._subst) for k, v in binds.items()}
+            descriptors = [_settle(d, self._subst) for d in descriptors]
+            unknown = _flexible((*binds.values(), *descriptors), self._subst)
+        if spec.post_check is not None and not unknown:
             message = spec.post_check(
                 self.sos.type_system, binds, tuple(descriptors)
             )
             if message is not None:
-                raise _Failure(message)
-        result_type = self._result_type(spec, binds, tuple(descriptors))
+                failure = _Failure(message)
+                failure.operand = len(term.args)
+                raise failure
+        result_type = self._result_type(spec, binds, tuple(descriptors), unknown)
         resolved = ResolvedOp(
             result_type=result_type, spec=spec, bindings=binds, impl=spec.impl
         )
         return Apply(term.op, tuple(checked), result_type, resolved)
 
     def _result_type(
-        self, spec: OperatorSpec, binds: Bindings, descriptors: tuple
+        self, spec: OperatorSpec, binds: Bindings, descriptors: tuple, unknown: bool
     ) -> Type:
         if isinstance(spec.result, TypeOperator):
+            if unknown:
+                # Its function needs the operand types, which are unknown.
+                return fresh_var(self._subst, spec.result.result_kind)
             try:
                 result = spec.result.compute(
                     self.sos.type_system, binds, descriptors
@@ -382,7 +446,7 @@ class TypeChecker:
                     f"{format_type(result)}, not of kind {spec.result.result_kind}"
                 )
             return result
-        resolved = self._resolve_sort(spec.result, binds)
+        resolved = instantiate_type(spec.result, binds)
         if resolved is None:
             raise SpecificationError(
                 f"result sort of {spec.name} does not resolve to a type; "
@@ -398,20 +462,16 @@ class TypeChecker:
         sort: Sort,
         binds: Bindings,
         env: TypeEnv,
-        spec: OperatorSpec,
+        quantifiers: tuple[Quantifier, ...],
     ) -> tuple[Term, object]:
-        """Match one operand term against an argument sort.
+        """Match one operand term against an argument sort, whose variables
+        are bound under ``quantifiers``.
 
         Returns ``(elaborated term, descriptor)`` where the descriptor is the
         operand's type, or a structural summary for identifier / list /
         product operands (consumed by type operators in Δ).  Raises
         :class:`_Failure` on mismatch.
         """
-        if isinstance(sort, BindSort):
-            new_term, descriptor = self._match_term(term, sort.sort, binds, env, spec)
-            if isinstance(descriptor, Type):
-                binds.setdefault(sort.name, descriptor)
-            return new_term, descriptor
         if isinstance(sort, ListSort):
             if not isinstance(term, ListTerm):
                 raise _Failure("expected a list operand <...>")
@@ -421,12 +481,12 @@ class TypeChecker:
             descriptors = []
             for item in term.items:
                 new_item, descriptor = self._match_term(
-                    item, sort.element, binds, env, spec
+                    item, sort.element, binds, env, quantifiers
                 )
                 items.append(new_item)
                 descriptors.append(descriptor)
             return ListTerm(tuple(items)), descriptors
-        if isinstance(sort, ProductSort):
+        if isinstance(sort, ProductType):
             if not isinstance(term, TupleTerm):
                 raise _Failure("expected a product operand (...)")
             if len(term.items) != len(sort.parts):
@@ -437,56 +497,37 @@ class TypeChecker:
             items = []
             descriptors = []
             for item, part in zip(term.items, sort.parts):
-                new_item, descriptor = self._match_term(item, part, binds, env, spec)
+                new_item, descriptor = self._match_term(
+                    item, part, binds, env, quantifiers
+                )
                 items.append(new_item)
                 descriptors.append(descriptor)
             return TupleTerm(tuple(items)), tuple(descriptors)
-        if isinstance(sort, UnionSort):
-            errors = []
-            for alternative in sort.alternatives:
-                trial = dict(binds)
-                try:
-                    new_term, descriptor = self._match_term(
-                        term, alternative, trial, env, spec
-                    )
-                    binds.clear()
-                    binds.update(trial)
-                    return new_term, descriptor
-                except (_Failure, TypeCheckError) as exc:
-                    errors.append(str(exc))
-            raise _Failure("no union alternative matched: " + "; ".join(errors))
-        if isinstance(sort, FunSort):
-            return self._match_function(term, sort, binds, env, spec)
-        if self._is_ident_sort(sort):
+        if isinstance(sort, FunType):
+            return self._match_function(term, sort, binds, env, quantifiers)
+        if isinstance(sort, TypeApp) and sort.constructor == "ident" and not sort.args:
             return self._match_ident(term)
-        # Plain type-valued operand.
+        # A type-valued operand; a union sort is matched by its type.
         try:
             checked = self._check(term, env)
         except TypeCheckError as first_error:
-            constant = self._constant_op(term, sort, binds, spec)
+            constant = self._constant_op(term, sort, binds)
             if constant is None:
-                raise _Failure(str(first_error))
+                raise _Failure(str(first_error), inside=True)
             checked = constant
         if checked.type is None:
             raise _Failure(f"operand {format_term(checked)} has no type")
         try:
-            self._match_type(checked.type, sort, binds, spec)
+            self._match_type(checked.type, sort, binds, quantifiers)
         except _Failure:
             # A 0-ary function value (a view) may stand for its result:
             # ``query french_cities select[...]`` dereferences the view.
             if isinstance(checked.type, FunType) and not checked.type.args:
                 call = Call(checked, (), checked.type.result)
-                self._match_type(call.type, sort, binds, spec)
+                self._match_type(call.type, sort, binds, quantifiers)
                 return call, call.type
             raise
         return checked, checked.type
-
-    def _is_ident_sort(self, sort: Sort) -> bool:
-        return (
-            isinstance(sort, TypeSort)
-            and isinstance(sort.type, TypeApp)
-            and sort.type.constructor == "ident"
-        )
 
     def _match_ident(self, term: Term) -> tuple[Term, object]:
         """An identifier-valued operand (attribute names in project/replace)."""
@@ -498,7 +539,7 @@ class TypeChecker:
         raise _Failure(f"expected an identifier, got {format_term(term)}")
 
     def _constant_op(
-        self, term: Term, sort: Sort, binds: Bindings, spec: OperatorSpec
+        self, term: Term, sort: Sort, binds: Bindings
     ) -> Optional[Apply]:
         """Resolve a polymorphic constant (``bottom``, ``top``) from the
         expected type of its operand position."""
@@ -508,13 +549,15 @@ class TypeChecker:
             name = term.op
         else:
             return None
-        expected = self._resolve_sort(sort, binds)
+        expected = instantiate_type(sort, binds)
         if expected is None:
             return None
         for candidate in self.sos.operators_of_arity(name, 0):
             trial: Bindings = {}
             try:
-                self._match_type(expected, candidate.result, trial, candidate)
+                self._match_type(
+                    expected, candidate.result, trial, candidate.quantifiers
+                )
             except _Failure:
                 continue
             resolved = ResolvedOp(
@@ -529,14 +572,20 @@ class TypeChecker:
     def _match_function(
         self,
         term: Term,
-        sort: FunSort,
+        sort: FunType,
         binds: Bindings,
         env: TypeEnv,
-        spec: OperatorSpec,
+        quantifiers: tuple[Quantifier, ...],
     ) -> tuple[Term, object]:
-        param_types = tuple(self._resolve_sort(p, binds) for p in sort.args)
+        if self._subst and isinstance(term, Var) and term.name in env:
+            # A variable of a rule in a function position: a function value
+            # whose type the sort constrains.
+            value = Var(term.name, env[term.name])
+            self._match_type(value.type, sort, binds, quantifiers)
+            return value, substitute(value.type, self._subst)
+        param_types = tuple(instantiate_type(p, binds) for p in sort.args)
         if isinstance(term, OpRef):
-            result = self._resolve_sort(sort.result, binds)
+            result = instantiate_type(sort.result, binds)
             if result is None or any(p is None for p in param_types):
                 raise _Failure(
                     f"cannot determine the functionality of operator value {term.name}"
@@ -557,12 +606,12 @@ class TypeChecker:
         try:
             fun = self._check_fun(term, env, expected_params=param_types)
         except TypeCheckError as exc:
-            raise _Failure(str(exc)) from exc
+            raise _Failure(str(exc), inside=True) from exc
         finally:
             if implicit:
                 self._implicit_frames.pop()
         assert isinstance(fun.type, FunType)
-        self._match_type(fun.type.result, sort.result, binds, spec)
+        self._match_type(fun.type.result, sort.result, binds, quantifiers)
         return fun, fun.type
 
     def _fresh_name(self) -> str:
@@ -572,208 +621,109 @@ class TypeChecker:
     # ------------------------------------------------- type-vs-sort matching
 
     def _match_type(
-        self, t: Type, sort: Sort, binds: Bindings, spec: OperatorSpec
+        self, t: Type, sort: Sort, binds: Bindings, quantifiers: tuple[Quantifier, ...]
     ) -> None:
-        """Match an operand *type* against a sort, possibly extending
-        ``binds`` through quantifiers; tries the proper supertypes of ``t``
-        (read from the signature's closure table) only when ``t`` fails."""
-        failure = self._match_committing(t, sort, binds, spec)
-        if failure is None:
+        """Match an operand *type* against a sort pattern, extending
+        ``binds`` through ``quantifiers``; tries the proper
+        supertypes of ``t`` (read from the signature's closure table) only
+        when ``t`` fails."""
+        self._quantifiers = quantifiers
+        if sort is t or self._matches(sort, t, binds):
             return
         for sup in self.sos.subtypes.supertypes(t)[1:]:
-            if self._match_committing(sup, sort, binds, spec) is None:
+            if self._matches(sort, sup, binds):
                 return
-        raise _Failure(failure)
+        raise _Failure(lambda: _mismatch(t, sort, binds))
 
-    def _match_committing(
-        self, t: Type, sort: Sort, binds: Bindings, spec: OperatorSpec
-    ) -> Optional[str]:
-        """Match ``t`` on a copy of ``binds`` and keep the copy if it
-        matched; otherwise return the failure's message and leave ``binds``
-        alone.  A message, not the exception: a kept exception's traceback
-        holds this frame's caller, a cycle that pins the statement's whole
-        stack until the cycle collector runs."""
-        trial = dict(binds)
-        try:
-            self._match_type_direct(t, sort, trial, spec)
-        except _Failure as exc:
-            return str(exc)
-        binds.clear()
-        binds.update(trial)
-        return None
-
-    def _match_type_direct(
-        self, t: Type, sort: Sort, binds: Bindings, spec: OperatorSpec
-    ) -> None:
-        if getattr(t, "wildcard", False):
-            # A lint wildcard (repro.lint.symbolic.AnyType) matches every
-            # sort; bind the names the sort would have bound so result
-            # sorts still resolve during the symbolic check.
-            self._bind_wildcard(t, sort, binds, spec)
-            return
-        if isinstance(sort, BindSort):
-            self._match_type_direct(t, sort.sort, binds, spec)
-            binds.setdefault(sort.name, t)
-            return
-        if isinstance(sort, VarSort):
-            bound = binds.get(sort.name)
-            if bound is not None:
-                if bound != t:
-                    raise _Failure(
-                        f"operand type {format_type(t)} differs from earlier "
-                        f"binding of {sort.name}"
-                    )
-                return
-            quantifier = self._quantifier_for(sort.name, spec)
-            if quantifier is None:
-                raise _Failure(f"variable {sort.name} has no quantifier")
-            self._bind_quantifier(quantifier, t, binds)
-            return
-        if isinstance(sort, KindSort):
-            if not self.sos.type_system.has_kind(t, sort.kind):
-                raise _Failure(f"{format_type(t)} is not of kind {sort.kind}")
-            return
-        if isinstance(sort, TypeSort):
-            if t == sort.type or self.sos.subtypes.is_subtype(t, sort.type):
-                return
-            raise _Failure(
-                f"expected {format_type(sort.type)}, got {format_type(t)}"
-            )
-        if isinstance(sort, FunSort):
-            if not isinstance(t, FunType) or len(t.args) != len(sort.args):
-                raise _Failure(f"expected a function type, got {format_type(t)}")
-            for arg, part in zip(t.args, sort.args):
-                self._match_type_direct(arg, part, binds, spec)
-            self._match_type_direct(t.result, sort.result, binds, spec)
-            return
-        if isinstance(sort, ProductSort):
-            if not isinstance(t, ProductType) or len(t.parts) != len(sort.parts):
-                raise _Failure(f"expected a product type, got {format_type(t)}")
-            for part_type, part_sort in zip(t.parts, sort.parts):
-                self._match_type_direct(part_type, part_sort, binds, spec)
-            return
+    def _matches(self, sort: Sort, t: Type, binds: Bindings) -> bool:
+        """Match ``t`` into ``binds``; on failure take back what it bound.
+        A match only adds names (or rebinds one to an equal value), so the
+        names added after the first ``size`` are exactly its bindings."""
+        size = len(binds)
+        saved = self._subst and dict(self._subst)
         if isinstance(sort, UnionSort):
-            errors = []
-            for alternative in sort.alternatives:
-                trial = dict(binds)
-                try:
-                    self._match_type_direct(t, alternative, trial, spec)
-                    binds.clear()
-                    binds.update(trial)
-                    return
-                except _Failure as exc:
-                    errors.append(str(exc))
-            raise _Failure("; ".join(errors))
-        if isinstance(sort, AppSort):
-            if not isinstance(t, TypeApp) or t.constructor != sort.constructor:
-                raise _Failure(
-                    f"expected a {sort.constructor}(...) type, got {format_type(t)}"
-                )
-            if len(t.args) != len(sort.args):
-                raise _Failure(
-                    f"{sort.constructor} arity mismatch in {format_type(t)}"
-                )
-            for arg, part in zip(t.args, sort.args):
-                if isinstance(arg, Type):
-                    self._match_type_direct(arg, part, binds, spec)
-                elif isinstance(part, VarSort):
-                    bound = binds.get(part.name)
-                    if bound is None:
-                        binds[part.name] = arg
-                    elif bound != arg:
-                        raise _Failure(
-                            f"argument {arg!r} differs from earlier binding "
-                            f"of {part.name}"
-                        )
-                else:
-                    raise _Failure(
-                        f"cannot match non-type argument {arg!r} against "
-                        f"sort {part!r}"
-                    )
-            return
-        raise _Failure(f"cannot match a type against sort {sort!r}")
+            if any(self._matches(a, t, binds) for a in sort.alternatives):
+                return True
+        elif saved:
+            if match_unify(sort, t, binds, self._subst, self._binding_check):
+                return True
+        elif match_into(sort, t, binds, self._binding_check):
+            return True
+        for name in list(binds)[size:]:
+            del binds[name]
+        self._restore(saved)
+        return False
 
-    def _bind_wildcard(
-        self, t: Type, sort: Sort, binds: Bindings, spec: OperatorSpec
-    ) -> None:
-        """Bind the names ``sort`` would bind when matched by a wildcard."""
-        if isinstance(sort, BindSort):
-            binds.setdefault(sort.name, t)
-            self._bind_wildcard(t, sort.sort, binds, spec)
-            return
-        if isinstance(sort, VarSort):
-            binds.setdefault(sort.name, t)
-            quantifier = self._quantifier_for(sort.name, spec)
-            if quantifier is not None and quantifier.pattern is not None:
-                for name in pattern_variables(quantifier.pattern):
-                    binds.setdefault(name, t)
+    def _match_pattern(self, pattern, t, binds: Bindings) -> bool:
+        if self._subst:
+            return match_unify(pattern, t, binds, self._subst, self._binding_check)
+        return match_into(pattern, t, binds, self._binding_check)
 
-    def _quantifier_for(self, name: str, spec: OperatorSpec) -> Optional[Quantifier]:
-        for quantifier in spec.quantifiers:
-            if quantifier.var == name:
-                return quantifier
-        return None
+    def _check_binding(self, var: PVar, t, binds: Bindings) -> bool:
+        """The constraint on a variable a match binds afresh: its kind
+        annotation, or the pattern and kind of its quantifier."""
+        if var.kind is not None:
+            return self.sos.type_system.has_kind(t, var.kind)
+        for quantifier in self._quantifiers:
+            if quantifier.var == var.name:
+                if quantifier.pattern is not None and not self._match_pattern(
+                    quantifier.pattern, t, binds
+                ):
+                    return False
+                if self._subst:
+                    t = resolve(t, self._subst)
+                return self.sos.type_system.has_kind(t, quantifier.kind)
+        return True
 
-    def _bind_quantifier(
-        self, quantifier: Quantifier, t: Type, binds: Bindings
-    ) -> None:
-        pattern = (
-            quantifier.pattern
-            if quantifier.pattern is not None
-            else PVar(quantifier.var)
-        )
-        matched = match_type(pattern, t, binds)
-        if matched is None:
-            raise _Failure(
-                f"{format_type(t)} does not match the pattern of "
-                f"quantifier {quantifier.var}"
-            )
-        if not self.sos.type_system.has_kind(t, quantifier.kind):
-            kind = (
-                quantifier.kind.name
-                if hasattr(quantifier.kind, "name")
-                else str(quantifier.kind)
-            )
-            raise _Failure(f"{format_type(t)} is not of kind {kind}")
-        binds.clear()
-        binds.update(matched)
-        binds[quantifier.var] = t
+    def _restore(self, saved: Subst) -> None:
+        """Take back what a failed attempt bound in the substitution (an
+        empty ``saved``: the check has no substitution, nothing to undo)."""
+        if saved:
+            self._subst.clear()
+            self._subst.update(saved)
 
-    # ----------------------------------------------------- sort resolution
 
-    def _resolve_sort(self, sort: Sort, binds: Bindings) -> Optional[Type]:
-        """Resolve a sort to a concrete type under current bindings, or
-        ``None`` if it is not yet determined (e.g. an unbound variable)."""
-        if isinstance(sort, TypeSort):
-            return sort.type
-        if isinstance(sort, VarSort):
-            bound = binds.get(sort.name)
-            return bound if isinstance(bound, Type) else None
-        if isinstance(sort, BindSort):
-            return self._resolve_sort(sort.sort, binds)
-        if isinstance(sort, AppSort):
-            args = []
-            for part in sort.args:
-                if isinstance(part, VarSort):
-                    bound = binds.get(part.name)
-                    if bound is None:
-                        return None
-                    args.append(bound)
-                    continue
-                resolved = self._resolve_sort(part, binds)
-                if resolved is None:
-                    return None
-                args.append(resolved)
-            return TypeApp(sort.constructor, tuple(args))
-        if isinstance(sort, FunSort):
-            args = tuple(self._resolve_sort(a, binds) for a in sort.args)
-            result = self._resolve_sort(sort.result, binds)
-            if result is None or any(a is None for a in args):
-                return None
-            return FunType(args, result)  # type: ignore[arg-type]
-        if isinstance(sort, ProductSort):
-            parts = tuple(self._resolve_sort(p, binds) for p in sort.parts)
-            if any(p is None for p in parts):
-                return None
-            return ProductType(parts)  # type: ignore[arg-type]
-        return None
+
+def _render(detail: "str | Callable[[], str]") -> str:
+    return detail if isinstance(detail, str) else detail()
+
+
+def _mismatch(t: Type, sort: Sort, binds: Bindings) -> str:
+    expected = instantiate_type(sort, binds)
+    shown = format_pattern(sort) if expected is None else format_type(expected)
+    return f"expected {shown}, got {format_type(t)}"
+
+
+def _settle(value, subst: Subst):
+    """A binding or descriptor with the solved variables substituted."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(_settle(v, subst) for v in value)
+    return substitute(value, subst)
+
+
+def _flexible(value, subst: Subst) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(_flexible(v, subst) for v in value)
+    return any(isinstance(n, PVar) and n.name in subst for n in walk_type(value))
+
+
+def _no_match_report(
+    op: str,
+    arity: int,
+    named: tuple[OperatorSpec, ...],
+    failures: dict[OperatorSpec, tuple[tuple[bool, int], object]],
+) -> str:
+    """The message of a failed application: the first line is the failure
+    of the candidate that got deepest into its operands (an error from
+    inside an operand ranks above a type mismatch, a later operand above an
+    earlier one); then that candidate and every other one, one line each."""
+    rows = []
+    for spec in named:
+        reason = f"expects {len(spec.arg_sorts)} operand(s), got {arity}"
+        depth, detail = failures.get(spec, ((False, -1), reason))
+        first = (_render(detail).splitlines() or [""])[0]
+        where = f"operand {depth[1]}: " if depth[1] > 0 else ""
+        rows.append((depth, first, f"  [{spec}]: {where}{first}"))
+    rows.sort(key=lambda row: row[0], reverse=True)
+    head = [rows[0][1], f"no functionality of {op} matches:"]
+    return "\n".join(head + [row[2] for row in rows])

@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
+from repro.core.kinds import Kind
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.core.terms import Term
 
@@ -185,9 +187,15 @@ class ProductType(Type):
 class PVar(Type):
     """A type metavariable: in a pattern, a cut-off subtree that matches any
     type argument and binds it to ``name`` (paper Figure 1).  Rule types
-    write it ``?name``."""
+    write it ``?name``.
+
+    ``kind`` restricts the variable to types of that kind where a kind
+    check is supplied (the typechecker and type formation supply one).  An
+    *anonymous* variable (``name == ""``) binds nothing: ``PVar("", DATA)``
+    is the sort ``DATA`` of a signature, "any type of kind DATA"."""
 
     name: str
+    kind: Optional[Kind] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,8 +216,6 @@ def _format_arg(arg: TypeArg) -> str:
 
 def format_type(t: Type) -> str:
     """Render a type term in the paper's concrete notation."""
-    if getattr(t, "wildcard", False):
-        return "?"
     if isinstance(t, TypeApp):
         if not t.args:
             return t.constructor
@@ -221,7 +227,7 @@ def format_type(t: Type) -> str:
     if isinstance(t, ProductType):
         return "(" + " x ".join(format_type(p) for p in t.parts) + ")"
     if isinstance(t, PVar):
-        return f"?{t.name}"
+        return f"?{t.name}" if t.name else f"?{t.kind}"
     if isinstance(t, PBind):
         return f"{t.name}: {_format_arg(t.pattern)}"
     raise TypeError(f"not a type: {t!r}")
@@ -342,3 +348,14 @@ def walk_type(t: TypeArg) -> Iterable[TypeArg]:
             yield from walk_type(p)
     elif isinstance(t, PBind):
         yield from walk_type(t.pattern)
+    elif isinstance(t, Shape):
+        for a in t.parts:
+            yield from walk_type(a)
+
+
+class Shape:
+    """Base of the operand-shape wrappers of :mod:`repro.core.sorts` (union
+    and list sorts): not type terms, but :func:`walk_type` descends into
+    their ``parts``."""
+
+    __slots__ = ()

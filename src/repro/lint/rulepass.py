@@ -12,11 +12,12 @@ every rule of a rule set against a signature without running any query:
 * *liveness* (RUL003): the LHS head operator must exist in the signature,
   otherwise the rule can never fire;
 * *type preservation* (RUL004/RUL008): the LHS and RHS are typechecked
-  once, symbolically, under fresh typed variables — rule type variables
-  are instantiated with synthetic concrete types, unconstrained variables
-  with the :class:`~repro.lint.symbolic.AnyType` wildcard — and the two
-  result types must agree up to representation change (same content
-  schema, subtyping allowed);
+  once, for every instance at once: each rule type variable is a rigid
+  metavariable (it unifies only with itself, so the rule must hold
+  whatever type it stands for), each term variable whose type nothing
+  declares a flexible one the typechecker solves for
+  (:mod:`repro.core.unify`) — and the two result types must agree up to
+  representation change (same content schema, subtyping allowed);
 * *catalog hygiene* (RUL005) and *loop detection* (RUL006).
 """
 
@@ -24,13 +25,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.core.patterns import instantiate_pattern, match_type, pattern_variables
-from repro.core.sorts import (
-    BindSort,
-    FunSort,
-    KindSort,
-    TypeSort,
-    VarSort,
+from repro.core.patterns import (
+    instantiate_pattern,
+    instantiate_type,
+    match_type,
+    pattern_variables,
 )
 from repro.core.terms import (
     Apply,
@@ -41,10 +40,18 @@ from repro.core.terms import (
     walk_terms,
 )
 from repro.core.typecheck import TypeChecker
-from repro.core.types import PVar, Sym, Type, TypeApp, TypeArg, tuple_type, walk_type
+from repro.core.types import (
+    PVar,
+    Sym,
+    Type,
+    TypeApp,
+    TypeArg,
+    tuple_type,
+    walk_type,
+)
+from repro.core.unify import Subst, fresh_var, substitute, unify
 from repro.errors import TypeCheckError
 from repro.lint.diagnostics import Diagnostic, LintReport
-from repro.lint.symbolic import ANY, INT, fresh_term_arg
 from repro.optimizer.conditions import (
     CatalogCondition,
     StatsCondition,
@@ -266,16 +273,6 @@ def _collect_type_vars(
     return names, tuples
 
 
-def _is_ident_sort(sort) -> bool:
-    if isinstance(sort, BindSort):
-        return _is_ident_sort(sort.sort)
-    return (
-        isinstance(sort, TypeSort)
-        and isinstance(sort.type, TypeApp)
-        and sort.type.constructor == "ident"
-    )
-
-
 def _ident_vars(rule: RewriteRule, sos) -> set[str]:
     """Plain rule variables the LHS passes in ``ident`` argument positions —
     attribute names (``modify[a1, v1]``), which dependent post-checks
@@ -283,8 +280,6 @@ def _ident_vars(rule: RewriteRule, sos) -> set[str]:
     out: set[str] = set()
     for node in walk_terms(rule.lhs):
         if not isinstance(node, Apply) or node.op in rule.variables:
-            continue
-        if not sos.is_operator(node.op):
             continue
         for spec in sos.operators(node.op):
             if len(spec.arg_sorts) != len(node.args):
@@ -295,64 +290,59 @@ def _ident_vars(rule: RewriteRule, sos) -> set[str]:
                 rv = rule.variables[arg.name]
                 if rv.is_operator_var or rv.type_pattern or rv.kind:
                     continue
-                if _is_ident_sort(sort):
+                if sort == TypeApp("ident"):
                     out.add(arg.name)
     return out
 
 
-def _synthesize_bindings(
+def _rule_types(
     rule: RewriteRule,
     tuple_vars: set[str],
     type_names: set[str],
     ident_vars: set[str] = frozenset(),
 ) -> dict[str, TypeArg]:
-    """Symbolic type bindings: one synthetic concrete tuple per tuple
-    variable, with one attribute per operator variable over it."""
+    """What a rule's type variables stand for in the symbolic check.
+
+    Each is a rigid metavariable of its own name: the rule must typecheck
+    whatever type it is.  Two kinds are given structure, because operators
+    read it: an operator variable binds its name as an identifier, and a
+    tuple variable is a tuple of the attributes the rule reads through its
+    operator variables (typed by their declared result) and attribute-name
+    variables — or of one attribute — each of a type the rule leaves open.
+    """
+    tbinds: dict[str, TypeArg] = {name: PVar(name) for name in type_names}
     attrs: dict[str, list[tuple[str, Type]]] = {tv: [] for tv in tuple_vars}
-    tbinds: dict[str, TypeArg] = {}
     for rv in rule.variables.values():
         if not rv.is_operator_var:
             continue
         fun_args = rv.fun_args or ()
         if len(fun_args) != 1 or not isinstance(fun_args[0], PVar):
             continue
-        tv = fun_args[0].name
         result = rv.fun_result
-        if isinstance(result, PVar):
-            rtype: Type = INT
-            tbinds.setdefault(result.name, INT)
-        elif isinstance(result, Type):
-            rtype = result
-        else:
-            rtype = INT
-        attrs.setdefault(tv, []).append((rv.name, rtype))
-        # Operator variables bind their name as a Sym, so the synthetic
-        # attribute name and e.g. a B-tree key-name binding agree.
-        tbinds.setdefault(rv.name, Sym(rv.name))
+        rtype = result if isinstance(result, Type) else PVar(f"{rv.name}_type")
+        attrs.setdefault(fun_args[0].name, []).append((rv.name, rtype))
+        # Operator variables bind their name as a Sym, so the attribute
+        # name and e.g. a B-tree key-name binding agree.
+        tbinds[rv.name] = Sym(rv.name)
     if len(tuple_vars) == 1:
         # Attribute-name variables must name real attributes of the (only)
         # schema; with several schemas the target is ambiguous, and no
         # bundled rule mixes the two shapes.
         tv = next(iter(tuple_vars))
         for name in sorted(ident_vars):
-            attrs.setdefault(tv, []).append((name, INT))
+            attrs[tv].append((name, PVar(f"{name}_type")))
     for tv in tuple_vars:
         # The default attribute is unique per tuple variable so joins of two
-        # synthetic tuples have disjoint schemas.
-        pairs = attrs.get(tv) or [(f"k_{tv}", INT)]
-        tbinds[tv] = tuple_type(pairs)
-    for name in type_names:
-        tbinds.setdefault(name, INT)
+        # such tuples have disjoint schemas.
+        tbinds[tv] = tuple_type(attrs[tv] or [(f"k_{tv}", PVar(f"k_{tv}"))])
     return tbinds
 
 
-def _instantiate_condition_type(
-    cond: TypeCondition, tbinds: dict[str, TypeArg], sos
-) -> Optional[Type]:
-    """A concrete type for a condition-bound variable, resolving still-free
-    pattern variables positionally against the constructor's signature."""
-    t = _instantiate_app(cond.pattern, tbinds, sos)
-    if t is None or not cond.subtype_ok:
+def _condition_type(cond: TypeCondition, tbinds: dict[str, TypeArg], sos) -> Type:
+    """The type of a condition-bound variable: its pattern instantiated, or
+    under ``subtype_ok`` a concrete subtype of it."""
+    t = instantiate_pattern(cond.pattern, tbinds)
+    if not cond.subtype_ok:
         return t
     # ``subtype_ok`` means the variable's real type is the pattern *or any
     # subtype of it*; abstract heads (relrep) have no operators of their
@@ -362,79 +352,16 @@ def _instantiate_condition_type(
 
 
 def _refine_to_subtype(t: Type, sos) -> Optional[Type]:
-    if not isinstance(t, TypeApp):
-        return None
     for rule in sos.subtypes.rules:
-        sup = rule.sup
-        if not (isinstance(sup, TypeApp) and sup.constructor == t.constructor):
-            continue
-        binds = match_type(sup, t)
-        if binds is None:
-            continue
-        if not pattern_variables(rule.sub) <= set(binds):
-            continue
-        sub = instantiate_pattern(rule.sub, binds)
-        if isinstance(sub, Type):
+        binds = match_type(rule.sup, t)
+        sub = None if binds is None else instantiate_type(rule.sub, binds)
+        if sub is not None:
             return sub
     return None
 
 
-def _instantiate_app(pattern, tbinds: dict[str, TypeArg], sos) -> Optional[Type]:
-    if not isinstance(pattern, TypeApp):
-        t = instantiate_pattern(pattern, tbinds)
-        return t if isinstance(t, Type) else None
-    ts = sos.type_system
-    if not ts.has_constructor(pattern.constructor):
-        return None
-    ctor = next(
-        (
-            c
-            for c in ts.overloads(pattern.constructor)
-            if len(c.arg_sorts) == len(pattern.args)
-        ),
-        None,
-    )
-    if ctor is None:
-        return None
-    args: list[TypeArg] = []
-    for sub, sort in zip(pattern.args, ctor.arg_sorts):
-        if isinstance(sub, PVar) and sub.name in tbinds:
-            args.append(tbinds[sub.name])
-            continue
-        resolved = _fresh_for_sort(
-            sort, sub.name if isinstance(sub, PVar) else None, tbinds
-        )
-        if resolved is None:
-            return None
-        args.append(resolved)
-        if isinstance(sub, PVar):
-            tbinds[sub.name] = resolved
-    return TypeApp(pattern.constructor, tuple(args))
-
-
-def _fresh_for_sort(
-    sort, name: Optional[str], tbinds: dict[str, TypeArg]
-) -> Optional[TypeArg]:
-    if isinstance(sort, BindSort):
-        return _fresh_for_sort(sort.sort, name, tbinds)
-    if isinstance(sort, KindSort):
-        return INT
-    if isinstance(sort, TypeSort):
-        if isinstance(sort.type, TypeApp) and sort.type.constructor == "ident":
-            return Sym(name or "a")
-        return sort.type
-    if isinstance(sort, FunSort) and len(sort.args) == 1:
-        param = sort.args[0]
-        if isinstance(param, VarSort):
-            bound = tbinds.get(param.name)
-            if isinstance(bound, Type):
-                return fresh_term_arg(bound)
-        return fresh_term_arg(ANY)
-    return None
-
-
-def _result_compatible(lt: Type, rt: Type, sos) -> bool:
-    if lt == rt:
+def _result_compatible(lt: Type, rt: Type, sos, subst: Subst) -> bool:
+    if unify(lt, rt, dict(subst)):
         return True
     subtypes = sos.subtypes
     if subtypes.is_subtype(rt, lt) or subtypes.is_subtype(lt, rt):
@@ -458,60 +385,46 @@ def _check_type_preservation(
 ) -> None:
     try:
         type_names, tuple_vars = _collect_type_vars(rule)
-        tbinds = _synthesize_bindings(
-            rule, tuple_vars, type_names - tuple_vars, _ident_vars(rule, sos)
-        )
+        tbinds = _rule_types(rule, tuple_vars, type_names, _ident_vars(rule, sos))
+        subst: Subst = {}
         env: dict[str, Type] = {}
         for cond in rule.conditions:
             if isinstance(cond, TypeCondition):
-                t = _instantiate_condition_type(cond, tbinds, sos)
-                if t is not None:
-                    env[cond.variable] = t
+                env[cond.variable] = _condition_type(cond, tbinds, sos)
         for rv in rule.variables.values():
-            if rv.is_operator_var:
-                continue
-            if rv.type_pattern is not None:
-                t = instantiate_pattern(rv.type_pattern, tbinds)
-                env[rv.name] = t if isinstance(t, Type) else ANY
-            else:
-                env.setdefault(rv.name, ANY)
+            if not rv.is_operator_var and rv.type_pattern is not None:
+                env[rv.name] = instantiate_pattern(rv.type_pattern, tbinds)
+        names = [rv.name for rv in rule.variables.values() if not rv.is_operator_var]
         for cond in rule.conditions:
             if isinstance(cond, CatalogCondition):
-                for v in cond.variables:
-                    env.setdefault(v, ANY)
+                names.extend(cond.variables)
+        for name in names:
+            if name not in env:
+                env[name] = fresh_var(subst)
         checker = TypeChecker(sos, object_types=env.get)
-        # Substituting the bindings makes the lambda parameter types concrete.
+        # Substituting the bindings gives the lambda parameters their types.
         concrete = MatchState(tbinds)
-        lhs = instantiate(rule.lhs, concrete)
-        try:
-            lhs = checker.check(lhs, dict(env))
-        except TypeCheckError as exc:
-            report.add(
-                Diagnostic(
-                    "RUL008",
-                    f"LHS does not typecheck under symbolic bindings: {exc}",
-                    source=source,
-                    subject=rule.name,
+        checked = []
+        sides = (("RUL008", "LHS", rule.lhs), ("RUL004", "RHS", rule.rhs))
+        for code, side, term in sides:
+            try:
+                term = checker.check(instantiate(term, concrete), dict(env), subst)
+            except TypeCheckError as exc:
+                report.add(
+                    Diagnostic(
+                        code,
+                        f"{side} does not typecheck under symbolic bindings: {exc}",
+                        source=source,
+                        subject=rule.name,
+                    )
                 )
-            )
-            return
-        rhs = instantiate(rule.rhs, concrete)
-        try:
-            rhs = checker.check(rhs, dict(env))
-        except TypeCheckError as exc:
-            report.add(
-                Diagnostic(
-                    "RUL004",
-                    f"RHS does not typecheck under symbolic bindings: {exc}",
-                    source=source,
-                    subject=rule.name,
-                )
-            )
-            return
-        lt, rt = lhs.type, rhs.type
-        if lt is None or rt is None:
+                return
+            checked.append(term)
+        lhs, rhs = checked
+        if lhs.type is None or rhs.type is None:
             raise RuntimeError("typechecker returned an untyped term")
-        if not _result_compatible(lt, rt, sos):
+        lt, rt = substitute(lhs.type, subst), substitute(rhs.type, subst)
+        if not _result_compatible(lt, rt, sos, subst):
             report.add(
                 Diagnostic(
                     "RUL004",

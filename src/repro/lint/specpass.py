@@ -12,25 +12,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.kinds import Kind
 from repro.core.operators import OperatorSpec, TypeOperator
-from repro.core.sorts import (
-    AppSort,
-    BindSort,
-    FunSort,
-    KindSort,
-    ListSort,
-    ProductSort,
-    Sort,
-    TypeSort,
-    UnionSort,
-    format_sort,
-)
+from repro.core.patterns import format_pattern
+from repro.core.sorts import ListSort
 from repro.core.sos import SecondOrderSignature
-from repro.core.types import TypeApp, walk_type
+from repro.core.types import PVar, TypeApp, walk_type
 from repro.errors import ParseError, SpecificationError
 from repro.lint.diagnostics import Diagnostic, LintReport
-from repro.spec.describe import format_pattern
 
 
 def lint_signature(
@@ -99,16 +87,6 @@ def _inhabited_kinds(sos: SecondOrderSignature) -> set[str]:
     return names
 
 
-def _quantifier_kind_names(kind) -> list[str]:
-    if isinstance(kind, Kind):
-        return [kind.name]
-    if isinstance(kind, UnionSort):
-        return [
-            alt.kind.name for alt in kind.alternatives if isinstance(alt, KindSort)
-        ]
-    return []
-
-
 # ----------------------------------------------------------------- SOS001
 
 
@@ -116,7 +94,7 @@ def _check_quantifier_kinds(sos, report: LintReport, source: str) -> None:
     inhabited = _inhabited_kinds(sos)
     for spec in sos.all_operators():
         for q in spec.quantifiers:
-            names = _quantifier_kind_names(q.kind)
+            names = [k.name for k in q.kinds]
             if names and not any(n in inhabited for n in names):
                 line, column = _span(spec)
                 report.add(
@@ -141,13 +119,13 @@ def _signature_key(spec: OperatorSpec) -> tuple:
         (
             q.var,
             format_pattern(q.pattern) if q.pattern is not None else "",
-            "|".join(_quantifier_kind_names(q.kind)),
+            "|".join([k.name for k in q.kinds]),
         )
         for q in spec.quantifiers
     )
     return (
         quantifiers,
-        tuple(format_sort(s) for s in spec.arg_sorts),
+        tuple(format_pattern(s) for s in spec.arg_sorts),
         spec.is_update,
     )
 
@@ -155,7 +133,7 @@ def _signature_key(spec: OperatorSpec) -> tuple:
 def _result_text(spec: OperatorSpec) -> str:
     if isinstance(spec.result, TypeOperator):
         return f"{spec.result.name}: {spec.result.result_kind.name}"
-    return format_sort(spec.result)
+    return format_pattern(spec.result)
 
 
 def _check_signature_clashes(sos, report: LintReport, source: str) -> None:
@@ -342,48 +320,23 @@ def _check_subtype_cycles(sos, report: LintReport, source: str) -> None:
 # ----------------------------------------------------------------- SOS008
 
 
-def _sort_mentions(sort: Sort, names: set[str], kinds: set[str]) -> None:
-    if isinstance(sort, KindSort):
-        kinds.add(sort.kind.name)
-    elif isinstance(sort, TypeSort):
-        for t in walk_type(sort.type):
-            if isinstance(t, TypeApp):
-                names.add(t.constructor)
-    elif isinstance(sort, BindSort):
-        _sort_mentions(sort.sort, names, kinds)
-    elif isinstance(sort, AppSort):
-        names.add(sort.constructor)
-        for a in sort.args:
-            _sort_mentions(a, names, kinds)
-    elif isinstance(sort, ProductSort):
-        for p in sort.parts:
-            _sort_mentions(p, names, kinds)
-    elif isinstance(sort, UnionSort):
-        for a in sort.alternatives:
-            _sort_mentions(a, names, kinds)
-    elif isinstance(sort, ListSort):
-        _sort_mentions(sort.element, names, kinds)
-    elif isinstance(sort, FunSort):
-        for a in sort.args:
-            _sort_mentions(a, names, kinds)
-        _sort_mentions(sort.result, names, kinds)
-
-
 def _check_unreachable_reps(sos, report: LintReport, source: str) -> None:
     ts = sos.type_system
     mentioned: set[str] = set()
     kinds: set[str] = set()
     for spec in sos.all_operators():
         for q in spec.quantifiers:
-            kinds.update(_quantifier_kind_names(q.kind))
+            kinds.update([k.name for k in q.kinds])
             if q.pattern is not None:
                 mentioned.update(
                     t.constructor for t in walk_type(q.pattern) if isinstance(t, TypeApp)
                 )
-        for sort in spec.arg_sorts:
-            _sort_mentions(sort, mentioned, kinds)
-        if not isinstance(spec.result, TypeOperator):
-            _sort_mentions(spec.result, mentioned, kinds)
+        result = () if isinstance(spec.result, TypeOperator) else (spec.result,)
+        for node in (n for sort in (*spec.arg_sorts, *result) for n in walk_type(sort)):
+            if isinstance(node, TypeApp):
+                mentioned.add(node.constructor)
+            elif isinstance(node, PVar) and node.kind is not None:
+                kinds.add(node.kind.name)
     extra = getattr(ts, "_extra_kinds", {})
     for ctor in ts.constructors:
         member_kinds = {ctor.result_kind.name} | {
@@ -432,8 +385,8 @@ def _check_update_functions(sos, report: LintReport, source: str) -> None:
             continue
         if isinstance(spec.result, TypeOperator):
             continue
-        first = format_sort(spec.arg_sorts[0])
-        result = format_sort(spec.result)
+        first = format_pattern(spec.arg_sorts[0])
+        result = format_pattern(spec.result)
         if first != result:
             line, column = _span(spec)
             report.add(

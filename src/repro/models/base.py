@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from repro.core.algebra import SecondOrderAlgebra, TupleValue
 from repro.core.operators import TypeOperator
-from repro.core.sorts import KindSort, ListSort, ProductSort, TypeSort
+from repro.core.sorts import ListSort
 from repro.core.sos import SignatureBuilder
-from repro.core.types import Sym, Type, TypeApp, tuple_type
+from repro.core.types import PVar, ProductType, Sym, Type, TypeApp, tuple_type
 from repro.models.common import (
     add_arithmetic,
     add_comparisons,
@@ -55,7 +55,7 @@ def add_base_level(builder: SignatureBuilder, spatial: bool = True) -> None:
     builder.constant_types("DATA", "int", "real", "string", "bool", level="hybrid")
     builder.constructor(
         "tuple",
-        [ListSort(ProductSort((TypeSort(IDENT_T), KindSort(data))))],
+        [ListSort(ProductType((IDENT_T, PVar("", data))))],
         tup,
         level="hybrid",
     )
@@ -67,7 +67,7 @@ def add_base_level(builder: SignatureBuilder, spatial: bool = True) -> None:
     add_logic(builder)
     builder.op(
         "mktuple",
-        args=(ListSort(ProductSort((TypeSort(IDENT_T), KindSort(data)))),),
+        args=(ListSort(ProductType((IDENT_T, PVar("", data)))),),
         result=TypeOperator("mktuple", tup, _mktuple_type),
         syntax="#[ _ ]",
         impl=_mktuple_impl,

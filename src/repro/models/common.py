@@ -12,8 +12,8 @@ import operator
 
 from repro.core.kinds import Kind
 from repro.core.operators import Quantifier, TypeOperator
-from repro.core.sorts import TypeSort, UnionSort, VarSort
-from repro.core.types import Sym, TypeApp
+from repro.core.sorts import UnionSort
+from repro.core.types import PVar, Sym, TypeApp
 from repro.errors import ExecutionError
 
 INT = TypeApp("int")
@@ -66,8 +66,8 @@ def add_comparisons(builder, data_kind: Kind, level: str = "hybrid") -> None:
         builder.op(
             name,
             quantifiers=(Quantifier("data", data_kind),),
-            args=(VarSort("data"), VarSort("data")),
-            result=TypeSort(BOOL),
+            args=(PVar("data"), PVar("data")),
+            result=BOOL,
             syntax="( _ # _ )",
             impl=_comparable(fn, name),
             inline=_INLINE[name],
@@ -92,7 +92,7 @@ _ARITH = {
 
 def add_arithmetic(builder, data_kind: Kind, level: str = "hybrid") -> None:
     """Arithmetic over int/real with the usual numeric promotion."""
-    num = UnionSort((TypeSort(INT), TypeSort(REAL)))
+    num = UnionSort((INT, REAL))
     for name, fn in _ARITH.items():
         builder.op(
             name,
@@ -107,7 +107,7 @@ def add_arithmetic(builder, data_kind: Kind, level: str = "hybrid") -> None:
     builder.op(
         "/",
         args=(num, num),
-        result=TypeSort(REAL),
+        result=REAL,
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a / b,
         inline="{0} / {1}",
@@ -116,8 +116,8 @@ def add_arithmetic(builder, data_kind: Kind, level: str = "hybrid") -> None:
     )
     builder.op(
         "div",
-        args=(TypeSort(INT), TypeSort(INT)),
-        result=TypeSort(INT),
+        args=(INT, INT),
+        result=INT,
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a // b,
         inline="{0} // {1}",
@@ -126,8 +126,8 @@ def add_arithmetic(builder, data_kind: Kind, level: str = "hybrid") -> None:
     )
     builder.op(
         "mod",
-        args=(TypeSort(INT), TypeSort(INT)),
-        result=TypeSort(INT),
+        args=(INT, INT),
+        result=INT,
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a % b,
         inline="{0} % {1}",
@@ -140,8 +140,8 @@ def add_logic(builder, level: str = "hybrid") -> None:
     """Boolean connectives for composing predicates."""
     builder.op(
         "and",
-        args=(TypeSort(BOOL), TypeSort(BOOL)),
-        result=TypeSort(BOOL),
+        args=(BOOL, BOOL),
+        result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a and b,
         inline="{0} and {1}",
@@ -150,8 +150,8 @@ def add_logic(builder, level: str = "hybrid") -> None:
     )
     builder.op(
         "or",
-        args=(TypeSort(BOOL), TypeSort(BOOL)),
-        result=TypeSort(BOOL),
+        args=(BOOL, BOOL),
+        result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a or b,
         inline="{0} or {1}",
@@ -160,8 +160,8 @@ def add_logic(builder, level: str = "hybrid") -> None:
     )
     builder.op(
         "not",
-        args=(TypeSort(BOOL),),
-        result=TypeSort(BOOL),
+        args=(BOOL,),
+        result=BOOL,
         syntax="# ( _ )",
         impl=lambda ctx, a: not a,
         inline="not {0}",

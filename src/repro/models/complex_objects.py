@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from repro.core.algebra import SecondOrderAlgebra
 from repro.core.operators import Quantifier, TypeOperator
-from repro.core.sorts import FunSort, KindSort, ListSort, ProductSort, TypeSort, VarSort
+from repro.core.sorts import ListSort
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
-from repro.core.types import PVar, Type, TypeApp, attrs_of
+from repro.core.types import FunType, PVar, ProductType, Type, TypeApp, attrs_of
 from repro.models.common import BOOL, add_comparisons, add_logic, register_atomic_carriers
 from repro.models.relational import IDENT_T, _check_tuple
 
@@ -123,11 +123,11 @@ def complex_object_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     )
     builder.constructor(
         "tuple",
-        [ListSort(ProductSort((TypeSort(IDENT_T), KindSort(obj))))],
+        [ListSort(ProductType((IDENT_T, PVar("", obj))))],
         obj,
         level="model",
     )
-    builder.constructor("set", [KindSort(obj)], obj, level="model")
+    builder.constructor("set", [PVar("", obj)], obj, level="model")
     add_comparisons(builder, obj)
     add_logic(builder)
     set_q = Quantifier("set", obj, SET_PATTERN)
@@ -135,7 +135,7 @@ def complex_object_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "mkset",
         quantifiers=(obj_q,),
-        args=(ListSort(VarSort("obj")),),
+        args=(ListSort(PVar("obj")),),
         result=TypeOperator("mkset", obj, _mkset_type),
         syntax="#[ _ ]",
         impl=lambda ctx, elements: ObjectSet(ctx.result_type, elements),
@@ -144,8 +144,8 @@ def complex_object_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "member",
         quantifiers=(obj_q, set_q),
-        args=(VarSort("obj"), VarSort("set")),
-        result=TypeSort(BOOL),
+        args=(PVar("obj"), PVar("set")),
+        result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, value, s: value in s,
         doc="set membership",
@@ -153,8 +153,8 @@ def complex_object_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "set_union",
         quantifiers=(set_q,),
-        args=(VarSort("set"), VarSort("set")),
-        result=VarSort("set"),
+        args=(PVar("set"), PVar("set")),
+        result=PVar("set"),
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: ObjectSet(a.type, list(a) + list(b)),
         doc="set union",
@@ -162,8 +162,8 @@ def complex_object_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "set_insert",
         quantifiers=(set_q,),
-        args=(VarSort("set"), VarSort("obj")),
-        result=VarSort("set"),
+        args=(PVar("set"), PVar("obj")),
+        result=PVar("set"),
         impl=lambda ctx, s, value: ObjectSet(s.type, list(s) + [value]),
         is_update=True,
         doc="insert an element (update function)",
@@ -171,8 +171,8 @@ def complex_object_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "filter_set",
         quantifiers=(set_q,),
-        args=(VarSort("set"), FunSort((VarSort("obj"),), TypeSort(BOOL))),
-        result=VarSort("set"),
+        args=(PVar("set"), FunType((PVar("obj"),), BOOL)),
+        result=PVar("set"),
         syntax="_ #[ _ ]",
         impl=lambda ctx, s, pred: ObjectSet(s.type, (e for e in s if pred(e))),
         doc="subset satisfying a predicate",
@@ -180,8 +180,8 @@ def complex_object_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "card",
         quantifiers=(set_q,),
-        args=(VarSort("set"),),
-        result=TypeSort(TypeApp("int")),
+        args=(PVar("set"),),
+        result=TypeApp("int"),
         syntax="# ( _ )",
         impl=lambda ctx, s: len(s),
         doc="cardinality",

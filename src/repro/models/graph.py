@@ -4,8 +4,8 @@ The paper credits the two-level idea to joint work with Erwig ([ErG91]),
 where it was "applied to define a data model that integrates object class
 hierarchies with explicit graph structures".  This module demonstrates the
 same generality: a graph model defined with the identical machinery —
-kinds, type constructors, quantified operators — and an algebra implemented
-over ``networkx``.
+kinds, type constructors, quantified operators — and an algebra over
+adjacency lists.
 
 Type system::
 
@@ -24,11 +24,13 @@ with graph exploration (``succ``, ``reachable``, ``shortest_path``).
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Optional
+
 from repro.core.algebra import Relation, SecondOrderAlgebra, TupleValue
 from repro.core.operators import Quantifier
-from repro.core.sorts import AppSort, FunSort, KindSort, TypeSort, VarSort
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
-from repro.core.types import PVar, Type, TypeApp
+from repro.core.types import FunType, PVar, Type, TypeApp
 from repro.errors import ExecutionError
 from repro.models.common import (
     BOOL,
@@ -40,70 +42,90 @@ GRAPH_PATTERN = TypeApp("graph", (PVar("ntuple"), PVar("etuple")))
 
 
 class GraphValue:
-    """A graph value: a directed multigraph with attributed nodes/edges."""
+    """A graph value: a directed multigraph with attributed nodes/edges,
+    kept as adjacency lists."""
 
-    __slots__ = ("type", "g")
+    __slots__ = ("type", "nodes", "out", "inc")
 
     def __init__(self, graph_type: Type):
-        import networkx as nx  # imported on first use: it is slow to load
-
         self.type = graph_type
-        self.g = nx.MultiDiGraph()
-
-    @property
-    def node_type(self) -> Type:
-        assert isinstance(self.type, TypeApp)
-        return self.type.args[0]  # type: ignore[return-value]
-
-    @property
-    def edge_type(self) -> Type:
-        assert isinstance(self.type, TypeApp)
-        return self.type.args[1]  # type: ignore[return-value]
+        self.nodes: dict[int, TupleValue] = {}
+        self.out: dict[int, list[tuple[int, TupleValue]]] = {}
+        """Per node, its outgoing edges ``(target, attributes)`` in the
+        order they were added."""
+        self.inc: dict[int, list[int]] = {}
+        """Per node, the source of each incoming edge."""
 
     def clone(self) -> "GraphValue":
-        """A snapshot copy: the graph topology and attribute dicts are
-        copied, the (immutable) attribute tuples are shared."""
+        """A snapshot copy: the adjacency lists are copied, the (immutable)
+        attribute tuples are shared."""
         twin = GraphValue(self.type)
-        twin.g = self.g.copy()
+        twin.nodes = dict(self.nodes)
+        twin.out = {n: list(edges) for n, edges in self.out.items()}
+        twin.inc = {n: list(sources) for n, sources in self.inc.items()}
         return twin
 
     def add_node(self, node_id: int, attrs: TupleValue) -> None:
-        self.g.add_node(node_id, attrs=attrs)
+        self.nodes[node_id] = attrs
+        self.out.setdefault(node_id, [])
+        self.inc.setdefault(node_id, [])
 
     def add_edge(self, source: int, target: int, attrs: TupleValue) -> None:
-        if source not in self.g or target not in self.g:
+        if source not in self.nodes or target not in self.nodes:
             raise ExecutionError(
                 f"edge endpoints must exist: {source} -> {target}"
             )
-        self.g.add_edge(source, target, attrs=attrs)
+        self.out[source].append((target, attrs))
+        self.inc[target].append(source)
 
     def node_attrs(self, node_id: int) -> TupleValue:
         try:
-            return self.g.nodes[node_id]["attrs"]
+            return self.nodes[node_id]
         except KeyError:
             raise ExecutionError(f"no node {node_id} in the graph") from None
 
     def node_relation(self, rel_type: Type) -> Relation:
-        return Relation(
-            rel_type, (self.g.nodes[n]["attrs"] for n in sorted(self.g.nodes))
-        )
+        return Relation(rel_type, (self.nodes[n] for n in sorted(self.nodes)))
 
     def edge_relation(self, rel_type: Type) -> Relation:
-        return Relation(
-            rel_type,
-            (data["attrs"] for _, _, data in sorted(
-                self.g.edges(data=True), key=lambda e: (e[0], e[1])
-            )),
+        edges = sorted(
+            ((u, v, attrs) for u, out in self.out.items() for v, attrs in out),
+            key=lambda e: (e[0], e[1]),
         )
+        return Relation(rel_type, (attrs for _, _, attrs in edges))
+
+    def reachable(self, node_id: int) -> dict[int, Optional[int]]:
+        """Breadth-first search: each node a path from ``node_id`` reaches,
+        mapped to its predecessor on a shortest such path."""
+        parent: dict[int, Optional[int]] = {node_id: None}
+        frontier = deque([node_id])
+        while frontier:
+            node = frontier.popleft()
+            for m, _ in self.out[node]:
+                if m not in parent:
+                    parent[m] = node
+                    frontier.append(m)
+        return parent
+
+    def shortest_path(self, source: int, target: int) -> list[int]:
+        """The nodes of a shortest path from ``source`` to ``target``, or
+        ``[]`` if there is none."""
+        if source not in self.nodes:
+            return []
+        parent = self.reachable(source)
+        path: list[int] = []
+        node = target if target in parent else None
+        while node is not None:
+            path.append(node)
+            node = parent[node]
+        return path[::-1]
 
     def __len__(self) -> int:
-        return self.g.number_of_nodes()
+        return len(self.nodes)
 
     def __repr__(self) -> str:
-        return (
-            f"GraphValue({self.g.number_of_nodes()} nodes, "
-            f"{self.g.number_of_edges()} edges)"
-        )
+        edges = sum(len(out) for out in self.out.values())
+        return f"GraphValue({len(self.nodes)} nodes, {edges} edges)"
 
 
 # ---------------------------------------------------------------------------
@@ -134,50 +156,31 @@ def _edges_impl(ctx, graph: GraphValue) -> Relation:
 
 
 def _succ_impl(ctx, graph: GraphValue, node_id: int) -> Relation:
-    rel_type = ctx.result_type
-    if node_id not in graph.g:
-        raise ExecutionError(f"no node {node_id} in the graph")
-    return Relation(
-        rel_type,
-        (graph.node_attrs(s) for s in sorted(graph.g.successors(node_id))),
-    )
+    graph.node_attrs(node_id)  # raises for a missing node
+    successors = {m for m, _ in graph.out[node_id]}
+    return Relation(ctx.result_type, (graph.nodes[m] for m in sorted(successors)))
 
 
 def _pred_impl(ctx, graph: GraphValue, node_id: int) -> Relation:
-    rel_type = ctx.result_type
-    if node_id not in graph.g:
-        raise ExecutionError(f"no node {node_id} in the graph")
-    return Relation(
-        rel_type,
-        (graph.node_attrs(p) for p in sorted(graph.g.predecessors(node_id))),
-    )
+    graph.node_attrs(node_id)  # raises for a missing node
+    predecessors = set(graph.inc[node_id])
+    return Relation(ctx.result_type, (graph.nodes[m] for m in sorted(predecessors)))
 
 
 def _reachable_impl(ctx, graph: GraphValue, node_id: int) -> Relation:
-    if node_id not in graph.g:
-        raise ExecutionError(f"no node {node_id} in the graph")
-    import networkx as nx
-
-    reached = nx.descendants(graph.g, node_id) | {node_id}
-    return Relation(
-        ctx.result_type, (graph.node_attrs(n) for n in sorted(reached))
-    )
+    graph.node_attrs(node_id)  # raises for a missing node
+    reached = graph.reachable(node_id)
+    return Relation(ctx.result_type, (graph.nodes[n] for n in sorted(reached)))
 
 
 def _shortest_path_impl(ctx, graph: GraphValue, source: int, target: int) -> Relation:
-    import networkx as nx
-
-    try:
-        path = nx.shortest_path(graph.g, source, target)
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        path = []
-    return Relation(ctx.result_type, (graph.node_attrs(n) for n in path))
+    path = graph.shortest_path(source, target)
+    return Relation(ctx.result_type, (graph.nodes[n] for n in path))
 
 
 def _degree_impl(ctx, graph: GraphValue, node_id: int) -> int:
-    if node_id not in graph.g:
-        raise ExecutionError(f"no node {node_id} in the graph")
-    return graph.g.out_degree(node_id) + graph.g.in_degree(node_id)
+    graph.node_attrs(node_id)  # raises for a missing node
+    return len(graph.out[node_id]) + len(graph.inc[node_id])
 
 
 # ---------------------------------------------------------------------------
@@ -193,28 +196,28 @@ def graph_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder = SignatureBuilder()
     add_base_level(builder, spatial=False)
     rel_kind = builder.kind("REL")
-    builder.constructor("rel", [KindSort(builder.kind("TUPLE"))], rel_kind)
+    builder.constructor("rel", [PVar("", builder.kind("TUPLE"))], rel_kind)
     graph_kind = builder.kind("GRAPH")
     tup = builder.kind("TUPLE")
-    builder.constructor("graph", [KindSort(tup), KindSort(tup)], graph_kind)
+    builder.constructor("graph", [PVar("", tup), PVar("", tup)], graph_kind)
 
     graph_q = Quantifier("graph", graph_kind, GRAPH_PATTERN)
-    node_rel = AppSort("rel", (VarSort("ntuple"),))
-    edge_rel = AppSort("rel", (VarSort("etuple"),))
+    node_rel = TypeApp("rel", (PVar("ntuple"),))
+    edge_rel = TypeApp("rel", (PVar("etuple"),))
 
     builder.op(
         "empty",
         quantifiers=(graph_q,),
         args=(),
-        result=VarSort("graph"),
+        result=PVar("graph"),
         impl=_empty_graph,
         doc="the empty graph of the expected type",
     )
     builder.op(
         "add_node",
         quantifiers=(graph_q,),
-        args=(VarSort("graph"), TypeSort(INT), VarSort("ntuple")),
-        result=VarSort("graph"),
+        args=(PVar("graph"), INT, PVar("ntuple")),
+        result=PVar("graph"),
         impl=_add_node_impl,
         is_update=True,
         doc="add (or replace) an attributed node",
@@ -222,8 +225,8 @@ def graph_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "add_edge",
         quantifiers=(graph_q,),
-        args=(VarSort("graph"), TypeSort(INT), TypeSort(INT), VarSort("etuple")),
-        result=VarSort("graph"),
+        args=(PVar("graph"), INT, INT, PVar("etuple")),
+        result=PVar("graph"),
         impl=_add_edge_impl,
         is_update=True,
         doc="add an attributed edge between existing nodes",
@@ -231,7 +234,7 @@ def graph_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "nodes",
         quantifiers=(graph_q,),
-        args=(VarSort("graph"),),
+        args=(PVar("graph"),),
         result=node_rel,
         syntax="_ #",
         impl=_nodes_impl,
@@ -240,7 +243,7 @@ def graph_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "edges",
         quantifiers=(graph_q,),
-        args=(VarSort("graph"),),
+        args=(PVar("graph"),),
         result=edge_rel,
         syntax="_ #",
         impl=_edges_impl,
@@ -249,7 +252,7 @@ def graph_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "succ",
         quantifiers=(graph_q,),
-        args=(VarSort("graph"), TypeSort(INT)),
+        args=(PVar("graph"), INT),
         result=node_rel,
         syntax="_ #[ _ ]",
         impl=_succ_impl,
@@ -258,7 +261,7 @@ def graph_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "pred",
         quantifiers=(graph_q,),
-        args=(VarSort("graph"), TypeSort(INT)),
+        args=(PVar("graph"), INT),
         result=node_rel,
         syntax="_ #[ _ ]",
         impl=_pred_impl,
@@ -267,7 +270,7 @@ def graph_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "reachable",
         quantifiers=(graph_q,),
-        args=(VarSort("graph"), TypeSort(INT)),
+        args=(PVar("graph"), INT),
         result=node_rel,
         syntax="_ #[ _ ]",
         impl=_reachable_impl,
@@ -276,7 +279,7 @@ def graph_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "shortest_path",
         quantifiers=(graph_q,),
-        args=(VarSort("graph"), TypeSort(INT), TypeSort(INT)),
+        args=(PVar("graph"), INT, INT),
         result=node_rel,
         syntax="_ #[ _, _ ]",
         impl=_shortest_path_impl,
@@ -285,8 +288,8 @@ def graph_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "degree",
         quantifiers=(graph_q,),
-        args=(VarSort("graph"), TypeSort(INT)),
-        result=TypeSort(INT),
+        args=(PVar("graph"), INT),
+        result=INT,
         syntax="_ #[ _ ]",
         impl=_degree_impl,
         doc="total degree of a node",
@@ -295,8 +298,8 @@ def graph_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]:
     builder.op(
         "select",
         quantifiers=(Quantifier("rel", rel_kind, REL_PATTERN),),
-        args=(VarSort("rel"), FunSort((VarSort("tuple"),), TypeSort(BOOL))),
-        result=VarSort("rel"),
+        args=(PVar("rel"), FunType((PVar("tuple"),), BOOL)),
+        result=PVar("rel"),
         syntax="_ #[ _ ]",
         impl=_select_impl,
         doc="relational selection over graph-derived relations",

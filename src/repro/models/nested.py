@@ -23,17 +23,12 @@ from __future__ import annotations
 from repro.core.algebra import Relation, SecondOrderAlgebra, TupleValue
 from repro.core.operators import Quantifier, TypeOperator
 from repro.core.signature import TypeSystem
-from repro.core.sorts import (
-    FunSort,
-    KindSort,
-    ListSort,
-    ProductSort,
-    TypeSort,
-    UnionSort,
-    VarSort,
-)
+from repro.core.sorts import ListSort, UnionSort
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
 from repro.core.types import (
+    FunType,
+    PVar,
+    ProductType,
     Sym,
     Type,
     TypeApp,
@@ -68,8 +63,8 @@ def nested_type_system_paper() -> TypeSystem:
     ts.add_constructor(TypeConstructor("ident", (), ident))
     for name in ("int", "real", "string", "bool"):
         ts.add_constructor(TypeConstructor(name, (), data))
-    attr_sort = ProductSort(
-        (TypeSort(IDENT_T), UnionSort((KindSort(data), KindSort(rel))))
+    attr_sort = ProductType(
+        (IDENT_T, UnionSort((PVar("", data), PVar("", rel))))
     )
     ts.add_constructor(TypeConstructor("rel", (ListSort(attr_sort),), rel))
     return ts
@@ -174,19 +169,19 @@ def nested_relational_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]
     _ident, data, tup, rel = builder.kinds("IDENT", "DATA", "TUPLE", "REL")
     builder.constant_types("IDENT", "ident", level="hybrid")
     builder.constant_types("DATA", "int", "real", "string", "bool", level="hybrid")
-    attr_sort = ProductSort(
-        (TypeSort(IDENT_T), UnionSort((KindSort(data), KindSort(rel))))
+    attr_sort = ProductType(
+        (IDENT_T, UnionSort((PVar("", data), PVar("", rel))))
     )
     builder.constructor("tuple", [ListSort(attr_sort)], tup, level="model")
-    builder.constructor("rel", [KindSort(tup)], rel, level="model")
+    builder.constructor("rel", [PVar("", tup)], rel, level="model")
     add_comparisons(builder, data)
     add_logic(builder)
     rel_q = Quantifier("rel", rel, REL_PATTERN)
     builder.op(
         "select",
         quantifiers=(rel_q,),
-        args=(VarSort("rel"), FunSort((VarSort("tuple"),), TypeSort(BOOL))),
-        result=VarSort("rel"),
+        args=(PVar("rel"), FunType((PVar("tuple"),), BOOL)),
+        result=PVar("rel"),
         syntax="_ #[ _ ]",
         impl=_select_impl,
         doc="selection over nested relations",
@@ -194,7 +189,7 @@ def nested_relational_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]
     builder.op(
         "unnest",
         quantifiers=(rel_q,),
-        args=(VarSort("rel"), TypeSort(IDENT_T)),
+        args=(PVar("rel"), IDENT_T),
         result=TypeOperator("unnest", rel, _unnest_type),
         syntax="_ #[ _ ]",
         impl=_unnest_impl,
@@ -204,9 +199,9 @@ def nested_relational_model() -> tuple[SecondOrderSignature, SecondOrderAlgebra]
         "nest",
         quantifiers=(rel_q,),
         args=(
-            VarSort("rel"),
-            ListSort(TypeSort(IDENT_T)),
-            TypeSort(IDENT_T),
+            PVar("rel"),
+            ListSort(IDENT_T),
+            IDENT_T,
         ),
         result=TypeOperator("nest", rel, _nest_type),
         syntax="_ #[ _, _ ]",

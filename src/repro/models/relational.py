@@ -39,9 +39,10 @@ from __future__ import annotations
 
 from repro.core.algebra import Relation, SecondOrderAlgebra, TupleValue
 from repro.core.operators import Quantifier, TypeOperator
-from repro.core.sorts import FunSort, KindSort, ListSort, TypeSort, VarSort
+from repro.core.sorts import ListSort
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
 from repro.core.types import (
+    FunType,
     PVar,
     Sym,
     Type,
@@ -175,7 +176,7 @@ def add_relational_level(builder: SignatureBuilder) -> None:
     """Install the model-level relational layer on top of the base level:
     the ``rel`` constructor, the query operators and the update operators."""
     rel = builder.kind("REL")
-    builder.constructor("rel", [KindSort(builder.kind("TUPLE"))], rel, level="model")
+    builder.constructor("rel", [PVar("", builder.kind("TUPLE"))], rel, level="model")
     add_relational_operators(builder)
     add_relational_updates(builder)
 
@@ -188,10 +189,10 @@ def add_relational_operators(builder: SignatureBuilder) -> None:
         "select",
         quantifiers=(Quantifier("rel", rel_kind, REL_PATTERN),),
         args=(
-            VarSort("rel"),
-            FunSort((VarSort("tuple"),), TypeSort(BOOL)),
+            PVar("rel"),
+            FunType((PVar("tuple"),), BOOL),
         ),
-        result=VarSort("rel"),
+        result=PVar("rel"),
         syntax="_ #[ _ ]",
         impl=_select_impl,
         level="model",
@@ -200,8 +201,8 @@ def add_relational_operators(builder: SignatureBuilder) -> None:
     builder.op(
         "union",
         quantifiers=(Quantifier("rel", rel_kind),),
-        args=(ListSort(VarSort("rel")),),
-        result=VarSort("rel"),
+        args=(ListSort(PVar("rel")),),
+        result=PVar("rel"),
         syntax="_ #",
         impl=_union_impl,
         level="model",
@@ -214,9 +215,9 @@ def add_relational_operators(builder: SignatureBuilder) -> None:
             Quantifier("rel2", rel_kind, TypeApp("rel", (PVar("tuple2"),))),
         ),
         args=(
-            VarSort("rel1"),
-            VarSort("rel2"),
-            FunSort((VarSort("tuple1"), VarSort("tuple2")), TypeSort(BOOL)),
+            PVar("rel1"),
+            PVar("rel2"),
+            FunType((PVar("tuple1"), PVar("tuple2")), BOOL),
         ),
         result=TypeOperator("join", rel_kind, _join_type),
         syntax="_ _ #[ _ ]",
@@ -233,7 +234,7 @@ def add_relational_updates(builder: SignatureBuilder) -> None:
         "empty",
         quantifiers=(rel_q,),
         args=(),
-        result=VarSort("rel"),
+        result=PVar("rel"),
         impl=_empty_impl,
         level="model",
         doc="the empty relation of the expected relation type",
@@ -241,8 +242,8 @@ def add_relational_updates(builder: SignatureBuilder) -> None:
     builder.op(
         "insert",
         quantifiers=(rel_q,),
-        args=(VarSort("rel"), VarSort("tuple")),
-        result=VarSort("rel"),
+        args=(PVar("rel"), PVar("tuple")),
+        result=PVar("rel"),
         impl=_insert_impl,
         is_update=True,
         level="model",
@@ -251,8 +252,8 @@ def add_relational_updates(builder: SignatureBuilder) -> None:
     builder.op(
         "rel_insert",
         quantifiers=(rel_q,),
-        args=(VarSort("rel"), VarSort("rel")),
-        result=VarSort("rel"),
+        args=(PVar("rel"), PVar("rel")),
+        result=PVar("rel"),
         impl=_rel_insert_impl,
         is_update=True,
         level="model",
@@ -261,8 +262,8 @@ def add_relational_updates(builder: SignatureBuilder) -> None:
     builder.op(
         "delete",
         quantifiers=(rel_q,),
-        args=(VarSort("rel"), FunSort((VarSort("tuple"),), TypeSort(BOOL))),
-        result=VarSort("rel"),
+        args=(PVar("rel"), FunType((PVar("tuple"),), BOOL)),
+        result=PVar("rel"),
         impl=_delete_impl,
         is_update=True,
         level="model",
@@ -272,12 +273,12 @@ def add_relational_updates(builder: SignatureBuilder) -> None:
         "modify",
         quantifiers=(rel_q,),
         args=(
-            VarSort("rel"),
-            FunSort((VarSort("tuple"),), TypeSort(BOOL)),
-            TypeSort(IDENT_T),
-            FunSort((VarSort("tuple"),), KindSort(data_kind)),
+            PVar("rel"),
+            FunType((PVar("tuple"),), BOOL),
+            IDENT_T,
+            FunType((PVar("tuple"),), PVar("", data_kind)),
         ),
-        result=VarSort("rel"),
+        result=PVar("rel"),
         impl=_modify_impl,
         is_update=True,
         post_check=_modify_post_check,

@@ -12,7 +12,7 @@ rectangles, which the spatial-join filter steps rely on.
 
 from __future__ import annotations
 
-from repro.core.sorts import ListSort, TypeSort, UnionSort
+from repro.core.sorts import ListSort, UnionSort
 from repro.core.sos import SignatureBuilder
 from repro.core.types import TypeApp
 from repro.geometry import Point, Polygon, Rect
@@ -32,8 +32,8 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
     """Register ``inside``, ``bbox`` and ``intersects``."""
     builder.op(
         "inside",
-        args=(TypeSort(POINT), TypeSort(PGON)),
-        result=TypeSort(BOOL),
+        args=(POINT, PGON),
+        result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, p, pg: pg.contains_point(p),
         level=level,
@@ -41,8 +41,8 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
     )
     builder.op(
         "inside",
-        args=(TypeSort(POINT), TypeSort(RECT)),
-        result=TypeSort(BOOL),
+        args=(POINT, RECT),
+        result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, p, r: r.contains_point(p),
         level=level,
@@ -50,8 +50,8 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
     )
     builder.op(
         "inside",
-        args=(TypeSort(RECT), TypeSort(RECT)),
-        result=TypeSort(BOOL),
+        args=(RECT, RECT),
+        result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: b.contains_rect(a),
         level=level,
@@ -59,18 +59,18 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
     )
     builder.op(
         "intersects",
-        args=(TypeSort(RECT), TypeSort(RECT)),
-        result=TypeSort(BOOL),
+        args=(RECT, RECT),
+        result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a.intersects(b),
         level=level,
         doc="rectangle overlap",
     )
-    num = UnionSort((TypeSort(TypeApp("int")), TypeSort(TypeApp("real"))))
+    num = UnionSort((TypeApp("int"), TypeApp("real")))
     builder.op(
         "pt",
         args=(num, num),
-        result=TypeSort(POINT),
+        result=POINT,
         syntax="# ( _, _ )",
         impl=lambda ctx, x, y: Point(float(x), float(y)),
         level=level,
@@ -79,7 +79,7 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
     builder.op(
         "box",
         args=(num, num, num, num),
-        result=TypeSort(RECT),
+        result=RECT,
         syntax="# ( _, _, _, _ )",
         impl=lambda ctx, x1, y1, x2, y2: Rect(
             float(x1), float(y1), float(x2), float(y2)
@@ -90,7 +90,7 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
     builder.op(
         "region_box",
         args=(num, num, num, num),
-        result=TypeSort(PGON),
+        result=PGON,
         syntax="# ( _, _, _, _ )",
         impl=lambda ctx, x1, y1, x2, y2: Polygon.rectangle(
             float(x1), float(y1), float(x2), float(y2)
@@ -100,8 +100,8 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
     )
     builder.op(
         "poly",
-        args=(ListSort(TypeSort(POINT)),),
-        result=TypeSort(PGON),
+        args=(ListSort(POINT),),
+        result=PGON,
         syntax="#[ _ ]",
         impl=lambda ctx, vertices: Polygon(tuple(vertices)),
         level=level,
@@ -109,8 +109,8 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
     )
     builder.op(
         "bbox",
-        args=(TypeSort(PGON),),
-        result=TypeSort(RECT),
+        args=(PGON,),
+        result=RECT,
         syntax="# ( _ )",
         impl=lambda ctx, pg: pg.bbox(),
         level=level,

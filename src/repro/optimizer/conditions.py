@@ -48,7 +48,7 @@ class CatalogCondition(Condition):
             if name is None and var in state.vbinds:
                 # Bound to a complex subterm (e.g. a nested select), not an
                 # object name: the catalog cannot vouch for it — the
-                # condition fails rather than degrade into a wildcard, which
+                # condition fails rather than match any row (``None``), which
                 # would silently drop the subterm (soundness!).
                 return
             pattern.append(Sym(name) if name is not None else None)

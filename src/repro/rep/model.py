@@ -32,19 +32,13 @@ from __future__ import annotations
 from repro.core.algebra import Closure, SecondOrderAlgebra, Stream
 from repro.core.constructors import ConstructorSpec
 from repro.core.operators import Quantifier, TypeOperator
-from repro.core.sorts import (
-    AppSort,
-    BindSort,
-    FunSort,
-    KindSort,
-    ListSort,
-    ProductSort,
-    TypeSort,
-    VarSort,
-)
+from repro.core.sorts import ListSort
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
 from repro.core.types import (
+    FunType,
+    PBind,
     PVar,
+    ProductType,
     Sym,
     TermArg,
     Type,
@@ -521,13 +515,13 @@ def add_representation_level(builder: SignatureBuilder) -> None:
     builder.kind_member("string", ord_kind)
     builder.kind_member("real", ord_kind)
 
-    builder.constructor("stream", [KindSort(tup)], stream_k, level="rep")
-    builder.constructor("srel", [KindSort(tup)], srel_k, level="rep")
-    builder.constructor("tidrel", [KindSort(tup)], tidrel_k, level="rep")
-    builder.constructor("relrep", [KindSort(tup)], relrep_k, level="rep")
+    builder.constructor("stream", [PVar("", tup)], stream_k, level="rep")
+    builder.constructor("srel", [PVar("", tup)], srel_k, level="rep")
+    builder.constructor("tidrel", [PVar("", tup)], tidrel_k, level="rep")
+    builder.constructor("relrep", [PVar("", tup)], relrep_k, level="rep")
     builder.constructor(
         "btree",
-        [BindSort("tuple", KindSort(tup)), TypeSort(IDENT_T), KindSort(ord_kind)],
+        [PBind("tuple", PVar("", tup)), IDENT_T, PVar("", ord_kind)],
         btree_k,
         spec=ConstructorSpec(
             "(attrname, dtype) must name a component of the tuple type",
@@ -538,8 +532,8 @@ def add_representation_level(builder: SignatureBuilder) -> None:
     builder.constructor(
         "btree",
         [
-            BindSort("tuple", KindSort(tup)),
-            FunSort((VarSort("tuple"),), KindSort(ord_kind)),
+            PBind("tuple", PVar("", tup)),
+            FunType((PVar("tuple"),), PVar("", ord_kind)),
         ],
         btree_k,
         level="rep",
@@ -547,8 +541,8 @@ def add_representation_level(builder: SignatureBuilder) -> None:
     builder.constructor(
         "lsdtree",
         [
-            BindSort("tuple", KindSort(tup)),
-            FunSort((VarSort("tuple"),), TypeSort(RECT_T)),
+            PBind("tuple", PVar("", tup)),
+            FunType((PVar("tuple"),), RECT_T),
         ],
         lsd_k,
         level="rep",
@@ -559,8 +553,8 @@ def add_representation_level(builder: SignatureBuilder) -> None:
     builder.constructor(
         "mbtree",
         [
-            BindSort("tuple", KindSort(tup)),
-            ListSort(ProductSort((TypeSort(IDENT_T), KindSort(ord_kind)))),
+            PBind("tuple", PVar("", tup)),
+            ListSort(ProductType((IDENT_T, PVar("", ord_kind)))),
         ],
         mbtree_k,
         spec=ConstructorSpec(
@@ -587,7 +581,7 @@ def add_representation_level(builder: SignatureBuilder) -> None:
     sindex_k = builder.kind("SINDEX")
     builder.constructor(
         "sindex",
-        [BindSort("tuple", KindSort(tup)), TypeSort(IDENT_T), KindSort(ord_kind)],
+        [PBind("tuple", PVar("", tup)), IDENT_T, PVar("", ord_kind)],
         sindex_k,
         spec=ConstructorSpec(
             "(attrname, dtype) must name a component of the tuple type",
@@ -612,7 +606,7 @@ def _add_sindex_operators(builder, sindex_k, tidrel_k) -> None:
     builder.op(
         "build_index",
         quantifiers=(Quantifier("tidrel", tidrel_k, TypeApp("tidrel", (PVar("tuple"),))),),
-        args=(VarSort("tidrel"), TypeSort(IDENT_T)),
+        args=(PVar("tidrel"), IDENT_T),
         result=TypeOperator("build_index", sindex_k, _sindex_type),
         impl=_build_index_impl,
         level="rep",
@@ -621,8 +615,8 @@ def _add_sindex_operators(builder, sindex_k, tidrel_k) -> None:
     builder.op(
         "sindex_range",
         quantifiers=(sindex_q,),
-        args=(VarSort("sindex"), VarSort("dtype"), VarSort("dtype")),
-        result=AppSort("stream", (VarSort("tuple"),)),
+        args=(PVar("sindex"), PVar("dtype"), PVar("dtype")),
+        result=STREAM_PATTERN,
         syntax="_ #[ _, _ ]",
         impl=_sindex_range_impl,
         level="rep",
@@ -631,8 +625,8 @@ def _add_sindex_operators(builder, sindex_k, tidrel_k) -> None:
     builder.op(
         "sindex_exact",
         quantifiers=(sindex_q,),
-        args=(VarSort("sindex"), VarSort("dtype")),
-        result=AppSort("stream", (VarSort("tuple"),)),
+        args=(PVar("sindex"), PVar("dtype")),
+        result=STREAM_PATTERN,
         syntax="_ #[ _ ]",
         impl=_sindex_exact_impl,
         level="rep",
@@ -647,8 +641,8 @@ def _add_mbtree_operators(builder, mbtree_k, data, stream_k) -> None:
     builder.op(
         "prefix",
         quantifiers=(mbtree_q,),
-        args=(VarSort("mbtree"), ListSort(KindSort(data))),
-        result=AppSort("stream", (VarSort("tuple"),)),
+        args=(PVar("mbtree"), ListSort(PVar("", data))),
+        result=STREAM_PATTERN,
         syntax="_ #[ _ ]",
         impl=_prefix_impl,
         post_check=_prefix_post_check,
@@ -660,7 +654,7 @@ def _add_mbtree_operators(builder, mbtree_k, data, stream_k) -> None:
         "empty",
         quantifiers=(mbtree_q,),
         args=(),
-        result=VarSort("mbtree"),
+        result=PVar("mbtree"),
         impl=_new_structure,
         level="rep",
         doc="an empty multi-attribute B-tree of the expected type",
@@ -668,8 +662,8 @@ def _add_mbtree_operators(builder, mbtree_k, data, stream_k) -> None:
     builder.op(
         "insert",
         quantifiers=(mbtree_q,),
-        args=(VarSort("mbtree"), VarSort("tuple")),
-        result=VarSort("mbtree"),
+        args=(PVar("mbtree"), PVar("tuple")),
+        result=PVar("mbtree"),
         impl=_insert_struct_impl,
         is_update=True,
         level="rep",
@@ -678,8 +672,8 @@ def _add_mbtree_operators(builder, mbtree_k, data, stream_k) -> None:
     builder.op(
         "stream_insert",
         quantifiers=(mbtree_q,),
-        args=(VarSort("mbtree"), AppSort("stream", (VarSort("tuple"),))),
-        result=VarSort("mbtree"),
+        args=(PVar("mbtree"), STREAM_PATTERN),
+        result=PVar("mbtree"),
         impl=_stream_insert_impl,
         is_update=True,
         level="rep",
@@ -692,8 +686,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "feed",
         quantifiers=(Quantifier("relrep", relrep_k, RELREP_PATTERN),),
-        args=(VarSort("relrep"),),
-        result=AppSort("stream", (VarSort("tuple"),)),
+        args=(PVar("relrep"),),
+        result=STREAM_PATTERN,
         syntax="_ #",
         impl=_feed_impl,
         level="rep",
@@ -702,8 +696,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "filter",
         quantifiers=(stream_q,),
-        args=(VarSort("stream"), FunSort((VarSort("tuple"),), TypeSort(BOOL))),
-        result=VarSort("stream"),
+        args=(PVar("stream"), FunType((PVar("tuple"),), BOOL)),
+        result=PVar("stream"),
         syntax="_ #[ _ ]",
         impl=_filter_impl,
         level="rep",
@@ -713,10 +707,10 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
         "project",
         quantifiers=(stream_q,),
         args=(
-            VarSort("stream"),
+            PVar("stream"),
             ListSort(
-                ProductSort(
-                    (TypeSort(IDENT_T), FunSort((VarSort("tuple"),), KindSort(data)))
+                ProductType(
+                    (IDENT_T, FunType((PVar("tuple"),), PVar("", data)))
                 )
             ),
         ),
@@ -731,11 +725,11 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
         "replace",
         quantifiers=(stream_q,),
         args=(
-            VarSort("stream"),
-            TypeSort(IDENT_T),
-            FunSort((VarSort("tuple"),), KindSort(data)),
+            PVar("stream"),
+            IDENT_T,
+            FunType((PVar("tuple"),), PVar("", data)),
         ),
-        result=VarSort("stream"),
+        result=PVar("stream"),
         syntax="_ #[ _, _ ]",
         impl=_replace_impl,
         post_check=_replace_post_check,
@@ -745,8 +739,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "collect",
         quantifiers=(stream_q,),
-        args=(VarSort("stream"),),
-        result=AppSort("srel", (VarSort("tuple"),)),
+        args=(PVar("stream"),),
+        result=TypeApp("srel", (PVar("tuple"),)),
         syntax="_ #",
         impl=_collect_impl,
         level="rep",
@@ -755,8 +749,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "head",
         quantifiers=(stream_q,),
-        args=(VarSort("stream"), TypeSort(INT)),
-        result=VarSort("stream"),
+        args=(PVar("stream"), INT),
+        result=PVar("stream"),
         syntax="_ #[ _ ]",
         impl=_head_impl,
         level="rep",
@@ -765,8 +759,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "count",
         quantifiers=(stream_q,),
-        args=(VarSort("stream"),),
-        result=TypeSort(INT),
+        args=(PVar("stream"),),
+        result=INT,
         syntax="_ #",
         impl=_count_impl,
         level="rep",
@@ -775,8 +769,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "sortby",
         quantifiers=(stream_q,),
-        args=(VarSort("stream"), TypeSort(IDENT_T)),
-        result=VarSort("stream"),
+        args=(PVar("stream"), IDENT_T),
+        result=PVar("stream"),
         syntax="_ #[ _ ]",
         impl=_sortby_impl,
         post_check=_sortby_post_check,
@@ -786,8 +780,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "rdup",
         quantifiers=(stream_q,),
-        args=(VarSort("stream"),),
-        result=VarSort("stream"),
+        args=(PVar("stream"),),
+        result=PVar("stream"),
         syntax="_ #",
         impl=_rdup_impl,
         level="rep",
@@ -797,7 +791,7 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
         builder.op(
             name,
             quantifiers=(stream_q,),
-            args=(VarSort("stream"), TypeSort(IDENT_T)),
+            args=(PVar("stream"), IDENT_T),
             result=TypeOperator(name, builder.kind("DATA"), _agg_value_type),
             syntax="_ #[ _ ]",
             impl=_aggregate(fn, f"{name} over an empty stream"),
@@ -807,8 +801,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
     builder.op(
         "avg_of",
         quantifiers=(stream_q,),
-        args=(VarSort("stream"), TypeSort(IDENT_T)),
-        result=TypeSort(TypeApp("real")),
+        args=(PVar("stream"), IDENT_T),
+        result=TypeApp("real"),
         syntax="_ #[ _ ]",
         impl=_avg_impl,
         post_check=_sortby_post_check,
@@ -822,8 +816,8 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
             Quantifier("stream2", stream_k, TypeApp("stream", (PVar("tuple2"),))),
         ),
         args=(
-            VarSort("stream1"),
-            FunSort((VarSort("tuple1"),), VarSort("stream2")),
+            PVar("stream1"),
+            FunType((PVar("tuple1"),), PVar("stream2")),
         ),
         result=TypeOperator("search_join", stream_k, _search_join_type),
         syntax="_ _ #",
@@ -836,18 +830,10 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
         "groupby",
         quantifiers=(stream_q,),
         args=(
-            VarSort("stream"),
-            TypeSort(IDENT_T),
+            PVar("stream"),
+            IDENT_T,
             ListSort(
-                ProductSort(
-                    (
-                        TypeSort(IDENT_T),
-                        FunSort(
-                            (AppSort("stream", (VarSort("tuple"),)),),
-                            KindSort(data),
-                        ),
-                    )
-                )
+                ProductType((IDENT_T, FunType((STREAM_PATTERN,), PVar("", data))))
             ),
         ),
         result=TypeOperator("groupby", stream_k, _groupby_type),
@@ -864,10 +850,10 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
             Quantifier("stream2", stream_k, TypeApp("stream", (PVar("tuple2"),))),
         ),
         args=(
-            VarSort("stream1"),
-            VarSort("stream2"),
-            TypeSort(IDENT_T),
-            TypeSort(IDENT_T),
+            PVar("stream1"),
+            PVar("stream2"),
+            IDENT_T,
+            IDENT_T,
         ),
         result=TypeOperator("merge_join", stream_k, _search_join_type),
         syntax="_ _ #[ _, _ ]",
@@ -884,10 +870,10 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
             Quantifier("stream2", stream_k, TypeApp("stream", (PVar("tuple2"),))),
         ),
         args=(
-            VarSort("stream1"),
-            VarSort("stream2"),
-            TypeSort(IDENT_T),
-            TypeSort(IDENT_T),
+            PVar("stream1"),
+            PVar("stream2"),
+            IDENT_T,
+            IDENT_T,
         ),
         result=TypeOperator("hash_join", stream_k, _search_join_type),
         syntax="_ _ #[ _, _ ]",
@@ -904,8 +890,8 @@ def _add_search_operators(builder, btree_k, lsd_k, ord_kind) -> None:
     builder.op(
         "range",
         quantifiers=(btree3_q,),
-        args=(VarSort("btree"), VarSort("dtype"), VarSort("dtype")),
-        result=AppSort("stream", (VarSort("tuple"),)),
+        args=(PVar("btree"), PVar("dtype"), PVar("dtype")),
+        result=STREAM_PATTERN,
         syntax="_ #[ _, _ ]",
         impl=_range_impl,
         level="rep",
@@ -914,8 +900,8 @@ def _add_search_operators(builder, btree_k, lsd_k, ord_kind) -> None:
     builder.op(
         "exact",
         quantifiers=(btree3_q,),
-        args=(VarSort("btree"), VarSort("dtype")),
-        result=AppSort("stream", (VarSort("tuple"),)),
+        args=(PVar("btree"), PVar("dtype")),
+        result=STREAM_PATTERN,
         syntax="_ #[ _ ]",
         impl=_exact_impl,
         level="rep",
@@ -924,8 +910,8 @@ def _add_search_operators(builder, btree_k, lsd_k, ord_kind) -> None:
     builder.op(
         "point_search",
         quantifiers=(lsd_q,),
-        args=(VarSort("lsdtree"), TypeSort(POINT_T)),
-        result=AppSort("stream", (VarSort("tuple"),)),
+        args=(PVar("lsdtree"), POINT_T),
+        result=STREAM_PATTERN,
         syntax="_ _ #",
         impl=_point_search_impl,
         level="rep",
@@ -934,8 +920,8 @@ def _add_search_operators(builder, btree_k, lsd_k, ord_kind) -> None:
     builder.op(
         "overlap_search",
         quantifiers=(lsd_q,),
-        args=(VarSort("lsdtree"), TypeSort(RECT_T)),
-        result=AppSort("stream", (VarSort("tuple"),)),
+        args=(PVar("lsdtree"), RECT_T),
+        result=STREAM_PATTERN,
         syntax="_ _ #",
         impl=_overlap_search_impl,
         level="rep",
@@ -946,7 +932,7 @@ def _add_search_operators(builder, btree_k, lsd_k, ord_kind) -> None:
             name,
             quantifiers=(Quantifier("ord", ord_kind),),
             args=(),
-            result=VarSort("ord"),
+            result=PVar("ord"),
             impl=(lambda s: lambda ctx: s)(sentinel),
             level="rep",
             doc=f"the {name} element of any ordered domain",
@@ -961,8 +947,7 @@ def _add_structure_updates(builder, btree_k, lsd_k, tidrel_k, srel_k, stream_k) 
     lsd_q = Quantifier("lsdtree", lsd_k, LSD_PATTERN)
     tidrel_q = Quantifier("tidrel", tidrel_k, TypeApp("tidrel", (PVar("tuple"),)))
     srel_q = Quantifier("srel", srel_k, TypeApp("srel", (PVar("tuple"),)))
-    stream_sort = AppSort("stream", (VarSort("tuple"),))
-    stream_fun = FunSort((stream_sort,), stream_sort)
+    stream_fun = FunType((STREAM_PATTERN,), STREAM_PATTERN)
 
     for quantifier, var in (
         (btree3_q, "btree"),
@@ -975,7 +960,7 @@ def _add_structure_updates(builder, btree_k, lsd_k, tidrel_k, srel_k, stream_k) 
             "empty",
             quantifiers=(quantifier,),
             args=(),
-            result=VarSort(var),
+            result=PVar(var),
             impl=_new_structure,
             level="rep",
             doc=f"an empty {var} structure of the expected type",
@@ -983,8 +968,8 @@ def _add_structure_updates(builder, btree_k, lsd_k, tidrel_k, srel_k, stream_k) 
         builder.op(
             "insert",
             quantifiers=(quantifier,),
-            args=(VarSort(var), VarSort("tuple")),
-            result=VarSort(var),
+            args=(PVar(var), PVar("tuple")),
+            result=PVar(var),
             impl=_insert_struct_impl,
             is_update=True,
             level="rep",
@@ -993,8 +978,8 @@ def _add_structure_updates(builder, btree_k, lsd_k, tidrel_k, srel_k, stream_k) 
         builder.op(
             "stream_insert",
             quantifiers=(quantifier,),
-            args=(VarSort(var), stream_sort),
-            result=VarSort(var),
+            args=(PVar(var), STREAM_PATTERN),
+            result=PVar(var),
             impl=_stream_insert_impl,
             is_update=True,
             level="rep",
@@ -1005,8 +990,8 @@ def _add_structure_updates(builder, btree_k, lsd_k, tidrel_k, srel_k, stream_k) 
         builder.op(
             "delete",
             quantifiers=(quantifier,),
-            args=(VarSort(var), stream_sort),
-            result=VarSort(var),
+            args=(PVar(var), STREAM_PATTERN),
+            result=PVar(var),
             impl=_delete_struct_impl,
             is_update=True,
             level="rep",
@@ -1018,8 +1003,8 @@ def _add_structure_updates(builder, btree_k, lsd_k, tidrel_k, srel_k, stream_k) 
         builder.op(
             "modify",
             quantifiers=(quantifier,),
-            args=(VarSort("btree"), stream_sort, stream_fun),
-            result=VarSort("btree"),
+            args=(PVar("btree"), STREAM_PATTERN, stream_fun),
+            result=PVar("btree"),
             impl=_modify_struct_impl,
             is_update=True,
             level="rep",
@@ -1028,8 +1013,8 @@ def _add_structure_updates(builder, btree_k, lsd_k, tidrel_k, srel_k, stream_k) 
         builder.op(
             "re_insert",
             quantifiers=(quantifier,),
-            args=(VarSort("btree"), stream_sort, stream_fun),
-            result=VarSort("btree"),
+            args=(PVar("btree"), STREAM_PATTERN, stream_fun),
+            result=PVar("btree"),
             impl=_re_insert_struct_impl,
             is_update=True,
             level="rep",

@@ -9,10 +9,8 @@ composed system actually contains.
 from __future__ import annotations
 
 from repro.core.operators import OperatorSpec, TypeOperator
-from repro.core.patterns import TypePattern
-from repro.core.sorts import format_sort
+from repro.core.patterns import format_pattern
 from repro.core.sos import SecondOrderSignature
-from repro.core.types import PBind, PVar, TypeApp
 
 
 def describe_signature(sos: SecondOrderSignature, level: str | None = None) -> str:
@@ -32,7 +30,7 @@ def describe_signature(sos: SecondOrderSignature, level: str | None = None) -> s
         if ctor.is_constant:
             lines.append(f"    -> {ctor.result_kind.name:<10} {ctor.name}")
         else:
-            args = " x ".join(format_sort(s) for s in ctor.arg_sorts)
+            args = " x ".join(format_pattern(s) for s in ctor.arg_sorts)
             lines.append(f"    {args} -> {ctor.result_kind.name}   {ctor.name}")
     if sos.subtypes.rules:
         lines.append("")
@@ -56,34 +54,15 @@ def describe_signature(sos: SecondOrderSignature, level: str | None = None) -> s
 
 
 def describe_operator(spec: OperatorSpec) -> str:
-    quantifiers = " ".join(_quantifier_text(q) for q in spec.quantifiers)
-    args = " x ".join(format_sort(s) for s in spec.arg_sorts)
+    quantifiers = " ".join(f"{q}." for q in spec.quantifiers)
+    args = " x ".join(format_pattern(s) for s in spec.arg_sorts)
     arrow = "~>" if spec.is_update else "->"
     if isinstance(spec.result, TypeOperator):
         result = f"{spec.result.name}: {spec.result.result_kind.name}"
     else:
-        result = format_sort(spec.result)
+        result = format_pattern(spec.result)
     syntax = f"   syntax {spec.syntax.text}" if spec.syntax is not None else ""
     head = f"{quantifiers} " if quantifiers else ""
     if args:
         return f"{head}{args} {arrow} {result}   {spec.name}{syntax}"
     return f"{head}{arrow} {result}   {spec.name}{syntax}"
-
-
-def _quantifier_text(q) -> str:
-    kind = q.kind.name if hasattr(q.kind, "name") else format_sort(q.kind)
-    if q.pattern is None:
-        return f"forall {q.var} in {kind}."
-    return f"forall {q.var}: {format_pattern(q.pattern)} in {kind}."
-
-
-def format_pattern(p: TypePattern) -> str:
-    """A pattern in the specification notation: variables by bare name,
-    a labelled node as ``name: pattern``."""
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PBind):
-        return f"{p.name}: {format_pattern(p.pattern)}"
-    if isinstance(p, TypeApp) and p.args:
-        return p.constructor + "(" + ", ".join(format_pattern(a) for a in p.args) + ")"
-    return str(p)

@@ -30,20 +30,9 @@ from typing import Callable, Mapping, Optional
 from repro.core.constructors import ConstructorSpec
 from repro.core.operators import Quantifier, TypeOperator
 from repro.core.patterns import TypePattern, pattern_variables
-from repro.core.sorts import (
-    AppSort,
-    BindSort,
-    FunSort,
-    KindSort,
-    ListSort,
-    ProductSort,
-    Sort,
-    TypeSort,
-    UnionSort,
-    VarSort,
-)
+from repro.core.sorts import ListSort, Sort, UnionSort
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
-from repro.core.types import PVar, TypeApp
+from repro.core.types import FunType, PBind, ProductType, PVar, TypeApp
 from repro.errors import ParseError, SpecificationError
 from repro.lang.lexer import Token, tokenize
 
@@ -333,10 +322,10 @@ class _SpecParser:
         first = self.builder.kind(toks.name("kind"))
         if toks.peek().text != "|":
             return first
-        alternatives = [KindSort(first)]
+        alternatives = [PVar("", first)]
         while toks.peek().text == "|":
             toks.next()
-            alternatives.append(KindSort(self.builder.kind(toks.name("kind"))))
+            alternatives.append(PVar("", self.builder.kind(toks.name("kind"))))
         return UnionSort(tuple(alternatives))
 
     # ------------------------------------------------------------------ sorts
@@ -368,7 +357,7 @@ class _SpecParser:
             toks.next()
             inner = self._sort_atom_with_suffix(toks, vars_allowed)
             vars_allowed[name] = inner
-            return BindSort(name, inner)
+            return PBind(name, inner)
         return self._resolve_name(name, toks, vars_allowed, tok)
 
     def _resolve_name(self, name: str, toks, vars_allowed, tok=None) -> Sort:
@@ -388,15 +377,13 @@ class _SpecParser:
                 toks.next()
                 args.append(self._sort_atom_with_suffix(toks, vars_allowed))
             toks.expect(")")
-            if all(isinstance(a, TypeSort) for a in args):
-                return TypeSort(TypeApp(name, tuple(a.type for a in args)))
-            return AppSort(name, tuple(args))
+            return TypeApp(name, tuple(args))
         if is_var:
-            return VarSort(name)
+            return PVar(name)
         if ts.has_kind_named(name):
-            return KindSort(ts.kind(name))
+            return PVar("", ts.kind(name))
         if ts.has_constructor(name):
-            return TypeSort(TypeApp(name))
+            return TypeApp(name)
         raise ParseError(
             f"unknown sort name: {name}",
             tok.line if tok is not None else None,
@@ -409,7 +396,7 @@ class _SpecParser:
             toks.next()
             result = self._sort_atom_with_suffix(toks, vars_allowed)
             toks.expect(")")
-            return FunSort((), result)
+            return FunType((), result)
         parts = [self._sort_atom_with_suffix(toks, vars_allowed)]
         connective = None
         while toks.peek().text in ("|",) or (
@@ -436,13 +423,13 @@ class _SpecParser:
                     arrow.line,
                     arrow.column,
                 )
-            return FunSort(tuple(parts), result)
+            return FunType(tuple(parts), result)
         toks.expect(")")
         if len(parts) == 1:
             return parts[0]
         if connective == "union":
             return UnionSort(tuple(parts))
-        return ProductSort(tuple(parts))
+        return ProductType(tuple(parts))
 
 
 def read_type_pattern(toks: "Tokens") -> TypePattern:

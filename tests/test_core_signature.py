@@ -5,15 +5,18 @@ import pytest
 from repro.core.constructors import ConstructorSpec, TypeConstructor
 from repro.core.kinds import Kind
 from repro.core.signature import TypeSystem
-from repro.core.sorts import (
-    BindSort,
-    KindSort,
-    ListSort,
-    ProductSort,
-    TypeSort,
-    UnionSort,
+from repro.core.sorts import ListSort, UnionSort
+from repro.core.types import (
+    ArgList,
+    ArgTuple,
+    Lit,
+    PBind,
+    ProductType,
+    PVar,
+    Sym,
+    TypeApp,
+    tuple_type,
 )
-from repro.core.types import ArgList, ArgTuple, Lit, Sym, TypeApp, tuple_type
 from repro.errors import KindError, SpecificationError, TypeFormationError
 
 INT = TypeApp("int")
@@ -35,11 +38,11 @@ def ts():
     ts.add_constructor(
         TypeConstructor(
             "tuple",
-            (ListSort(ProductSort((TypeSort(IDENT), KindSort(data)))),),
+            (ListSort(ProductType((IDENT, PVar("", data)))),),
             tup,
         )
     )
-    ts.add_constructor(TypeConstructor("rel", (KindSort(tup),), rel))
+    ts.add_constructor(TypeConstructor("rel", (PVar("", tup),), rel))
     return ts
 
 
@@ -63,7 +66,7 @@ class TestConstructors:
 
     def test_overload_by_arity_allowed(self, ts):
         ts.add_constructor(
-            TypeConstructor("rel", (KindSort(ts.kind("TUPLE")),) * 2, ts.kind("REL"))
+            TypeConstructor("rel", (PVar("", ts.kind("TUPLE")),) * 2, ts.kind("REL"))
         )
         assert len(ts.overloads("rel")) == 2
 
@@ -71,7 +74,7 @@ class TestConstructors:
         with pytest.raises(SpecificationError):
             ts.add_constructor(
                 TypeConstructor(
-                    "rel", (KindSort(ts.kind("DATA")),) * 3, ts.kind("DATA")
+                    "rel", (PVar("", ts.kind("DATA")),) * 3, ts.kind("DATA")
                 )
             )
 
@@ -105,7 +108,7 @@ class TestKindAssignment:
         assert INT in ts.constant_types_of_kind("ORD")
 
     def test_union_kind_membership(self, ts):
-        union = UnionSort((KindSort(ts.kind("DATA")), KindSort(ts.kind("REL"))))
+        union = UnionSort((PVar("", ts.kind("DATA")), PVar("", ts.kind("REL"))))
         assert ts.has_kind(INT, union)
         assert not ts.has_kind(tuple_type([("a", INT)]), union)
 
@@ -147,7 +150,7 @@ class TestWellFormedness:
     def test_string_length_constructor(self, ts):
         # Section 3: int -> DATA string(4)
         ts.add_constructor(
-            TypeConstructor("vstring", (TypeSort(INT),), ts.kind("DATA"))
+            TypeConstructor("vstring", (INT,), ts.kind("DATA"))
         )
         ts.check_type(TypeApp("vstring", (Lit(4),)))
         with pytest.raises(TypeFormationError):
@@ -168,7 +171,7 @@ class TestConstructorSpecs:
         ts.add_constructor(
             TypeConstructor(
                 "idx",
-                (BindSort("tuple", KindSort(ts.kind("TUPLE"))), TypeSort(IDENT)),
+                (PBind("tuple", PVar("", ts.kind("TUPLE"))), IDENT),
                 ts.kind("IDX"),
                 spec=ConstructorSpec("attr must exist", check),
             )
@@ -181,13 +184,13 @@ class TestConstructorSpecs:
     def test_union_sort_argument(self, ts):
         # nested relational attr sort: (ident x (DATA | REL))+
         data_or_rel = UnionSort(
-            (KindSort(ts.kind("DATA")), KindSort(ts.kind("REL")))
+            (PVar("", ts.kind("DATA")), PVar("", ts.kind("REL")))
         )
         ts.add_kind("NREL")
         ts.add_constructor(
             TypeConstructor(
                 "nrel",
-                (ListSort(ProductSort((TypeSort(IDENT), data_or_rel))),),
+                (ListSort(ProductType((IDENT, data_or_rel))),),
                 ts.kind("NREL"),
             )
         )

@@ -1,20 +1,10 @@
-"""Extended sorts: formatting and variable collection (Def. 3.2)."""
+"""Extended sorts are type patterns: formatting and variable collection
+(Def. 3.2)."""
 
 from repro.core.kinds import Kind
-from repro.core.sorts import (
-    AppSort,
-    BindSort,
-    FunSort,
-    KindSort,
-    ListSort,
-    ProductSort,
-    TypeSort,
-    UnionSort,
-    VarSort,
-    format_sort,
-    sort_variables,
-)
-from repro.core.types import TypeApp
+from repro.core.patterns import format_pattern, pattern_variables
+from repro.core.sorts import ListSort, UnionSort
+from repro.core.types import FunType, PBind, ProductType, PVar, TypeApp
 
 DATA = Kind("DATA")
 INT = TypeApp("int")
@@ -22,58 +12,58 @@ INT = TypeApp("int")
 
 class TestFormatting:
     def test_kind(self):
-        assert format_sort(KindSort(DATA)) == "DATA"
+        assert format_pattern(PVar("", DATA)) == "DATA"
 
     def test_type(self):
-        assert format_sort(TypeSort(INT)) == "int"
+        assert format_pattern(INT) == "int"
 
     def test_var_and_bind(self):
-        assert format_sort(VarSort("rel")) == "rel"
-        assert format_sort(BindSort("t", KindSort(DATA))) == "t: DATA"
+        assert format_pattern(PVar("rel")) == "rel"
+        assert format_pattern(PBind("t", PVar("", DATA))) == "t: DATA"
 
     def test_product(self):
-        s = ProductSort((TypeSort(INT), KindSort(DATA)))
-        assert format_sort(s) == "(int x DATA)"
+        s = ProductType((INT, PVar("", DATA)))
+        assert format_pattern(s) == "(int x DATA)"
 
     def test_union(self):
-        s = UnionSort((KindSort(DATA), VarSort("rel")))
-        assert format_sort(s) == "(DATA | rel)"
+        s = UnionSort((PVar("", DATA), PVar("rel")))
+        assert format_pattern(s) == "(DATA | rel)"
 
     def test_list(self):
-        assert format_sort(ListSort(VarSort("rel"))) == "rel+"
+        assert format_pattern(ListSort(PVar("rel"))) == "rel+"
 
     def test_function(self):
-        s = FunSort((VarSort("tuple"),), TypeSort(TypeApp("bool")))
-        assert format_sort(s) == "(tuple -> bool)"
+        s = FunType((PVar("tuple"),), TypeApp("bool"))
+        assert format_pattern(s) == "(tuple -> bool)"
 
     def test_nullary_function(self):
-        assert format_sort(FunSort((), TypeSort(INT))) == "(-> int)"
+        assert format_pattern(FunType((), INT)) == "(-> int)"
 
     def test_app(self):
-        assert format_sort(AppSort("stream", (VarSort("tuple"),))) == "stream(tuple)"
+        assert format_pattern(TypeApp("stream", (PVar("tuple"),))) == "stream(tuple)"
 
     def test_nested(self):
         # The tuple constructor's argument sort: (ident x DATA)+
-        s = ListSort(ProductSort((TypeSort(TypeApp("ident")), KindSort(DATA))))
-        assert format_sort(s) == "(ident x DATA)+"
+        s = ListSort(ProductType((TypeApp("ident"), PVar("", DATA))))
+        assert format_pattern(s) == "(ident x DATA)+"
 
 
 class TestSortVariables:
     def test_collects_across_shapes(self):
-        s = FunSort(
-            (VarSort("a"), ProductSort((VarSort("b"), KindSort(DATA)))),
-            AppSort("stream", (VarSort("c"),)),
+        s = FunType(
+            (PVar("a"), ProductType((PVar("b"), PVar("", DATA)))),
+            TypeApp("stream", (PVar("c"),)),
         )
-        assert sort_variables(s) == {"a", "b", "c"}
+        assert pattern_variables(s) == {"a", "b", "c"}
 
     def test_bind_contributes_its_name(self):
-        s = BindSort("bound", ListSort(VarSort("inner")))
-        assert sort_variables(s) == {"bound", "inner"}
+        s = PBind("bound", ListSort(PVar("inner")))
+        assert pattern_variables(s) == {"bound", "inner"}
 
     def test_union(self):
-        s = UnionSort((VarSort("x"), VarSort("y")))
-        assert sort_variables(s) == {"x", "y"}
+        s = UnionSort((PVar("x"), PVar("y")))
+        assert pattern_variables(s) == {"x", "y"}
 
     def test_concrete_sorts_have_none(self):
-        assert sort_variables(KindSort(DATA)) == set()
-        assert sort_variables(TypeSort(INT)) == set()
+        assert pattern_variables(PVar("", DATA)) == set()
+        assert pattern_variables(INT) == set()

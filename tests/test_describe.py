@@ -25,6 +25,9 @@ class TestDescribe:
     def test_operator_lines(self, sos):
         text = describe_signature(sos)
         assert "forall rel: rel(tuple) in REL." in text
+        assert str(sos.operators("select")[0].quantifiers[0]) == (
+            "forall rel: rel(tuple) in REL"
+        )
         assert "syntax _ #[ _ ]" in text
         assert "attribute access" in text
 

@@ -94,3 +94,24 @@ class TestExplainErrors:
         assert info["level"] == "model"
         info = system.explain("query r select[a > 0]")
         assert info["level"] == "model"
+
+
+class TestMatchFailureReport:
+    def test_deepest_failure_leads_and_candidates_take_a_line_each(self, system):
+        """A typo inside an operand: the report opens with the one fact that
+        matters, then lists every functionality of the operator once."""
+        from repro.errors import TypeCheckError
+
+        with pytest.raises(StatementError) as info:
+            system.run_one("update r := insert(r, mktupel(3))")
+        assert info.value.phase == "typecheck"
+        cause = info.value.__cause__
+        assert isinstance(cause, TypeCheckError)
+        lines = str(cause).splitlines()
+        assert lines[0] == "unknown operator: mktupel"
+        assert lines[1] == "no functionality of insert matches:"
+        candidates = lines[2:]
+        assert len(candidates) == len(system.database.sos.operators("insert"))
+        assert candidates[0].endswith("operand 2: unknown operator: mktupel")
+        assert "rel x tuple ~> rel  insert" in candidates[0]
+        assert sum("mktupel" in line for line in candidates) == 1

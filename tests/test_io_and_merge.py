@@ -80,13 +80,13 @@ class TestSignatureMerge:
         a = SecondOrderSignature()
         b = SecondOrderSignature()
         from repro.core.constructors import TypeConstructor
-        from repro.core.sorts import KindSort
+        from repro.core.types import PVar
 
         ka = a.type_system.add_kind("K")
         kb = b.type_system.add_kind("K")
         other = b.type_system.add_kind("OTHER")
-        a.type_system.add_constructor(TypeConstructor("c", (KindSort(ka),), ka))
-        b.type_system.add_constructor(TypeConstructor("c", (KindSort(other),), kb))
+        a.type_system.add_constructor(TypeConstructor("c", (PVar("", ka),), ka))
+        b.type_system.add_constructor(TypeConstructor("c", (PVar("", other),), kb))
         with pytest.raises(SpecificationError):
             a.merge(b)
 

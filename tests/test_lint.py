@@ -304,6 +304,26 @@ class TestRulePass:
         _, codes = _codes_for([rule], db)
         assert codes == {"RUL008"}
 
+    def test_rul004_checks_every_instance_of_a_type_variable(self, db):
+        """The RHS compares the indexed attribute with an int literal: that
+        typechecks only when ``dtype`` is int, the one instance a synthetic
+        tuple would try.  With ``dtype`` a metavariable it is flagged."""
+
+        def select_eq(value):
+            pred = Apply("=", (Apply("attr", (Var("t1"),)), value))
+            return Apply("select", (Var("rel1"), Fun((("t1", PVar("tuple1")),), pred)))
+
+        attr = RuleVar("attr", fun_args=(PVar("tuple1"),), fun_result=PVar("dtype"))
+        rule = RewriteRule(
+            "constant_zero",
+            rule_vars(REL1, attr, RuleVar("c1")),
+            select_eq(Var("c1")),
+            select_eq(Literal(0)),
+        )
+        report, codes = _codes_for([rule], db)
+        assert codes == {"RUL004"}
+        assert "RHS does not typecheck" in report.errors[0].message
+
     def test_representation_change_is_type_preserving(self, db):
         """rel(t) => srel(t) keeps the content schema; no RUL004."""
         rule = RewriteRule(

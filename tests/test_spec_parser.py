@@ -9,18 +9,18 @@ import pytest
 
 from repro.core.algebra import Evaluator, SecondOrderAlgebra
 from repro.core.operators import TypeOperator
-from repro.core.sorts import (
-    AppSort,
-    BindSort,
-    FunSort,
-    ListSort,
-    ProductSort,
-    UnionSort,
-    VarSort,
-)
+from repro.core.sorts import ListSort, UnionSort
 from repro.core.typecheck import TypeChecker
 from repro.core.terms import Apply, Literal, Var
-from repro.core.types import TypeApp, rel_type, tuple_type
+from repro.core.types import (
+    FunType,
+    PBind,
+    ProductType,
+    PVar,
+    TypeApp,
+    rel_type,
+    tuple_type,
+)
 from repro.errors import ParseError, SpecificationError
 from repro.models.relational import (
     _join_impl,
@@ -86,7 +86,7 @@ class TestStructure:
         ctor = spec_sos.type_system.constructor("tuple")
         (arg,) = ctor.arg_sorts
         assert isinstance(arg, ListSort)
-        assert isinstance(arg.element, ProductSort)
+        assert isinstance(arg.element, ProductType)
 
     def test_types_well_formed(self, spec_sos):
         spec_sos.type_system.check_type(PERSONS)
@@ -109,7 +109,7 @@ class TestStructure:
     def test_union_list_sort(self, spec_sos):
         union = spec_sos.operators("union")[0]
         assert isinstance(union.arg_sorts[0], ListSort)
-        assert isinstance(union.arg_sorts[0].element, VarSort)
+        assert isinstance(union.arg_sorts[0].element, PVar)
 
     def test_trailing_comments_ignored(self):
         sos = parse_spec(
@@ -192,15 +192,15 @@ operators
         sos = parse_spec(self.REP_SPEC)
         assert len(sos.type_system.overloads("btree")) == 2
         feed = sos.operators("feed")[0]
-        assert isinstance(feed.result, AppSort)
+        assert isinstance(feed.result, TypeApp)
         assert len(sos.subtypes.rules) == 2
 
     def test_binding_constructor_argument(self):
         sos = parse_spec(self.REP_SPEC)
         attr_variant = sos.type_system.overloads("btree")[0]
-        assert isinstance(attr_variant.arg_sorts[0], BindSort)
+        assert isinstance(attr_variant.arg_sorts[0], PBind)
         fn_variant = sos.type_system.overloads("btree")[1]
-        assert isinstance(fn_variant.arg_sorts[1], FunSort)
+        assert isinstance(fn_variant.arg_sorts[1], FunType)
 
 
 class TestErrors:
