@@ -30,6 +30,7 @@ pre-retry protocol — any failure surfaces immediately.
 from __future__ import annotations
 
 import json
+import math
 import random
 import socket
 import time
@@ -97,6 +98,18 @@ def _parse_hostport(rest: str, dsn: str) -> tuple[str, int]:
         raise CatalogError(f"bad port in DSN {dsn!r}: {port_text!r}") from None
 
 
+#: DSN option → whether its millisecond value must be positive (a zero
+#: socket timeout would make the socket non-blocking); ``retries`` is a
+#: count.
+_DSN_OPTIONS = {
+    "retries": False,
+    "deadline_ms": True,
+    "backoff_ms": False,
+    "backoff_cap_ms": False,
+    "connect_timeout_ms": True,
+}
+
+
 def parse_dsn(dsn: str) -> tuple[str, int]:
     """``repro://HOST[:PORT][?options]`` → ``(host, port)``."""
     host, port, _ = parse_dsn_options(dsn)
@@ -108,8 +121,10 @@ def parse_dsn_options(dsn: str) -> tuple[str, int, RetryPolicy]:
     → ``(host, port, policy)``.
 
     Recognized options: ``retries``, ``deadline_ms``, ``backoff_ms``,
-    ``backoff_cap_ms``, ``connect_timeout_ms``.  An unknown option or a
-    malformed value raises :class:`~repro.errors.CatalogError`.
+    ``backoff_cap_ms``, ``connect_timeout_ms``.  An unknown option, a
+    malformed value, a non-finite or non-positive ``deadline_ms`` /
+    ``connect_timeout_ms`` or a non-finite or negative ``backoff_ms`` /
+    ``backoff_cap_ms`` raises :class:`~repro.errors.CatalogError`.
     """
     if not dsn.startswith("repro://"):
         raise CatalogError(f"not a repro:// DSN: {dsn!r}")
@@ -121,27 +136,31 @@ def parse_dsn_options(dsn: str) -> tuple[str, int, RetryPolicy]:
         if not part:
             continue
         key, _, text = part.partition("=")
+        if key not in _DSN_OPTIONS:
+            raise CatalogError(
+                f"unknown DSN option {key!r} in {dsn!r} (known: "
+                f"{', '.join(_DSN_OPTIONS)})"
+            )
         try:
-            if key == "retries":
-                policy = replace(policy, retries=max(0, int(text)))
-            elif key == "deadline_ms":
-                policy = replace(policy, deadline_ms=float(text))
-            elif key == "backoff_ms":
-                policy = replace(policy, backoff_ms=float(text))
-            elif key == "backoff_cap_ms":
-                policy = replace(policy, backoff_cap_ms=float(text))
-            elif key == "connect_timeout_ms":
-                policy = replace(policy, connect_timeout=float(text) / 1000.0)
-            else:
-                raise CatalogError(
-                    f"unknown DSN option {key!r} in {dsn!r} (known: retries, "
-                    "deadline_ms, backoff_ms, backoff_cap_ms, "
-                    "connect_timeout_ms)"
-                )
+            value = int(text) if key == "retries" else float(text)
         except ValueError:
             raise CatalogError(
                 f"bad value for DSN option {key!r} in {dsn!r}: {text!r}"
             ) from None
+        if key == "retries":
+            policy = replace(policy, retries=max(0, value))
+            continue
+        positive = _DSN_OPTIONS[key]
+        if not math.isfinite(value) or value < 0 or (positive and value == 0):
+            raise CatalogError(
+                f"DSN option {key!r} in {dsn!r} must be a finite "
+                f"{'positive' if positive else 'non-negative'} number of "
+                f"milliseconds, not {text!r}"
+            )
+        if key == "connect_timeout_ms":
+            policy = replace(policy, connect_timeout=value / 1000.0)
+        else:
+            policy = replace(policy, **{key: value})
     return host, port, policy
 
 

@@ -1,6 +1,7 @@
 """The code tables in docs/STATIC_ANALYSIS.md must match the registry
-behind ``python -m repro lint --codes`` — same codes, same severities.
-CI runs this as part of the lint gate, so the document cannot drift.
+behind ``python -m repro lint --codes`` — same codes, same severities —
+and every repository path the prose documents cite must exist.  CI runs
+this as part of the lint gate, so the documents cannot drift.
 """
 
 from __future__ import annotations
@@ -41,3 +42,36 @@ def test_documented_severities_match_registry():
         if code in CODES and sev != CODES[code][0]
     }
     assert mismatches == {}, f"severity drift (docs, registry): {mismatches}"
+
+
+ROOT = DOC.parent.parent
+
+#: The prose documents whose repository paths must resolve.
+PROSE = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
+
+#: A repository path in prose: one of the tracked top-level trees, then
+#: path characters, ending on a name character or a glob star (so a
+#: trailing full stop or a ``:line`` suffix is not part of it).
+REPO_PATH = re.compile(
+    r"(?<![\w./-])((?:tests|benchmarks|examples|src/repro|docs)/[\w./*-]*[\w*])"
+)
+
+
+def cited_paths() -> dict[str, list[str]]:
+    cited: dict[str, list[str]] = {}
+    for pattern in PROSE:
+        for doc in sorted(ROOT.glob(pattern)):
+            for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+                for m in REPO_PATH.finditer(line):
+                    where = f"{doc.relative_to(ROOT)}:{lineno}"
+                    cited.setdefault(m.group(1), []).append(where)
+    return cited
+
+
+def test_every_cited_repository_path_exists():
+    stale = {
+        path: where
+        for path, where in cited_paths().items()
+        if not any(ROOT.glob(path))
+    }
+    assert stale == {}, f"documents cite paths that do not exist: {stale}"

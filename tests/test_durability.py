@@ -22,6 +22,7 @@ from repro.durability import (
 from repro.durability.manager import decode_checkpoint, encode_checkpoint
 from repro.durability.wal import BEGIN, COMMIT, STMT, committed_statements, scan
 from repro.errors import CatalogError, SOSError
+from repro.storage.io import GLOBAL_PAGES
 from repro.testing import clear_faults, inject
 
 SETUP = [
@@ -43,6 +44,18 @@ def _clean_faults():
 def open_db(tmp_path, **kwargs):
     kwargs.setdefault("checkpoint_interval", 0)
     return connect(data_dir=str(tmp_path / "db"), **kwargs)
+
+
+def logged_workload(tmp_path, **kwargs):
+    """The schema plus 30 single-row inserts, each its own commit."""
+    db = open_db(tmp_path, **kwargs)
+    for text in SETUP[:4]:
+        db.run_one(text)
+    for i in range(30):
+        db.run_one(
+            f'update items := insert(items, mktuple[<(k, {i}), (name, "r{i}")>])'
+        )
+    db.close()
 
 
 def prepared(tmp_path, **kwargs):
@@ -170,6 +183,26 @@ class TestDurableSession:
         assert wal.synced == 2  # explicit flush covers the pending commit
         db.flush()
         assert wal.synced == 2  # nothing pending: flush is a no-op
+
+    @pytest.mark.parametrize("group_commit, fsyncs", [(1, 35), (8, 5)])
+    def test_log_traffic_is_exact(self, tmp_path, group_commit, fsyncs):
+        # 4 schema statements and 30 inserts, three records each; one
+        # fsync per commit or per batch of eight, plus the close.
+        before = GLOBAL_PAGES.stats.snapshot()
+        logged_workload(tmp_path, group_commit=group_commit)
+        io = GLOBAL_PAGES.stats.delta(before)
+        assert (io.log_writes, io.log_bytes, io.fsyncs) == (102, 4769, fsyncs)
+
+    def test_reopen_replays_without_logging(self, tmp_path):
+        logged_workload(tmp_path)
+        before = GLOBAL_PAGES.stats.snapshot()
+        with open_db(tmp_path) as reopened:
+            assert reopened.durability.replayed_statements == 34
+        assert GLOBAL_PAGES.stats.delta(before).log_writes == 0
+        with open_db(tmp_path) as reopened:
+            reopened.checkpoint()
+        with open_db(tmp_path) as reopened:
+            assert reopened.durability.replayed_statements == 0
 
     def test_checkpoint_rolls_epoch_and_prunes_files(self, tmp_path):
         db = prepared(tmp_path)

@@ -239,6 +239,29 @@ class TestExactlyOnce:
             status = db._client.request("txn_status", token=token)
             assert status["state"] == "conflict"
 
+    def test_armed_retries_cost_nothing_without_faults(self, tmp_path):
+        """No fault, no retry: a ``?retries=3`` session never retries,
+        reconnects or replays a token."""
+        quiet = (
+            "client.retries.transport",
+            "client.retries.conflict",
+            "client.retries.busy",
+            "client.reconnects",
+            "mvcc.journal_hits",
+        )
+        with start_server(data_dir=str(tmp_path)) as handle:
+            db = connect(handle.address + "?retries=3&backoff_ms=10")
+            db.run(SCHEMA)
+            before = db.server_metrics()["counters"]
+            for n in range(20):
+                db.run_one(INSERT.format(name=f"c{n}", pop=n))
+            after = db.server_metrics()["counters"]
+            assert {k: after[k] - before[k] for k in quiet} == dict.fromkeys(
+                quiet, 0
+            )
+            assert count(db) == 20
+            db.disconnect()
+
     def test_txn_status_unknown_for_fresh_token(self, tmp_path):
         with start_server(data_dir=str(tmp_path)) as handle:
             db = connect(handle.address)
@@ -441,8 +464,28 @@ class TestRetryPolicy:
             parse_dsn_options("repro://h?bogus=1")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(CatalogError):
-            parse_dsn_options("repro://h?retries=many")
+        # Malformed, non-finite, or out of range: a zero or negative
+        # timeout would reach socket.settimeout after the connect.
+        for option in (
+            "retries=many",
+            "deadline_ms=-5",
+            "deadline_ms=0",
+            "deadline_ms=nan",
+            "deadline_ms=inf",
+            "connect_timeout_ms=-1",
+            "connect_timeout_ms=0",
+            "backoff_ms=-3",
+            "backoff_ms=nan",
+            "backoff_cap_ms=-1",
+            "backoff_cap_ms=inf",
+        ):
+            key = option.partition("=")[0]
+            with pytest.raises(CatalogError, match=key):
+                parse_dsn_options(f"repro://h?{option}")
+
+    def test_zero_backoff_accepted(self):
+        _, _, policy = parse_dsn_options("repro://h?backoff_ms=0&backoff_cap_ms=0")
+        assert (policy.backoff_ms, policy.backoff_cap_ms) == (0.0, 0.0)
 
     def test_transport_retry_reuses_token(self):
         session = _NoReconnect(RetryPolicy(retries=3, backoff_ms=1))

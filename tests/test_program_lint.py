@@ -184,6 +184,28 @@ class TestSessionCheck:
         assert "a" in session.database.objects
         assert any("PRG006" in str(w.message) for w in caught)
 
+    def test_precheck_warn_is_silent_on_a_clean_select(self):
+        session = connect(precheck="warn")
+        session.run(
+            "type city = tuple(<(cname, string), (pop, int)>)\n"
+            "create cities : rel(city)\n"
+            "create cities_rep : btree(city, pop, int)\n"
+            "update rep := insert(rep, cities, cities_rep)\n"
+            + "".join(
+                f'update cities := insert(cities, mktuple[<(cname, "c{i}"), '
+                f"(pop, {1000 + i})>])\n"
+                for i in range(60)
+            ),
+            atomic=True,
+        )
+        session.run_one("analyze cities")
+        text = "query cities select[pop >= 1000]"
+        assert len(session.check(text)) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(session.run_one(text).value) == 60
+        assert caught == []
+
     def test_precheck_validation(self):
         with pytest.raises(Exception):
             connect(precheck="bogus")

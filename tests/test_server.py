@@ -8,6 +8,7 @@ server-side fault points directly.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import threading
 import time
@@ -25,6 +26,7 @@ from repro.errors import (
     is_retryable,
 )
 from repro.server import start_server
+from repro.server.net import GroupCommitBatcher
 from repro.testing import inject
 
 SCHEMA = """
@@ -228,6 +230,57 @@ class TestGroupCommit:
         with connect(data_dir=data_dir) as recovered:
             assert count(recovered) == 8
 
+    def test_disjoint_clients_never_conflict(self, durable_server):
+        handle, _ = durable_server
+        n_clients, n_stmts = 8, 6
+        setup = connect(handle.address)
+        setup.run(
+            "type item = tuple(<(k, int)>)\n"
+            + "".join(
+                f"create r{c} : rel(item)\n"
+                f"create r{c}_rep : btree(item, k, int)\n"
+                f"update rep := insert(rep, r{c}, r{c}_rep)\n"
+                for c in range(n_clients)
+            )
+        )
+        errors = []
+
+        def client(c):
+            try:
+                db = connect(handle.address)
+                for k in range(n_stmts):
+                    db.run_one(f"update r{c} := insert(r{c}, mktuple[<(k, {k})>])")
+                db.disconnect()
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(c,)) for c in range(n_clients)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert setup.ping()["metrics"]["mvcc.conflicts"] == 0
+        counts = [
+            setup.query(f"r{c}_rep feed count").value for c in range(n_clients)
+        ]
+        assert counts == [n_stmts] * n_clients
+        setup.disconnect()
+
+    def test_lone_client_never_shares_a_batch(self, durable_server):
+        handle, _ = durable_server
+        db = connect(handle.address)
+        db.run(SCHEMA)
+        for n in range(12):
+            db.run_one(INSERT.format(name=f"c{n}", pop=n))
+        # One sync for the schema program, one per insert: mean batch 1.0.
+        group = db.server_metrics()["server"]["group_commit"]
+        assert (group["batches"], group["synced"]) == (13, 13)
+        db.disconnect()
+
     def test_ping_reports_session_counters(self, server):
         db = connect(server.address)
         db.run(SCHEMA)
@@ -239,6 +292,27 @@ class TestGroupCommit:
         assert info["counters"]["statements"] >= 4
         assert info["in_transaction"] is False
         db.disconnect()
+
+
+class TestGroupCommitBatcher:
+    def test_concurrent_commits_share_one_fsync(self):
+        """Every commit that arrives while the first one yields joins its
+        batch, so k concurrent commits cost one ``sync_wal``."""
+
+        class FakeEngine:
+            syncs = 0
+
+            def sync_wal(self):
+                self.syncs += 1
+
+        engine = FakeEngine()
+        batcher = GroupCommitBatcher(lambda: engine)
+
+        async def commit(k):
+            await asyncio.gather(*(batcher.sync() for _ in range(k)))
+
+        asyncio.run(commit(8))
+        assert (batcher.batches, batcher.synced, engine.syncs) == (1, 8, 1)
 
 
 class TestRequestLineLimit:

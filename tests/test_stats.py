@@ -159,6 +159,13 @@ class TestAnalyzeStatement:
         # The rep catalog itself is not a data structure to analyze.
         assert "rep" not in result.value
 
+    def test_analyze_named_objects_reports_each(self, loaded_system):
+        result = loaded_system.run_one("analyze cities, states")
+        assert sorted(result.value) == ["cities_rep", "states_rep"]
+        # cname, center and pop; sname (a region has no order).
+        assert sum(s["histograms"] for s in result.value.values()) == 4
+        assert sum(s["rows"] for s in result.value.values()) == 40 + 5
+
     def test_analyze_unknown_object_fails(self, loaded_system):
         with pytest.raises(SOSError):
             loaded_system.run_one("analyze ghost")

@@ -18,6 +18,7 @@ from repro.api import connect
 from repro.models.relational import make_tuple
 from repro.optimizer.standard_rules import cost_based_optimizer
 from repro.stats.analyze import analyze_objects
+from repro.storage.io import GLOBAL_PAGES
 
 JOIN = "query orders customers join[cust = cid]"
 
@@ -57,8 +58,11 @@ class TestPlanChoice:
         textbook = session.run_one(JOIN)
         assert textbook.fired == ["equi_join_hash"]
         analyze_objects(session.database, ["orders", "customers"])
+        before = GLOBAL_PAGES.stats.snapshot()
         informed = session.run_one(JOIN)
         assert informed.fired == ["equi_join_index"]
+        # 4 pages of orders; the other 824 are the 200 B-tree probes.
+        assert GLOBAL_PAGES.stats.delta(before).reads == 828
         # Same answer either way.
         assert len(informed.value) == len(textbook.value) == 200
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from benchmarks.helpers import build_spatial_system
 from repro.core.types import TypeApp, rel_type, tuple_type
 from repro.errors import CatalogError, OptimizationError
+from repro.storage.io import GLOBAL_PAGES
 from repro.system import build_model_interpreter
 
 INT = TypeApp("int")
@@ -59,6 +61,25 @@ create r : rel(t)
         result = loaded_system.query("cities_rep feed count")
         assert result.value == 40
         assert result.kind == "query"
+
+    def test_range_plan_reads_fewer_pages_than_scan_plan(self):
+        # The B1 selection over the benchmarks' 400-city data set: the
+        # B-tree range plan and the feed-filter scan plan count the same
+        # 34 rows, the range plan in 4 page reads to the scan's 20.
+        system = build_spatial_system(n_cities=400, n_states=1)
+
+        def rows_and_reads(text):
+            before = GLOBAL_PAGES.stats.snapshot()
+            rows = system.run_one(text).value
+            return rows, GLOBAL_PAGES.stats.delta(before).reads
+
+        assert rows_and_reads("query cities_rep range[900000, top] count") == (
+            34,
+            4,
+        )
+        assert rows_and_reads(
+            "query cities_rep feed filter[pop >= 900000] count"
+        ) == (34, 20)
 
     def test_model_create_leaves_object_virtual(self, system):
         system.run("type t = tuple(<(a, int)>)")
