@@ -631,7 +631,7 @@ def run_top(argv: list[str]) -> int:
         count = 1
     import time as _time
 
-    from repro import telemetry
+    from repro import observe
     from repro.api import connect
     from repro.errors import ProtocolError
 
@@ -649,7 +649,7 @@ def run_top(argv: list[str]) -> int:
             except ProtocolError as exc:
                 print(f"server went away: {exc}", file=sys.stderr)
                 return 1
-            screen = telemetry.render_top(
+            screen = observe.render_top(
                 snapshot, previous, interval, address=targets[0]
             )
             if count != 1:

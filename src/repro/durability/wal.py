@@ -30,14 +30,11 @@ plus ``"x"`` — the statement text — on ``stmt`` records).  A torn tail
 file back to a clean record boundary.
 
 All file writes are accounted through :mod:`repro.storage.io`
-(``PageManager.log_write`` / ``PageManager.fsync``) and — when metric
-collection is armed — through the ``wal.appends`` / ``wal.bytes`` /
-``wal.fsyncs`` observe counters, so durability shows up in the same
-benchmark and trace machinery as the storage structures.  With the
-process-wide :mod:`repro.telemetry` registry enabled (a running server),
-the same sites additionally feed the ``wal.frames`` / ``wal.bytes`` /
-``wal.fsyncs`` lifetime counters and the ``wal.fsync_seconds`` latency
-histogram.
+(``PageManager.log_write`` / ``PageManager.fsync``) and through the
+:mod:`repro.observe` spine: the ``wal.appends`` / ``wal.bytes`` /
+``wal.fsyncs`` counters reach an armed statement sink and the process
+registry (a running server), which also takes the ``wal.fsync_seconds``
+latency histogram.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro import observe, telemetry
+from repro import observe
 from repro.errors import SOSError
 from repro.storage.io import GLOBAL_PAGES, PageManager
 from repro.testing.faults import fault_point
@@ -168,8 +165,6 @@ class WriteAheadLog:
             with open(path, "r+b") as f:
                 f.truncate(good)
         self._f = open(path, "ab")
-        self.appended = 0
-        self.synced = 0
 
     # ------------------------------------------------------------------ write
 
@@ -184,14 +179,10 @@ class WriteAheadLog:
         fault_point("wal.append")
         self._f.write(frame[half:])
         self._f.flush()
-        self.appended += 1
         self.pages.log_write(len(frame))
-        if observe.ENABLED:
-            observe.incr("wal.appends")
-            observe.incr("wal.bytes", len(frame))
-        if telemetry.ENABLED:
-            telemetry.incr("wal.frames")
-            telemetry.incr("wal.bytes", len(frame))
+        if observe.COUNTING:
+            observe.count("wal.appends")
+            observe.count("wal.bytes", len(frame))
 
     def sync(self) -> None:
         """Force appended records to stable storage (the commit fsync)."""
@@ -199,13 +190,10 @@ class WriteAheadLog:
         start = time.perf_counter()
         os.fsync(self._f.fileno())
         elapsed = time.perf_counter() - start
-        self.synced += 1
         self.pages.fsync()
-        if observe.ENABLED:
-            observe.incr("wal.fsyncs")
-        if telemetry.ENABLED:
-            telemetry.incr("wal.fsyncs")
-            telemetry.observe_value("wal.fsync_seconds", elapsed)
+        if observe.COUNTING:
+            observe.count("wal.fsyncs")
+            observe.sample("wal.fsync_seconds", elapsed)
 
     # ------------------------------------------------------------------- read
 
@@ -230,4 +218,4 @@ class WriteAheadLog:
         self._f.close()
 
     def __repr__(self) -> str:
-        return f"<WriteAheadLog {self.path!r} appended={self.appended}>"
+        return f"<WriteAheadLog {self.path!r}>"

@@ -410,11 +410,11 @@ class _FileLint(ast.NodeVisitor):
                     subject=terminal,
                 )
 
-        # ENG005: telemetry producers must feed pre-declared families.
+        # ENG005: process-scope producers must feed pre-declared families.
         if (
             len(chain) == 2
-            and chain[0] == "telemetry"
-            and terminal in ("incr", "gauge", "observe_value")
+            and chain[0] == "observe"
+            and terminal in ("count", "gauge", "sample")
         ):
             name = _call_string_arg(node)
             if name is not None and name not in self.declared_metrics:

@@ -1,6 +1,36 @@
-"""Structured execution observability: events, spans, and metrics.
+"""Structured observability: events, spans, and one metrics spine.
 
-Three cooperating pieces, all optional and all zero-overhead when off:
+Counters have two scopes, both optional and both zero-overhead when off:
+
+* the **statement sink** — an :class:`ExecutionMetrics` armed by
+  :func:`collecting` — answers "what did *this statement* do?";
+* the **process registry** — :data:`REGISTRY`, a :class:`MetricsRegistry`
+  that :func:`enable_registry` turns on (a server does at startup) —
+  answers "what is *the server* doing?".
+
+Which scope sees an event is decided here, by the call the producer makes:
+
+==============  ==============  ================
+call            statement sink  process registry
+==============  ==============  ================
+:func:`incr`    counter         —
+:func:`record`  histogram       —
+:func:`count`   counter         counter
+:func:`gauge`   —               gauge
+:func:`sample`  —               histogram
+==============  ==============  ================
+
+Each event is counted by one call under one name.  Per-row and per-page
+producers (storage structures, streams, the evaluator, cost estimation)
+call :func:`incr`/:func:`record` behind ``if observe.ENABLED:``.  The
+per-statement and per-commit producers of the WAL and the MVCC engine,
+which also run without a server, call :func:`count`/:func:`gauge`/
+:func:`sample` behind ``if observe.COUNTING:``; the server's own code,
+whose process has the registry on, calls them directly.  A guard is one
+module-attribute load, the same pattern as
+:func:`repro.testing.faults.fault_point`.
+
+The other pieces:
 
 :class:`Tracer`
     a lightweight structured event bus.  Producers call :meth:`Tracer.emit`
@@ -8,20 +38,16 @@ Three cooperating pieces, all optional and all zero-overhead when off:
     and an early return.  Subscriber exceptions are swallowed — a broken
     listener must never kill query execution.
 
-:class:`ExecutionMetrics`
-    per-statement counters: tuples produced/consumed per algebra operator,
-    storage node/page accesses, TID fetches, plus the simulated-I/O delta.
-    Collection is armed with :func:`collecting`; instrumented code guards
-    each counter behind the module-level :data:`ENABLED` flag (same pattern
-    as :func:`repro.testing.faults.fault_point` — a single global load and
-    an early return when disabled).
-
 :class:`RuleTrace`
     the optimizer's decision log: every fired rewrite with the term before
     and after, and per-rule attempt counts broken down by outcome
     (``no_match`` / ``conditions_failed`` / ``typecheck_failed`` /
     ``fired``) — the Gral-style rule trace [BeG92] that rule sets are
     debugged with.
+
+:func:`render_prometheus` / :func:`render_top`
+    the registry's renderers: the ``--metrics-port`` exposition page and
+    the ``python -m repro top`` screen.
 
 The system front end (:mod:`repro.system`) wires these into every
 statement; :func:`repro.api.connect` exposes them as the ``trace`` option
@@ -31,20 +57,36 @@ and ``explain(..., analyze=True)``.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 ENABLED = False
-"""True while an :class:`ExecutionMetrics` is armed (fast-path guard)."""
+"""True while an :class:`ExecutionMetrics` is armed (the statement guard)."""
+
+COUNTING = False
+"""True while either scope is on: a statement sink is armed or the
+process registry is enabled (the spine guard)."""
+
+REGISTRY_ON = False
+"""True while the process registry is on (a server enabled it)."""
 
 _ACTIVE: Optional["ExecutionMetrics"] = None
+_OWNER: Optional[int] = None
+"""The thread that armed :data:`_ACTIVE`; :func:`count` reaches the sink
+only from it, so a server thread's event never lands in another
+session's statement."""
 
-_ARMED: list["ExecutionMetrics"] = []
-"""The stack of armed sinks; the top one is :data:`_ACTIVE`.  Kept as an
-explicit stack so :func:`collecting` scopes can exit in any order (e.g.
-interleaved generators) without clobbering each other's state."""
+_ARMED: list[tuple["ExecutionMetrics", int]] = []
+"""The stack of armed sinks and their threads; the top one is
+:data:`_ACTIVE`.  Kept as an explicit stack so :func:`collecting` scopes
+can exit in any order (e.g. interleaved generators) without clobbering
+each other's state."""
+
+_WINDOW = 1024
+"""Observations a :class:`Histogram` keeps for its percentiles."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,28 +188,35 @@ class Tracer:
 
 
 class Histogram:
-    """A value-distribution counter: records observations, reports
-    min/max/mean and interpolated percentiles.
+    """A value distribution: ``count``, ``sum`` and the mean are exact
+    over its whole life; min, max and the interpolated percentiles
+    describe the most recent ``limit`` observations.
 
-    Stores the raw observations (statements observe at most a few thousand
-    values — latencies, per-probe row counts), so percentiles are exact
-    rather than bucketed.
+    The window keeps a server-lifetime latency histogram bounded; a
+    statement's histogram (per-probe row counts) rarely fills it.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "limit", "count", "sum")
 
-    def __init__(self) -> None:
+    def __init__(self, limit: int = _WINDOW) -> None:
         self.values: list[float] = []
+        self.limit = limit
+        self.count = 0
+        self.sum = 0.0
 
     def record(self, value: float) -> None:
-        self.values.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
+        value = float(value)
+        self.count += 1
+        self.sum += value
+        self.values.append(value)
+        if len(self.values) > self.limit:
+            # Amortized: shed the oldest half in one slice, not one pop
+            # per record.
+            del self.values[: self.limit // 2]
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0..100), linearly interpolated."""
+        """The ``q``-th percentile (0..100) of the window, linearly
+        interpolated."""
         if not self.values:
             raise ValueError("empty histogram has no percentiles")
         if not 0.0 <= q <= 100.0:
@@ -183,20 +232,21 @@ class Histogram:
         return ordered[low] + (ordered[low + 1] - ordered[low]) * frac
 
     def as_dict(self) -> dict:
-        if not self.values:
-            return {"count": 0}
+        if not self.count:
+            return {"count": 0, "sum": 0.0}
         return {
-            "count": len(self.values),
+            "count": self.count,
+            "sum": self.sum,
             "min": min(self.values),
             "max": max(self.values),
-            "mean": sum(self.values) / len(self.values),
+            "mean": self.sum / self.count,
             "p50": self.percentile(50),
             "p95": self.percentile(95),
             "p99": self.percentile(99),
         }
 
     def __repr__(self) -> str:
-        return f"<Histogram n={len(self.values)}>"
+        return f"<Histogram n={self.count}>"
 
 
 class ExecutionMetrics:
@@ -279,13 +329,102 @@ class ExecutionMetrics:
         return f"<ExecutionMetrics ops=[{ops}] counters={self.counters}>"
 
 
+class MetricsRegistry:
+    """Thread-safe counters, gauges, and histograms, keyed by dotted name
+    (``mvcc.commits``, ``wal.fsync_seconds``).
+
+    Producers run on the asyncio loop *and* on ``to_thread`` workers, so
+    every mutation takes the registry lock; each is a dict update, never
+    contended for long.
+    """
+
+    __slots__ = ("_lock", "counters", "gauges", "histograms")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.counters: dict[str, float] = {}
+        self.gauges: dict[str, float] = {}
+        self.histograms: dict[str, Histogram] = {}
+
+    def incr(self, name: str, value: float = 1) -> None:
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + value
+
+    def gauge(self, name: str, value: float) -> None:
+        with self._lock:
+            self.gauges[name] = value
+
+    def observe(self, name: str, value: float) -> None:
+        with self._lock:
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = self.histograms[name] = Histogram()
+            hist.record(value)
+
+    def declare(self, counters=(), gauges=(), histograms=()) -> None:
+        """Pre-register metric families at their zero values so renderers
+        list them before the first observation arrives (idempotent, never
+        overwrites recorded values)."""
+        with self._lock:
+            for name in counters:
+                self.counters.setdefault(name, 0)
+            for name in gauges:
+                self.gauges.setdefault(name, 0.0)
+            for name in histograms:
+                self.histograms.setdefault(name, Histogram())
+
+    def snapshot(self) -> dict:
+        """A JSON-able point-in-time copy of the whole registry."""
+        with self._lock:
+            return {
+                "counters": dict(self.counters),
+                "gauges": dict(self.gauges),
+                "histograms": {
+                    name: hist.as_dict()
+                    for name, hist in self.histograms.items()
+                },
+            }
+
+    def reset(self) -> None:
+        with self._lock:
+            self.counters.clear()
+            self.gauges.clear()
+            self.histograms.clear()
+
+    def __repr__(self) -> str:
+        return (
+            f"<MetricsRegistry counters={len(self.counters)}"
+            f" gauges={len(self.gauges)} histograms={len(self.histograms)}>"
+        )
+
+
+REGISTRY = MetricsRegistry()
+"""The process registry.  Because it is process-wide, several in-process
+servers (the test harness starts them) share it, and assertions against
+it are written as deltas."""
+
+
+def enable_registry() -> None:
+    """Turn the process registry on (idempotent).  Servers call this at
+    startup; once on, it stays on — the flag is a producer fast path,
+    not a subscription."""
+    global REGISTRY_ON, COUNTING
+    REGISTRY_ON = COUNTING = True
+
+
+def disable_registry() -> None:
+    global REGISTRY_ON, COUNTING
+    REGISTRY_ON = False
+    COUNTING = ENABLED
+
+
 def active() -> Optional[ExecutionMetrics]:
     """The armed metrics sink, or None when collection is off."""
     return _ACTIVE
 
 
 def incr(name: str, value: int = 1) -> None:
-    """Bump a named counter on the active sink (no-op when disarmed).
+    """Bump a named counter on the statement sink (no-op when disarmed).
 
     Hot call sites should guard with ``if observe.ENABLED:`` first so the
     disabled path is a module-attribute load, not a function call.
@@ -296,16 +435,42 @@ def incr(name: str, value: int = 1) -> None:
 
 
 def record(name: str, value: float) -> None:
-    """Add one observation to a named histogram on the active sink
+    """Add one observation to a named histogram on the statement sink
     (no-op when disarmed).  Same guard discipline as :func:`incr`."""
     sink = _ACTIVE
     if sink is not None:
         sink.record(name, value)
 
 
+def count(name: str, value: float = 1) -> None:
+    """Count one event under ``name`` in every scope that is on: the
+    statement sink armed on this thread and the process registry.
+
+    Call sites outside the server guard with ``if observe.COUNTING:``.
+    """
+    sink = _ACTIVE
+    if sink is not None and _OWNER == threading.get_ident():
+        sink.counters[name] = sink.counters.get(name, 0) + value
+    if REGISTRY_ON:
+        REGISTRY.incr(name, value)
+
+
+def gauge(name: str, value: float) -> None:
+    """Set a process gauge (no-op while the registry is off)."""
+    if REGISTRY_ON:
+        REGISTRY.gauge(name, value)
+
+
+def sample(name: str, value: float) -> None:
+    """Add one observation to a process histogram (no-op while the
+    registry is off)."""
+    if REGISTRY_ON:
+        REGISTRY.observe(name, value)
+
+
 @contextmanager
 def collecting(metrics: Optional[ExecutionMetrics] = None) -> Iterator[ExecutionMetrics]:
-    """Arm ``metrics`` (a fresh sink by default) as the active collector.
+    """Arm ``metrics`` (a fresh sink by default) as the statement sink.
 
     Fully reentrant: scopes nest, and — because generators can suspend a
     scope and finalize later — they may also *exit out of order*.  Each
@@ -313,20 +478,22 @@ def collecting(metrics: Optional[ExecutionMetrics] = None) -> Iterator[Execution
     occurrence first) and recomputes the active sink from whatever remains,
     so a stale exit never clobbers a scope armed after it.
     """
-    global _ACTIVE, ENABLED
+    global _ACTIVE, _OWNER, ENABLED, COUNTING
     sink = metrics if metrics is not None else ExecutionMetrics()
-    _ARMED.append(sink)
-    _ACTIVE = sink
-    ENABLED = True
+    owner = threading.get_ident()
+    _ARMED.append((sink, owner))
+    _ACTIVE, _OWNER = sink, owner
+    ENABLED = COUNTING = True
     try:
         yield sink
     finally:
         for i in range(len(_ARMED) - 1, -1, -1):
-            if _ARMED[i] is sink:
+            if _ARMED[i][0] is sink:
                 del _ARMED[i]
                 break
-        _ACTIVE = _ARMED[-1] if _ARMED else None
+        _ACTIVE, _OWNER = _ARMED[-1] if _ARMED else (None, None)
         ENABLED = _ACTIVE is not None
+        COUNTING = ENABLED or REGISTRY_ON
 
 
 # ---------------------------------------------------------------------------
@@ -518,3 +685,126 @@ class RuleTrace:
     def __repr__(self) -> str:
         names = ", ".join(f.rule for f in self.fired) or "(none)"
         return f"<RuleTrace fired=[{names}]>"
+
+
+# ---------------------------------------------------------------------------
+# Registry renderers
+# ---------------------------------------------------------------------------
+
+
+def _metric_name(name: str) -> str:
+    """``mvcc.commit_seconds`` -> ``repro_mvcc_commit_seconds``."""
+    cleaned = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
+    return f"repro_{cleaned}"
+
+
+def render_prometheus(snapshot: dict) -> str:
+    """Render a :meth:`MetricsRegistry.snapshot` in the Prometheus plain
+    text exposition format (version 0.0.4).
+
+    Counters get a ``_total`` suffix; histograms render as summaries
+    with ``quantile`` labels plus ``_count``/``_sum`` series.
+    """
+    lines: list[str] = []
+    for name in sorted(snapshot.get("counters", {})):
+        metric = _metric_name(name) + "_total"
+        lines.append(f"# TYPE {metric} counter")
+        lines.append(f"{metric} {_fmt(snapshot['counters'][name])}")
+    for name in sorted(snapshot.get("gauges", {})):
+        metric = _metric_name(name)
+        lines.append(f"# TYPE {metric} gauge")
+        lines.append(f"{metric} {_fmt(snapshot['gauges'][name])}")
+    for name in sorted(snapshot.get("histograms", {})):
+        stats = snapshot["histograms"][name]
+        metric = _metric_name(name)
+        lines.append(f"# TYPE {metric} summary")
+        for q, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
+            if key in stats:
+                lines.append(f'{metric}{{quantile="{q}"}} {_fmt(stats[key])}')
+        lines.append(f"{metric}_count {_fmt(stats.get('count', 0))}")
+        lines.append(f"{metric}_sum {_fmt(stats.get('sum', 0.0))}")
+    return "\n".join(lines) + "\n"
+
+
+def _fmt(value: float) -> str:
+    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _rate(now: dict, before: Optional[dict], name: str, interval: float) -> float:
+    if not before or interval <= 0:
+        return 0.0
+    delta = now.get("counters", {}).get(name, 0) - before.get(
+        "counters", {}
+    ).get(name, 0)
+    return delta / interval
+
+
+def render_top(
+    snapshot: dict,
+    previous: Optional[dict] = None,
+    interval: float = 1.0,
+    address: str = "",
+) -> str:
+    """One screenful of the registry: current gauges, totals, rates
+    computed against the ``previous`` snapshot, and latency percentiles.
+
+    Pure function of its inputs so it is testable without a terminal;
+    ``python -m repro top`` clears the screen and reprints it.
+    """
+    counters = snapshot.get("counters", {})
+    gauges = snapshot.get("gauges", {})
+    hists = snapshot.get("histograms", {})
+    server = snapshot.get("server", {})
+
+    def total(name: str) -> float:
+        return counters.get(name, 0)
+
+    batches = total("group_commit.batches")
+    mean_batch = total("group_commit.synced") / batches if batches else 0.0
+    lines = [
+        f"repro top — {address or 'server'}"
+        + (
+            f"  up {server['uptime_seconds']:.0f}s"
+            if "uptime_seconds" in server
+            else ""
+        ),
+        "",
+        f"sessions   active {gauges.get('server.active_sessions', 0):>6.0f}"
+        f"   connections {total('server.connections'):>8.0f}",
+        f"txns       open   {gauges.get('mvcc.open_transactions', 0):>6.0f}"
+        f"   commits     {total('mvcc.commits'):>8.0f}"
+        f"   conflicts {total('mvcc.conflicts'):>8.0f}"
+        f"   rollbacks {total('mvcc.rollbacks'):>6.0f}",
+        f"statements total  {total('server.statements'):>6.0f}"
+        f"   queries     {total('server.queries'):>8.0f}"
+        f"   slow      {total('server.slow_queries'):>8.0f}"
+        f"   {_rate(snapshot, previous, 'server.statements', interval):>8.1f}/s",
+        f"snapshots  taken  {total('mvcc.snapshots'):>6.0f}"
+        f"   privatized  {total('mvcc.privatizations'):>8.0f}",
+        f"wal        appends {total('wal.appends'):>5.0f}"
+        f"   bytes       {total('wal.bytes'):>8.0f}"
+        f"   fsyncs    {total('wal.fsyncs'):>8.0f}"
+        f"   {_rate(snapshot, previous, 'wal.bytes', interval):>8.1f} B/s",
+        f"groupcommit batches {batches:>4.0f}"
+        f"   commits     {total('group_commit.synced'):>8.0f}"
+        f"   mean batch {mean_batch:>7.2f}",
+        f"resilience journal hits {total('mvcc.journal_hits'):>5.0f}"
+        f"   timeouts  {total('server.statement_timeouts'):>6.0f}"
+        f"   rejected {total('server.rejected_connections'):>5.0f}",
+    ]
+    for name, label in (
+        ("server.statement_seconds", "statement"),
+        ("mvcc.commit_seconds", "commit"),
+        ("wal.fsync_seconds", "fsync"),
+    ):
+        stats = hists.get(name)
+        if stats and stats.get("count"):
+            lines.append(
+                f"{label:<10} p50 {stats['p50'] * 1e3:>9.3f}ms"
+                f"   p95 {stats['p95'] * 1e3:>9.3f}ms"
+                f"   p99 {stats['p99'] * 1e3:>9.3f}ms"
+                f"   n {stats['count']:>6.0f}"
+            )
+    return "\n".join(lines) + "\n"

@@ -38,7 +38,6 @@ import uuid
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from repro import telemetry
 from repro.api import Session
 from repro.errors import (
     CatalogError,
@@ -404,11 +403,6 @@ class NetworkSession(Session):
                 max(0.05, deadline - time.monotonic())
             )
 
-    @staticmethod
-    def _count_retry(kind: str) -> None:
-        if telemetry.ENABLED:
-            telemetry.incr(f"client.retries.{kind}")
-
     def _backoff(self, attempt: int, deadline: Optional[float]) -> None:
         """Capped exponential backoff with half-to-full jitter."""
         policy = self._policy
@@ -432,8 +426,6 @@ class NetworkSession(Session):
             timeout=self._timeout,
             connect_timeout=self._policy.connect_timeout,
         )
-        if telemetry.ENABLED:
-            telemetry.incr("client.reconnects")
         if self._closed:
             self._client.request("close")
         if self._tracing:
@@ -479,15 +471,12 @@ class NetworkSession(Session):
                     pending_reconnect = False
                 self._arm_timeout(deadline)
                 return send()
-            except (ServerBusyError, ProtocolError) as exc:
+            except (ServerBusyError, ProtocolError):
                 attempt += 1
                 if attempt > self._policy.retries or self._out_of_time(
                     deadline
                 ):
                     raise
-                self._count_retry(
-                    "busy" if isinstance(exc, ServerBusyError) else "transport"
-                )
                 self._backoff(attempt, deadline)
                 pending_reconnect = True
 
@@ -516,18 +505,14 @@ class NetworkSession(Session):
                     deadline
                 ):
                     raise
-                self._count_retry("conflict")
                 token = _new_token()
                 self._backoff(attempt, deadline)
-            except (ServerBusyError, ProtocolError) as exc:
+            except (ServerBusyError, ProtocolError):
                 attempt += 1
                 if attempt > self._policy.retries or self._out_of_time(
                     deadline
                 ):
                     raise
-                self._count_retry(
-                    "busy" if isinstance(exc, ServerBusyError) else "transport"
-                )
                 self._backoff(attempt, deadline)
                 pending_reconnect = True
 
@@ -715,16 +700,13 @@ class NetworkSession(Session):
             except ConflictError:
                 self._end_txn()
                 raise
-            except (ServerBusyError, ProtocolError) as exc:
+            except (ServerBusyError, ProtocolError):
                 attempt += 1
                 if attempt > self._policy.retries or self._out_of_time(
                     deadline
                 ):
                     self._end_txn()
                     raise
-                self._count_retry(
-                    "busy" if isinstance(exc, ServerBusyError) else "transport"
-                )
                 self._backoff(attempt, deadline)
                 resolve = True
 

@@ -58,7 +58,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Callable, Optional
 
-from repro import observe, telemetry
+from repro import observe
 from repro.core.algebra import ResourceLimits
 from repro.errors import CatalogError, ConflictError, SOSError, StatementError, wrap_statement_error
 from repro.lang.parser import split_statements
@@ -177,8 +177,8 @@ class CommitJournal:
                 return "pending", entry["event"]
             self.hits += 1
             found = {k: v for k, v in entry.items() if k != "event"}
-        if telemetry.ENABLED:
-            telemetry.incr("mvcc.journal_hits")
+        if observe.COUNTING:
+            observe.count("mvcc.journal_hits")
         return "done", found
 
     def abandon(self, token: Optional[str]) -> None:
@@ -217,8 +217,8 @@ class CommitJournal:
                 return None
             self.hits += 1
             found = {k: v for k, v in entry.items() if k != "event"}
-        if telemetry.ENABLED:
-            telemetry.incr("mvcc.journal_hits")
+        if observe.COUNTING:
+            observe.count("mvcc.journal_hits")
         return found
 
     def outcome(self, token: Optional[str]) -> Optional[str]:
@@ -323,20 +323,16 @@ class MVCCEngine:
             txn = MVCCTransaction(self.database, self.commit_version)
             self._bump("mvcc.snapshots")
             self.open_transactions += 1
-            if telemetry.ENABLED:
-                telemetry.gauge(
-                    "mvcc.open_transactions", self.open_transactions
-                )
+            if observe.COUNTING:
+                observe.gauge("mvcc.open_transactions", self.open_transactions)
             return txn
 
     def _bump(self, name: str, amount: int = 1) -> None:
         # lint: disable=ENG001 -- audited: every caller already holds
         # self._lock (begin/commit/rollback critical sections).
         self.metrics[name] = self.metrics.get(name, 0) + amount
-        if observe.ENABLED:
-            observe.incr(name, amount)
-        if telemetry.ENABLED:
-            telemetry.incr(name, amount)
+        if observe.COUNTING:
+            observe.count(name, amount)
         self.tracer.emit(name, kind="counter", value=self.metrics[name])
 
     def _transaction_closed(self, txn: MVCCTransaction) -> None:
@@ -346,8 +342,8 @@ class MVCCEngine:
         # lint: disable=ENG001 -- audited: only called from commit/rollback
         # paths that hold self._lock.
         self.open_transactions -= 1
-        if telemetry.ENABLED:
-            telemetry.gauge("mvcc.open_transactions", self.open_transactions)
+        if observe.COUNTING:
+            observe.gauge("mvcc.open_transactions", self.open_transactions)
         if txn.privatizations:
             self._bump("mvcc.privatizations", txn.privatizations)
 
@@ -528,8 +524,8 @@ class MVCCEngine:
                 self._transaction_closed(txn)
                 self._bump("mvcc.commits")
                 self.journal.record(token, "committed")
-            if telemetry.ENABLED:
-                telemetry.observe_value(
+            if observe.COUNTING:
+                observe.sample(
                     "mvcc.commit_seconds", time.perf_counter() - start
                 )
 

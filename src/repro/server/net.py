@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Optional
 
-from repro import telemetry
+from repro import observe
 from repro.errors import (
     ConflictError,
     ProtocolError,
@@ -124,10 +124,9 @@ class GroupCommitBatcher:
         self._waiter = None
         size = self._pending
         self.batches += 1
-        if telemetry.ENABLED:
-            telemetry.incr("group_commit.batches")
-            telemetry.incr("group_commit.synced", size)
-            telemetry.observe_value("group_commit.batch_size", size)
+        observe.count("group_commit.batches")
+        observe.count("group_commit.synced", size)
+        observe.sample("group_commit.batch_size", size)
         try:
             await asyncio.to_thread(self._engine_ref().sync_wal)
         except BaseException as exc:
@@ -154,7 +153,7 @@ CORE_METRIC_FAMILIES = {
         "mvcc.conflicts",
         "mvcc.rollbacks",
         "mvcc.privatizations",
-        "wal.frames",
+        "wal.appends",
         "wal.bytes",
         "wal.fsyncs",
         "group_commit.batches",
@@ -162,10 +161,6 @@ CORE_METRIC_FAMILIES = {
         "server.rejected_connections",
         "server.statement_timeouts",
         "mvcc.journal_hits",
-        "client.reconnects",
-        "client.retries.transport",
-        "client.retries.conflict",
-        "client.retries.busy",
     ),
     "gauges": (
         "server.active_sessions",
@@ -189,7 +184,7 @@ class SOSServer:
     the threshold is recorded (text, duration, per-phase timings, fired
     rules) in a bounded in-memory ring and — when ``slow_query_log`` is a
     path — appended to that file as one JSON object per line.  Starting a
-    server enables the process-wide :mod:`repro.telemetry` registry.
+    server enables the :mod:`repro.observe` process registry.
     """
 
     def __init__(
@@ -233,8 +228,8 @@ class SOSServer:
         self._inflight = 0
         self._idle = asyncio.Event()  # set exactly while _inflight == 0
         self._idle.set()
-        telemetry.enable()
-        telemetry.REGISTRY.declare(**CORE_METRIC_FAMILIES)
+        observe.enable_registry()
+        observe.REGISTRY.declare(**CORE_METRIC_FAMILIES)
 
     # ---------------------------------------------------------------- serving
 
@@ -272,8 +267,7 @@ class SOSServer:
         """
         start = time.perf_counter()
         self.draining = True
-        if telemetry.ENABLED:
-            telemetry.gauge("server.draining", 1)
+        observe.gauge("server.draining", 1)
         try:
             await asyncio.wait_for(self._idle.wait(), timeout)
         except asyncio.TimeoutError:
@@ -282,8 +276,7 @@ class SOSServer:
             session.abort_open_transaction()
         await asyncio.to_thread(self.engine.sync_wal)
         elapsed = time.perf_counter() - start
-        if telemetry.ENABLED:
-            telemetry.gauge("server.drain_seconds", elapsed)
+        observe.gauge("server.drain_seconds", elapsed)
         return elapsed
 
     async def stop(self) -> None:
@@ -332,8 +325,7 @@ class SOSServer:
         """Answer the connection's first request with a retryable busy
         error, then close — no engine session is ever created."""
         self.rejected_connections += 1
-        if telemetry.ENABLED:
-            telemetry.incr("server.rejected_connections")
+        observe.count("server.rejected_connections")
         frame = json.dumps(
             {"ok": False, "error": encode_error(refusal)}
         ).encode() + b"\n"
@@ -360,9 +352,8 @@ class SOSServer:
             return
         self.connections += 1
         self.active_sessions += 1
-        if telemetry.ENABLED:
-            telemetry.incr("server.connections")
-            telemetry.gauge("server.active_sessions", self.active_sessions)
+        observe.count("server.connections")
+        observe.gauge("server.active_sessions", self.active_sessions)
         task = asyncio.current_task()
         if task is not None:
             self._handlers.add(task)
@@ -406,10 +397,8 @@ class SOSServer:
                     # crash between commit and acknowledgement.
                     break
                 except Exception as exc:  # noqa: BLE001 — encode, don't die
-                    if telemetry.ENABLED and isinstance(
-                        exc, StatementTimeoutError
-                    ):
-                        telemetry.incr("server.statement_timeouts")
+                    if isinstance(exc, StatementTimeoutError):
+                        observe.count("server.statement_timeouts")
                     response = {"ok": False, "error": encode_error(exc)}
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
@@ -418,8 +407,7 @@ class SOSServer:
                 self._handlers.discard(task)
             self._live_sessions.discard(session)
             self.active_sessions -= 1
-            if telemetry.ENABLED:
-                telemetry.gauge("server.active_sessions", self.active_sessions)
+            observe.gauge("server.active_sessions", self.active_sessions)
             # Disconnect (or drop) mid-transaction: roll the open
             # transaction back; its statements never reached the WAL.
             session.abort_open_transaction()
@@ -449,11 +437,10 @@ class SOSServer:
         self, session: EngineSession, source: str, result, elapsed: float
     ) -> None:
         """Per-statement registry counters plus the slow-query log."""
-        if telemetry.ENABLED:
-            telemetry.incr("server.statements")
-            if result.kind == "query":
-                telemetry.incr("server.queries")
-            telemetry.observe_value("server.statement_seconds", elapsed)
+        observe.count("server.statements")
+        if result.kind == "query":
+            observe.count("server.queries")
+        observe.sample("server.statement_seconds", elapsed)
         if (
             self.slow_query_ms is not None
             and elapsed * 1000.0 >= self.slow_query_ms
@@ -492,8 +479,7 @@ class SOSServer:
         self.slow_queries.append(entry)
         if len(self.slow_queries) > 256:
             del self.slow_queries[: len(self.slow_queries) - 256]
-        if telemetry.ENABLED:
-            telemetry.incr("server.slow_queries")
+        observe.count("server.slow_queries")
         if self._slow_log_file is not None:
             self._slow_log_file.write(
                 json.dumps(entry, separators=(",", ":")) + "\n"
@@ -503,7 +489,7 @@ class SOSServer:
     def telemetry_snapshot(self) -> dict:
         """The registry snapshot plus server-level identification — the
         ``metrics`` op payload and the exposition page source."""
-        snap = telemetry.REGISTRY.snapshot()
+        snap = observe.REGISTRY.snapshot()
         snap["gauges"]["server.uptime_seconds"] = time.time() - self.started_at
         snap["server"] = {
             "server": "repro",
@@ -778,7 +764,7 @@ class SOSServer:
             if path in ("/", "/metrics"):
                 status = "200 OK"
                 ctype = "text/plain; version=0.0.4; charset=utf-8"
-                body = telemetry.render_prometheus(
+                body = observe.render_prometheus(
                     self.telemetry_snapshot()
                 ).encode("utf-8")
             else:

@@ -26,7 +26,7 @@ from repro.core.algebra import Closure, Relation, Stream, TupleValue
 from repro.core.types import Type, format_type
 from repro.errors import ProtocolError, SOSError, wrap_statement_error
 from repro.geometry import Point, Polygon, Rect
-from repro.observe import ExecutionMetrics, FiredRule, RuleTrace
+from repro.observe import ExecutionMetrics, FiredRule, Histogram, RuleTrace
 from repro.system.sos_system import SystemResult
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,8 @@ def encode_metrics(metrics: ExecutionMetrics) -> dict:
         "counters": dict(metrics.counters),
         "io": dict(metrics.io),
         "histograms": {
-            name: list(hist.values) for name, hist in metrics.histograms.items()
+            name: {"values": list(h.values), "count": h.count, "sum": h.sum}
+            for name, h in metrics.histograms.items()
         },
     }
 
@@ -240,9 +241,11 @@ def decode_metrics(data: dict) -> ExecutionMetrics:
     )
     metrics.counters.update(data["counters"])
     metrics.io.update(data["io"])
-    for name, values in data.get("histograms", {}).items():
-        for v in values:
-            metrics.record(name, v)
+    for name, shipped in data.get("histograms", {}).items():
+        hist = metrics.histograms[name] = Histogram()
+        hist.values = list(shipped["values"])
+        hist.count = shipped["count"]
+        hist.sum = shipped["sum"]
     return metrics
 
 

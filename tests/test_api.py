@@ -20,7 +20,8 @@ from repro.errors import (
     ProtocolError,
     StatementError,
 )
-from repro.observe import Tracer
+from repro.observe import ExecutionMetrics, Tracer
+from repro.server.wire import decode_metrics, encode_metrics
 from repro.system import SystemResult
 
 SCHEMA = """
@@ -361,3 +362,17 @@ class TestLocalOnly:
         assert db.query("r select[a > 0]").value.rows
         with pytest.raises(CatalogError, match="closed"):
             db.run_one("update r := insert(r, mktuple[<(a, 8)>])")
+
+
+class TestWireCodec:
+    def test_histogram_codec_keeps_totals_past_the_window(self):
+        """A histogram ships its window plus its exact count and sum, so
+        a decoded one reports every observation, not the window's."""
+        metrics = ExecutionMetrics()
+        for i in range(2000):
+            metrics.record("probe.rows", i)
+        hist = decode_metrics(encode_metrics(metrics)).histograms["probe.rows"]
+        assert hist.count == 2000
+        assert hist.sum == sum(range(2000))
+        assert hist.values == metrics.histograms["probe.rows"].values
+        assert hist.as_dict() == metrics.histograms["probe.rows"].as_dict()

@@ -119,9 +119,11 @@ class TestWalFile:
         wal.append(WalRecord(BEGIN, 1))
         wal.append(WalRecord(COMMIT, 1))
         wal.close()
-        data = bytearray(open(path, "rb").read())
+        with open(path, "rb") as f:
+            data = bytearray(f.read())
         data[-1] ^= 0xFF  # flip a payload byte of the last record
-        open(path, "wb").write(bytes(data))
+        with open(path, "wb") as f:
+            f.write(bytes(data))
         records, good = scan(path)
         assert [r.type for r in records] == [BEGIN]
         assert good < len(data)
@@ -164,25 +166,30 @@ class TestDurableSession:
         db = prepared(tmp_path)
         before = db.dump()
         db.close()
-        recovered = open_db(tmp_path)
-        assert recovered.durability.replayed_statements == len(SETUP)
-        assert recovered.dump() == before
-        assert recovered.query("items select[k >= 2]").value is not None
+        with open_db(tmp_path) as recovered:
+            assert recovered.durability.replayed_statements == len(SETUP)
+            assert recovered.dump() == before
+            assert recovered.query("items select[k >= 2]").value is not None
 
     def test_group_commit_batches_fsyncs(self, tmp_path):
         db = open_db(tmp_path, group_commit=3)
-        wal = db.durability.wal
+        opened = GLOBAL_PAGES.stats.fsyncs
+
+        def synced():
+            return GLOBAL_PAGES.stats.fsyncs - opened
+
         db.run_one(SETUP[0])
         db.run_one(SETUP[1])
-        assert wal.synced == 0  # two commits pending, below the batch size
+        assert synced() == 0  # two commits pending, below the batch size
         db.run_one(SETUP[2])
-        assert wal.synced == 1  # third commit syncs the batch
+        assert synced() == 1  # third commit syncs the batch
         db.run_one(SETUP[3])
-        assert wal.synced == 1
+        assert synced() == 1
         db.flush()
-        assert wal.synced == 2  # explicit flush covers the pending commit
+        assert synced() == 2  # explicit flush covers the pending commit
         db.flush()
-        assert wal.synced == 2  # nothing pending: flush is a no-op
+        assert synced() == 2  # nothing pending: flush is a no-op
+        db.close()
 
     @pytest.mark.parametrize("group_commit, fsyncs", [(1, 35), (8, 5)])
     def test_log_traffic_is_exact(self, tmp_path, group_commit, fsyncs):
@@ -214,16 +221,16 @@ class TestDurableSession:
         assert sorted(os.listdir(data_dir)) == ["checkpoint-2.sos", "wal-2.log"]
         before = db.dump()
         db.close()
-        recovered = open_db(tmp_path)
-        assert recovered.durability.epoch == 2
-        assert recovered.durability.replayed_statements == 0
-        assert recovered.dump() == before
+        with open_db(tmp_path) as recovered:
+            assert recovered.durability.epoch == 2
+            assert recovered.durability.replayed_statements == 0
+            assert recovered.dump() == before
 
     def test_automatic_checkpoint_by_interval(self, tmp_path):
-        db = connect(data_dir=str(tmp_path / "db"), checkpoint_interval=4)
-        for text in SETUP:
-            db.run_one(text)
-        assert db.durability.epoch >= 1  # 6 committed statements, interval 4
+        with connect(data_dir=str(tmp_path / "db"), checkpoint_interval=4) as db:
+            for text in SETUP:
+                db.run_one(text)
+            assert db.durability.epoch >= 1  # 6 committed statements, interval 4
 
     def test_atomic_program_failure_is_invisible_after_reboot(self, tmp_path):
         db = prepared(tmp_path)
@@ -234,8 +241,9 @@ class TestDurableSession:
         )
         with pytest.raises(SOSError):
             db.run(program, atomic=True)
-        recovered = open_db(tmp_path)  # crash without close
-        assert recovered.dump() == before
+        with open_db(tmp_path) as recovered:  # crash without close
+            assert recovered.dump() == before
+        db.close()  # the crashed handle, released after the crash point
 
     def test_atomic_program_success_is_durable(self, tmp_path):
         db = prepared(tmp_path)
@@ -245,8 +253,9 @@ class TestDurableSession:
             atomic=True,
         )
         after = db.dump()
-        recovered = open_db(tmp_path)
-        assert recovered.dump() == after
+        with open_db(tmp_path) as recovered:  # crash without close
+            assert recovered.dump() == after
+        db.close()  # the crashed handle, released after the crash point
 
     def test_closed_session_answers_queries_but_refuses_mutations(self, tmp_path):
         db = prepared(tmp_path)
@@ -266,8 +275,7 @@ class TestDurableSession:
             connect(model="model", data_dir=str(tmp_path / "db"))
 
     def test_double_attach_rejected(self, tmp_path):
-        db = open_db(tmp_path)
-        with pytest.raises(RuntimeError):
+        with open_db(tmp_path) as db, pytest.raises(RuntimeError):
             DurabilityManager(str(tmp_path / "other")).attach(db.system)
 
     def test_checkpoint_without_data_dir_rejected(self):
@@ -276,9 +284,10 @@ class TestDurableSession:
 
     def test_queries_are_not_logged(self, tmp_path):
         db = prepared(tmp_path)
-        appended = db.durability.wal.appended
+        before = GLOBAL_PAGES.stats.snapshot()
         db.query("items select[k >= 1]")
-        assert db.durability.wal.appended == appended
+        assert GLOBAL_PAGES.stats.delta(before).log_writes == 0
+        db.close()
 
 
 # --------------------------------------------------------------------------
@@ -297,6 +306,7 @@ class TestFaultObservability:
                     )
         assert metrics.counters["fault.injected"] == 1
         assert metrics.counters["fault.wal.append"] == 1
+        db.close()
 
     def test_armed_but_untriggered_fault_is_silent(self, tmp_path):
         db = prepared(tmp_path)
@@ -306,6 +316,7 @@ class TestFaultObservability:
                     'update items := insert(items, mktuple[<(k, 5), (name, "f")>])'
                 )
         assert "fault.injected" not in metrics.counters
+        db.close()
 
     def test_wal_counters_account_appends_and_fsyncs(self, tmp_path):
         db = prepared(tmp_path)
@@ -314,6 +325,7 @@ class TestFaultObservability:
         assert metrics.counters["wal.appends"] == 3  # begin, stmt, commit
         assert metrics.counters["wal.fsyncs"] == 1
         assert metrics.counters["wal.bytes"] > 0
+        db.close()
 
 
 # --------------------------------------------------------------------------
@@ -327,27 +339,27 @@ class TestStatsRecovery:
         db.analyze("items")
         assert db.stats("items")
         db.close()
-        recovered = open_db(tmp_path)
-        assert set(recovered.stats("items")) == set(db.stats("items"))
+        with open_db(tmp_path) as recovered:
+            assert set(recovered.stats("items")) == set(db.stats("items"))
 
     def test_stats_survive_checkpoint(self, tmp_path):
         db = prepared(tmp_path)
         db.analyze("items")
         db.checkpoint()
         db.close()
-        recovered = open_db(tmp_path)
-        assert recovered.durability.replayed_statements == 0
-        assert recovered.stats("items")
-        report = recovered.explain("items select[k >= 2]")
+        with open_db(tmp_path) as recovered:
+            assert recovered.durability.replayed_statements == 0
+            assert recovered.stats("items")
+            report = recovered.explain("items select[k >= 2]")
         assert report["cost_counters"].get("cost.stats_hit", 0) > 0
 
     def test_no_phantom_stats_after_recovery(self, tmp_path):
         db = prepared(tmp_path)  # never analyzed
         db.checkpoint()
         db.close()
-        recovered = open_db(tmp_path)
-        assert recovered.stats("items") == {}
-        report = recovered.explain("items select[k >= 2]")
+        with open_db(tmp_path) as recovered:
+            assert recovered.stats("items") == {}
+            report = recovered.explain("items select[k >= 2]")
         assert report["cost_counters"].get("cost.stats_hit", 0) == 0
 
 

@@ -208,11 +208,12 @@ class TestENG005:
     def test_undeclared_metric_flagged(self):
         report = run(
             """\
-            from repro import telemetry
+            from repro import observe
 
             def record():
-                telemetry.incr("mvcc.commits")
-                telemetry.incr("mvcc.surprises")
+                observe.count("mvcc.commits")
+                observe.count("mvcc.surprises")
+                observe.incr("btree.node_reads")  # statement scope only
             """
         )
         assert codes(report) == ["ENG005"]
@@ -221,10 +222,10 @@ class TestENG005:
     def test_dynamic_names_skipped(self):
         report = run(
             """\
-            from repro import telemetry
+            from repro import observe
 
             def record(kind):
-                telemetry.incr(f"client.retries.{kind}")
+                observe.count(f"mvcc.{kind}")
             """
         )
         assert codes(report) == []

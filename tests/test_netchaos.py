@@ -58,6 +58,24 @@ def count(session):
     return session.query("cities_rep feed count").value
 
 
+@pytest.fixture(autouse=True)
+def _disconnect_sessions(monkeypatch):
+    """Disconnect every session a test opened once the test is over —
+    after any crash it simulates — so no socket outlives its test."""
+    opened = []
+    real_connect = connect
+
+    def tracked(*args, **kwargs):
+        session = real_connect(*args, **kwargs)
+        opened.append(session)
+        return session
+
+    monkeypatch.setattr(sys.modules[__name__], "connect", tracked)
+    yield
+    for session in opened:
+        getattr(session, "disconnect", session.close)()
+
+
 def wal_bytes(data_dir):
     return sum(
         os.path.getsize(os.path.join(data_dir, name))
@@ -239,26 +257,31 @@ class TestExactlyOnce:
             status = db._client.request("txn_status", token=token)
             assert status["state"] == "conflict"
 
-    def test_armed_retries_cost_nothing_without_faults(self, tmp_path):
+    def test_armed_retries_cost_nothing_without_faults(
+        self, tmp_path, monkeypatch
+    ):
         """No fault, no retry: a ``?retries=3`` session never retries,
-        reconnects or replays a token."""
-        quiet = (
-            "client.retries.transport",
-            "client.retries.conflict",
-            "client.retries.busy",
-            "client.reconnects",
-            "mvcc.journal_hits",
-        )
+        reconnects or replays a token.  Every retry backs off first, so
+        counting the session's backoffs counts its retries."""
         with start_server(data_dir=str(tmp_path)) as handle:
             db = connect(handle.address + "?retries=3&backoff_ms=10")
+            calls = {"_backoff": 0, "_reconnect": 0}
+            for name in calls:
+                method = getattr(NetworkSession, name)
+
+                def counted(self, *args, _name=name, _method=method, **kw):
+                    if self is db:
+                        calls[_name] += 1
+                    return _method(self, *args, **kw)
+
+                monkeypatch.setattr(NetworkSession, name, counted)
             db.run(SCHEMA)
-            before = db.server_metrics()["counters"]
+            before = db.server_metrics()["counters"]["mvcc.journal_hits"]
             for n in range(20):
                 db.run_one(INSERT.format(name=f"c{n}", pop=n))
-            after = db.server_metrics()["counters"]
-            assert {k: after[k] - before[k] for k in quiet} == dict.fromkeys(
-                quiet, 0
-            )
+            after = db.server_metrics()["counters"]["mvcc.journal_hits"]
+            assert calls == {"_backoff": 0, "_reconnect": 0}
+            assert after - before == 0
             assert count(db) == 20
             db.disconnect()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import json
+import threading
 
 from repro import observe
 from repro.observe import (
@@ -230,6 +231,31 @@ class TestCollecting:
         assert observe.ENABLED is False
         assert observe.active() is None
 
+    def test_count_reaches_the_sink_and_the_registry(self):
+        was = observe.REGISTRY_ON
+        observe.enable_registry()
+        try:
+            before = observe.REGISTRY.snapshot()["counters"].get("wal.appends", 0)
+            with observe.collecting() as metrics:
+                observe.count("wal.appends", 2)
+            after = observe.REGISTRY.snapshot()["counters"]["wal.appends"]
+        finally:
+            if not was:
+                observe.disable_registry()
+        assert metrics.counters == {"wal.appends": 2}
+        assert after - before == 2
+
+    def test_count_skips_a_sink_armed_on_another_thread(self):
+        # A server counts events on its event loop while a traced
+        # statement runs on a worker thread; they are not that statement's.
+        with observe.collecting() as metrics:
+            observe.count("here")
+            other = threading.Thread(target=observe.count, args=("elsewhere",))
+            other.start()
+            other.join(timeout=10)
+            assert not other.is_alive()
+        assert metrics.counters == {"here": 1}
+
     def test_count_out_and_in_wrappers(self):
         metrics = ExecutionMetrics()
         assert list(metrics.count_out("feed", iter([1, 2, 3]))) == [1, 2, 3]
@@ -423,7 +449,7 @@ class TestHistogram:
         assert hist.as_dict()["count"] == 1
 
     def test_empty_as_dict(self):
-        assert Histogram().as_dict() == {"count": 0}
+        assert Histogram().as_dict() == {"count": 0, "sum": 0.0}
 
     def test_metrics_record_into_named_histograms(self):
         with observe.collecting() as metrics:

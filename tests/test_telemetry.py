@@ -1,5 +1,5 @@
-"""Server-wide telemetry: the :mod:`repro.telemetry` registry and its
-renderers, the ``metrics`` wire op, the Prometheus exposition endpoint,
+"""Server-wide telemetry: the :mod:`repro.observe` process registry and
+its renderers, the ``metrics`` wire op, the Prometheus exposition endpoint,
 the slow-query log, and cross-wire trace stitching.
 
 The registry is process-wide and stays enabled once any server has
@@ -16,13 +16,13 @@ import urllib.request
 
 import pytest
 
-from repro import telemetry
+from repro import observe
 from repro.api import connect
 from repro.errors import ConflictError
-from repro.observe import ChromeTraceExporter
-from repro.telemetry import (
+from repro.observe import (
+    ChromeTraceExporter,
+    Histogram,
     MetricsRegistry,
-    RollingHistogram,
     render_prometheus,
     render_top,
 )
@@ -42,14 +42,14 @@ update cities := insert(cities, mktuple[<(cname, "bb"), (center, pt(2, 2)), (pop
 # ---------------------------------------------------------------------------
 
 
-class TestRollingHistogram:
+class TestHistogramWindow:
     def test_empty(self):
-        hist = RollingHistogram()
+        hist = Histogram()
         assert hist.count == 0
         assert hist.as_dict() == {"count": 0, "sum": 0.0}
 
     def test_basic_stats(self):
-        hist = RollingHistogram()
+        hist = Histogram()
         for v in (1.0, 2.0, 3.0, 4.0):
             hist.record(v)
         d = hist.as_dict()
@@ -60,12 +60,12 @@ class TestRollingHistogram:
         assert d["p50"] == 2.5
 
     def test_window_sheds_but_totals_are_exact(self):
-        hist = RollingHistogram(limit=8)
+        hist = Histogram(limit=8)
         for i in range(100):
             hist.record(float(i))
         # Lifetime count/sum survive the shedding...
         assert hist.count == 100
-        assert hist.total_sum == sum(range(100))
+        assert hist.sum == sum(range(100))
         # ...while the retained window stays bounded and recent.
         assert len(hist.values) <= 8
         assert min(hist.values) >= 90.0
@@ -117,17 +117,17 @@ class TestMetricsRegistry:
         json.dumps(reg.snapshot())  # must not raise
 
     def test_module_guards_are_zero_overhead_when_disabled(self):
-        was = telemetry.ENABLED
-        telemetry.disable()
+        was = observe.REGISTRY_ON
+        observe.disable_registry()
         try:
-            before = telemetry.REGISTRY.snapshot()
-            telemetry.incr("guarded.counter")
-            telemetry.gauge("guarded.gauge", 1)
-            telemetry.observe_value("guarded.hist", 1.0)
-            assert telemetry.REGISTRY.snapshot() == before
+            before = observe.REGISTRY.snapshot()
+            observe.count("guarded.counter")
+            observe.gauge("guarded.gauge", 1)
+            observe.sample("guarded.hist", 1.0)
+            assert observe.REGISTRY.snapshot() == before
         finally:
             if was:
-                telemetry.enable()
+                observe.enable_registry()
 
 
 class TestRenderPrometheus:
