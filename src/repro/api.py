@@ -31,8 +31,9 @@ The DSN forms:
     :class:`~repro.errors.ConflictError`, and retrying the transaction
     succeeds.  Query options opt into client-side fault tolerance:
     ``?retries=3&deadline_ms=5000&backoff_ms=50`` enables transparent
-    reconnect + retry with exactly-once commits (every mutation carries
-    an idempotency token the server journals); ``connect_timeout_ms``
+    reconnect + retry with exactly-once commits (every auto-committed
+    mutation and every commit carries an idempotency token the server
+    journals); ``connect_timeout_ms``
     and ``backoff_cap_ms`` tune the dial timeout and the backoff cap.
     See ``docs/API.md`` and ``docs/ROBUSTNESS.md``.
 ``"relational"`` / ``"model"``

@@ -214,8 +214,15 @@ def wrap_statement_error(
     phase: str | None = None,
 ) -> "StatementError":
     """Wrap ``cause`` in a :class:`StatementError` that is also an instance
-    of the cause's own class (so existing handlers keep working)."""
+    of the cause's own class (so existing handlers keep working).  An
+    already-wrapped error is returned itself, with a missing ``index`` or
+    ``source`` filled in (a program stamps its statement index over the
+    ``index=None`` of a single statement)."""
     if isinstance(cause, StatementError):
+        if cause.index is None:
+            cause.index = index
+        if cause.source is None:
+            cause.source = source
         return cause
     wrapper = _WRAPPER_CLASSES.get(type(cause))
     if wrapper is None:

@@ -16,15 +16,18 @@ sessions never raise.
 
     repro://host:port?retries=3&deadline_ms=5000&backoff_ms=50
 
-With ``retries`` > 0 the session transparently reconnects (capped
-exponential backoff with jitter) and retries retryable failures:
-transport errors, :class:`~repro.errors.ServerBusyError` (load shedding /
-drain), and — for auto-committed statements — lost first-committer-wins
-races.  Every mutation then carries an idempotency token, so a retry
-whose original request *did* commit is answered from the server's
+Every request goes through one attempt loop.  After a transport error
+or a :class:`~repro.errors.ServerBusyError` (load shedding / drain) it
+backs off (capped exponential, with jitter), reconnects and tries again;
+an auto-committed mutation that lost a first-committer-wins race is
+retried on a fresh idempotency token.  ``retries`` counts the attempts
+after the first, so the default ``retries=0`` makes one attempt and
+surfaces its error unchanged.  With ``retries`` > 0 every auto-committed
+mutation and every commit carries an idempotency token, so a retry whose
+original request *did* commit is answered from the server's
 commit-outcome journal instead of applying twice: exactly-once commits.
-With the default ``retries=0`` the wire behavior is exactly the
-pre-retry protocol — any failure surfaces immediately.
+Without retries nothing carries a token, and the wire is the plain
+request/response protocol.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from repro.errors import (
     ProtocolError,
     ServerBusyError,
     SOSError,
-    StatementError,
     wrap_statement_error,
 )
 from repro.lang.parser import split_statements
@@ -65,8 +67,9 @@ class RetryPolicy:
     """How a :class:`NetworkSession` behaves when the network misbehaves.
 
     ``retries``
-        extra attempts after the first try (0 disables all retry and
-        reconnect machinery — the default, and the pre-retry behavior);
+        attempts after the first one.  The default 0 makes the attempt
+        loop a single pass: no reconnect, no idempotency token, the first
+        error surfaces as raised;
     ``deadline_ms``
         overall per-call budget covering every attempt and backoff sleep
         (also the socket read timeout, so a hung server cannot park a
@@ -83,6 +86,17 @@ class RetryPolicy:
     backoff_ms: float = 50.0
     backoff_cap_ms: float = 2000.0
     connect_timeout: float = 10.0
+
+    @property
+    def timeout(self) -> Optional[float]:
+        """The whole per-call deadline in seconds, or ``None``."""
+        return None if self.deadline_ms is None else self.deadline_ms / 1000.0
+
+    def dial(self, host: str, port: int) -> "SocketClient":
+        """A connection with this policy's read and connect timeouts."""
+        return SocketClient(
+            host, port, timeout=self.timeout, connect_timeout=self.connect_timeout
+        )
 
 
 def _parse_hostport(rest: str, dsn: str) -> tuple[str, int]:
@@ -194,9 +208,14 @@ class SocketClient:
             pass  # socket already dead; the next request reports it
 
     def request(self, op: str, **args):
-        frame = {"op": op, **args}
+        """Send one frame and decode its answer.  A transport failure (the
+        peer gone, a timeout, a malformed frame) leaves the stream
+        unusable, so the connection is released before the
+        :class:`~repro.errors.ProtocolError` goes up; a later request
+        reports it as dropped."""
+        data = json.dumps({"op": op, **args}).encode() + b"\n"
         try:
-            self._file.write(json.dumps(frame).encode() + b"\n")
+            self._file.write(data)
             self._file.flush()
             line = self._file.readline()
         except ValueError as exc:  # writing to a locally dropped socket
@@ -205,11 +224,13 @@ class SocketClient:
                 "was dropped; reconnect with connect()"
             ) from exc
         except OSError as exc:
+            self.close()
             raise ProtocolError(
                 f"server at repro://{self.address[0]}:{self.address[1]} "
                 f"went away mid-request: {exc}"
             ) from exc
         if not line:
+            self.close()
             raise ProtocolError(
                 "server closed the connection without answering "
                 f"(op {op!r})"
@@ -217,6 +238,7 @@ class SocketClient:
         try:
             response = json.loads(line)
         except ValueError as exc:
+            self.close()
             raise ProtocolError(f"malformed response frame: {exc}") from exc
         if response.get("ok"):
             return response.get("result")
@@ -233,10 +255,6 @@ class SocketClient:
             pass
 
 
-def _new_token() -> str:
-    return uuid.uuid4().hex
-
-
 class NetworkSession(Session):
     """A :class:`~repro.api.Session` over a socket to a running server.
 
@@ -246,7 +264,8 @@ class NetworkSession(Session):
     :class:`~repro.errors.ConflictError` exactly as an in-process engine
     session would.  ``close()`` is idempotent and keeps the connection
     usable for queries — the closed-session contract — while
-    :meth:`disconnect` drops the socket itself.
+    :meth:`disconnect` drops the socket itself; leaving a ``with`` block
+    does both.
 
     With a :class:`RetryPolicy` (``?retries=...`` on the DSN) the session
     reconnects and retries by itself — see the module docstring for the
@@ -265,9 +284,6 @@ class NetworkSession(Session):
         "_tracer",
         "_trace_id",
         "_policy",
-        "_host",
-        "_port",
-        "_timeout",
         "_in_txn",
         "_txn_statements",
         "_precheck",
@@ -286,12 +302,6 @@ class NetworkSession(Session):
         self._tracer = Tracer()
         self._trace_id = uuid.uuid4().hex[:16]
         self._policy = policy if policy is not None else RetryPolicy()
-        self._host, self._port = client.address
-        self._timeout = (
-            None
-            if self._policy.deadline_ms is None
-            else self._policy.deadline_ms / 1000.0
-        )
         self._in_txn = False
         self._txn_statements: list[str] = []
         self._precheck: Optional[str] = None
@@ -299,20 +309,7 @@ class NetworkSession(Session):
     @classmethod
     def open(cls, dsn: str) -> "NetworkSession":
         host, port, policy = parse_dsn_options(dsn)
-        timeout = (
-            None if policy.deadline_ms is None else policy.deadline_ms / 1000.0
-        )
-        client = SocketClient(
-            host,
-            port,
-            timeout=timeout,
-            connect_timeout=policy.connect_timeout,
-        )
-        return cls(client, f"repro://{host}:{port}", policy=policy)
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        return self._policy
+        return cls(policy.dial(host, port), f"repro://{host}:{port}", policy=policy)
 
     # --------------------------------------------------------------- tracing
 
@@ -368,34 +365,36 @@ class NetworkSession(Session):
                 )
             )
 
-    def _traced_request(self, op: str, **args):
+    def _traced_request(self, op: str, token: Optional[str] = None, **args):
         """One request wrapped in a client-side span, with the server's
         spans replayed inside it.  Falls back to a plain request when
-        nobody subscribed."""
+        nobody subscribed.  ``token`` rides the frame only when set."""
+        if token is not None:
+            args["token"] = token
         if not self._tracer.enabled:
             return self._client.request(op, **args)
-        label = args.get("source", "")
         t0 = time.perf_counter()
         with self._tracer.span(
             "statement",
             trace_id=self._trace_id,
             op=op,
-            source=label[:120],
+            source=args.get("source", "")[:120],
         ):
             frame = self._client.request(op, trace=self._trace_id, **args)
             self._replay_spans(frame, t0, time.perf_counter() - t0)
         return frame
 
-    # ------------------------------------------------------ retry machinery
+    # ------------------------------------------------------ the attempt loop
 
-    def _deadline(self) -> Optional[float]:
-        if self._policy.deadline_ms is None:
-            return None
-        return time.monotonic() + self._policy.deadline_ms / 1000.0
+    def _token(self) -> Optional[str]:
+        """A fresh idempotency token, or ``None`` when no retry will ever
+        ask the server's journal for this request's outcome."""
+        return uuid.uuid4().hex if self._policy.retries else None
 
-    @staticmethod
-    def _out_of_time(deadline: Optional[float]) -> bool:
-        return deadline is not None and time.monotonic() >= deadline
+    def _exhausted(self, attempt: int, deadline: Optional[float]) -> bool:
+        return attempt > self._policy.retries or (
+            deadline is not None and time.monotonic() >= deadline
+        )
 
     def _arm_timeout(self, deadline: Optional[float]) -> None:
         if deadline is not None:
@@ -415,17 +414,64 @@ class NetworkSession(Session):
         if delay > 0:
             time.sleep(delay)
 
+    def _attempts(
+        self,
+        send: Callable[[Optional[str]], object],
+        *,
+        replay: bool = True,
+        settled: Optional[Callable[[], bool]] = None,
+        mutation: bool = False,
+    ):
+        """The one attempt loop every request goes through.
+
+        ``send(token)`` makes one attempt.  ``mutation`` marks an
+        auto-committed mutation: it carries an idempotency token (while
+        the policy retries at all), and a lost first-committer-wins race
+        is retried on a fresh one, since the old token's recorded outcome
+        is the conflict itself.  A transport failure or
+        :class:`~repro.errors.ServerBusyError` backs off and reconnects,
+        replaying the open transaction when ``replay``; the next attempt
+        resends the *same* token, so a request that did commit is
+        answered from the server's journal instead of applying twice.
+        ``settled``, when given, is asked after the reconnect whether the
+        lost request took effect anyway; if so there is nothing to resend.
+        With ``retries=0`` the loop makes one attempt and the first error
+        surfaces as raised.
+        """
+        timeout = self._policy.timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        token = self._token() if mutation else None
+        attempt = 0
+        failed = False
+        while True:
+            try:
+                if failed:
+                    self._reconnect(replay=replay)
+                    failed = False
+                    self._arm_timeout(deadline)
+                    if settled is not None and settled():
+                        return None
+                self._arm_timeout(deadline)
+                return send(token)
+            except ConflictError:
+                attempt += 1
+                if not mutation or self._exhausted(attempt, deadline):
+                    raise
+                token = self._token()
+                self._backoff(attempt, deadline)
+            except (ServerBusyError, ProtocolError):
+                attempt += 1
+                if self._exhausted(attempt, deadline):
+                    raise
+                self._backoff(attempt, deadline)
+                failed = True
+
     def _reconnect(self, *, replay: bool = True) -> None:
         """Drop the dead socket, dial again, and restore session state —
         closed flag, tracing flag, and (when ``replay``) the open
         transaction's buffered statements."""
         self._client.close()
-        self._client = SocketClient(
-            self._host,
-            self._port,
-            timeout=self._timeout,
-            connect_timeout=self._policy.connect_timeout,
-        )
+        self._client = self._policy.dial(*self._client.address)
         if self._closed:
             self._client.request("close")
         if self._tracing:
@@ -447,6 +493,9 @@ class NetworkSession(Session):
                 raise  # transport trouble again; the retry loop handles it
             except SOSError as exc:
                 self._end_txn()
+                # Drop the connection so the server rolls the half-replayed
+                # transaction back; the next request reconnects.
+                self._client.close()
                 raise CatalogError(
                     "open transaction aborted: replaying its buffered "
                     f"statements after reconnect failed ({exc})"
@@ -456,171 +505,89 @@ class NetworkSession(Session):
         self._in_txn = False
         self._txn_statements = []
 
-    def _retryable(self, send: Callable[[], object], *, replay: bool = True):
-        """Run ``send`` with transport/busy retries and reconnects.  Used
-        for requests that are idempotent by nature (queries, reads,
-        in-transaction statements — replayed workspaces never double
-        apply)."""
-        deadline = self._deadline()
-        attempt = 0
-        pending_reconnect = False
-        while True:
-            try:
-                if pending_reconnect:
-                    self._reconnect(replay=replay)
-                    pending_reconnect = False
-                self._arm_timeout(deadline)
-                return send()
-            except (ServerBusyError, ProtocolError):
-                attempt += 1
-                if attempt > self._policy.retries or self._out_of_time(
-                    deadline
-                ):
-                    raise
-                self._backoff(attempt, deadline)
-                pending_reconnect = True
-
-    def _retry_mutation(self, send: Callable[[str], object]):
-        """Run an auto-committing mutation with an idempotency token.
-
-        Transport/busy retries resend the *same* token — if the original
-        attempt committed, the server's journal answers instead of
-        re-applying.  A lost first-committer-wins race retries with a
-        *fresh* token (the old token's recorded outcome is the conflict
-        itself)."""
-        deadline = self._deadline()
-        token = _new_token()
-        attempt = 0
-        pending_reconnect = False
-        while True:
-            try:
-                if pending_reconnect:
-                    self._reconnect(replay=False)
-                    pending_reconnect = False
-                self._arm_timeout(deadline)
-                return send(token)
-            except ConflictError:
-                attempt += 1
-                if attempt > self._policy.retries or self._out_of_time(
-                    deadline
-                ):
-                    raise
-                token = _new_token()
-                self._backoff(attempt, deadline)
-            except (ServerBusyError, ProtocolError):
-                attempt += 1
-                if attempt > self._policy.retries or self._out_of_time(
-                    deadline
-                ):
-                    raise
-                self._backoff(attempt, deadline)
-                pending_reconnect = True
+    def _commit_landed(self, token: str) -> bool:
+        """After a commit was lost mid-flight: ask the journal whether it
+        landed.  A recorded conflict raises; an unknown token never
+        committed, so the transaction is rebuilt for a resend under the
+        same token."""
+        state = self._client.request("txn_status", token=token)["state"]
+        if state == "committed":
+            return True
+        if state == "conflict":
+            raise ConflictError(
+                "transaction lost the first-committer-wins race "
+                "(resolved from the commit journal); retry on a "
+                "fresh transaction"
+            )
+        self._replay_transaction()
+        return False
 
     # ------------------------------------------------------------ execution
 
-    def run(self, source: str, atomic: bool = False) -> list[SystemResult]:
+    def _enforce_precheck(self, source: str, atomic: bool = False) -> None:
+        # Server-side static analysis first: a rejected program never
+        # opens an MVCC transaction or writes a WAL frame.
         if self._precheck is not None:
             from repro.api import enforce_precheck
 
-            # Server-side static analysis first: a rejected program never
-            # opens an MVCC transaction or writes a WAL frame.
             enforce_precheck(
                 self._precheck, self.check(source, atomic=atomic), source
             )
-        if self._policy.retries == 0:
-            return self._decode_run(
-                self._traced_request("run", source=source, atomic=atomic)
+
+    def run(self, source: str, atomic: bool = False) -> list[SystemResult]:
+        self._enforce_precheck(source, atomic)
+        if self._in_txn or atomic or not self._policy.retries:
+            # One request: an atomic program commits (and is journaled)
+            # under one token; without retries nothing carries a token.
+            frames = self._attempts(
+                lambda token: self._traced_request(
+                    "run", source=source, atomic=atomic, token=token
+                ),
+                mutation=atomic and not self._in_txn,
             )
-        if self._in_txn:
-            results = self._decode_run(
-                self._retryable(
-                    lambda: self._traced_request(
-                        "run", source=source, atomic=atomic
-                    )
-                )
-            )
-            self._buffer_txn_chunks(source, results)
+            if isinstance(frames, dict):  # trace-wrapped response
+                frames = frames["results"]
+            results = [decode_result(f) for f in frames]
+            if self._in_txn:  # remember the mutating chunks for a replay
+                chunks = split_statements(source)
+                self._txn_statements += [
+                    chunk
+                    for chunk, result in zip(chunks, results)
+                    if result.kind != "query"
+                ]
             return results
-        if atomic:
-            # One request, one token: the whole program commits (and is
-            # journaled) as a unit.
-            return self._decode_run(
-                self._retry_mutation(
-                    lambda token: self._traced_request(
-                        "run", source=source, atomic=True, token=token
-                    )
-                )
-            )
-        # Auto-commit program: split client-side so each chunk carries its
-        # own idempotency token — a mid-program failure then retries only
-        # the chunk in flight, never an already-committed one.  The whole
-        # program was already prechecked above; don't re-check per chunk.
+        # Auto-commit program under retries: split client-side so each
+        # chunk carries its own idempotency token — a mid-program failure
+        # then retries only the chunk in flight, never an already-committed
+        # one.  The whole program was prechecked above, not each chunk.
         results = []
-        precheck, self._precheck = self._precheck, None
-        try:
-            for index, chunk in enumerate(split_statements(source)):
-                try:
-                    results.append(self.run_one(chunk))
-                except StatementError as exc:
-                    if exc.index is None:
-                        exc.index = index
-                    if exc.source is None:
-                        exc.source = chunk
-                    raise
-                except SOSError as exc:
-                    raise wrap_statement_error(
-                        exc, index=index, source=chunk
-                    ) from exc
-        finally:
-            self._precheck = precheck
+        for index, chunk in enumerate(split_statements(source)):
+            try:
+                results.append(self._statement(chunk))
+            except SOSError as exc:
+                raise wrap_statement_error(exc, index=index, source=chunk)
         return results
 
-    @staticmethod
-    def _decode_run(frames) -> list[SystemResult]:
-        if isinstance(frames, dict):  # trace-wrapped response
-            frames = frames["results"]
-        return [decode_result(f) for f in frames]
-
-    def _buffer_txn_chunks(self, source: str, results) -> None:
-        """Remember the mutating chunks of a successful in-transaction
-        program for post-reconnect replay."""
-        chunks = split_statements(source)
-        for chunk, result in zip(chunks, results):
-            if result.kind != "query":
-                self._txn_statements.append(chunk)
-
     def run_one(self, source: str) -> SystemResult:
-        if self._precheck is not None:
-            from repro.api import enforce_precheck
+        self._enforce_precheck(source)
+        return self._statement(source)
 
-            enforce_precheck(self._precheck, self.check(source), source)
-        if self._policy.retries == 0:
-            return decode_result(
-                self._traced_request("run_one", source=source)
-            )
-        if self._in_txn:
-            result = decode_result(
-                self._retryable(
-                    lambda: self._traced_request("run_one", source=source)
-                )
-            )
-            if result.kind != "query":
-                self._txn_statements.append(source)
-            return result
-        if source.lstrip().startswith("query"):
-            return decode_result(
-                self._retryable(
-                    lambda: self._traced_request("run_one", source=source),
-                    replay=False,
-                )
-            )
-        return decode_result(
-            self._retry_mutation(
+    def _statement(self, source: str) -> SystemResult:
+        # Queries and in-transaction statements are idempotent on a fresh
+        # connection (a replayed workspace never double-applies); only an
+        # auto-committed mutation needs a token.
+        result = decode_result(
+            self._attempts(
                 lambda token: self._traced_request(
                     "run_one", source=source, token=token
-                )
+                ),
+                mutation=not self._in_txn
+                and not source.lstrip().startswith("query"),
             )
         )
+        if self._in_txn and result.kind != "query":
+            self._txn_statements.append(source)
+        return result
 
     def explain(self, source: str, *, analyze: bool = False) -> dict:
         return decode_value(
@@ -640,94 +607,44 @@ class NetworkSession(Session):
         )
 
     def _read_request(self, op: str, **args):
-        if self._policy.retries == 0:
-            return self._client.request(op, **args)
-        return self._retryable(lambda: self._client.request(op, **args))
+        return self._attempts(lambda _: self._client.request(op, **args))
 
     # --------------------------------------------------------- transactions
 
     def begin(self) -> None:
         """Open an explicit transaction (snapshot isolation; commit wins
         or raises :class:`~repro.errors.ConflictError`)."""
-        if self._policy.retries == 0:
-            self._client.request("begin")
-        else:
-            self._retryable(
-                lambda: self._client.request("begin"), replay=False
-            )
+        self._attempts(lambda _: self._client.request("begin"), replay=False)
         self._in_txn = True
         self._txn_statements = []
 
     def commit(self) -> None:
-        if self._policy.retries == 0 or not self._in_txn:
-            try:
-                self._traced_request("commit")
-            finally:
-                self._end_txn()
-            return
-        deadline = self._deadline()
-        token = _new_token()
-        attempt = 0
-        resolve = False
-        while True:
-            try:
-                if resolve:
-                    # The commit request itself failed mid-flight; find
-                    # out whether it landed before doing anything else.
-                    self._reconnect(replay=False)
-                    self._arm_timeout(deadline)
-                    state = self._client.request("txn_status", token=token)[
-                        "state"
-                    ]
-                    if state == "committed":
-                        self._end_txn()
-                        return
-                    if state == "conflict":
-                        self._end_txn()
-                        raise ConflictError(
-                            "transaction lost the first-committer-wins race "
-                            "(resolved from the commit journal); retry on a "
-                            "fresh transaction"
-                        )
-                    # unknown: it never committed — rebuild the
-                    # transaction and commit again under the same token.
-                    self._replay_transaction()
-                    resolve = False
-                self._arm_timeout(deadline)
-                self._traced_request("commit", token=token)
-                self._end_txn()
-                return
-            except ConflictError:
-                self._end_txn()
-                raise
-            except (ServerBusyError, ProtocolError):
-                attempt += 1
-                if attempt > self._policy.retries or self._out_of_time(
-                    deadline
-                ):
-                    self._end_txn()
-                    raise
-                self._backoff(attempt, deadline)
-                resolve = True
+        # A lost commit is resolved through the journal under its token
+        # before anything is resent; with no token there is nothing to
+        # resolve, and a resend meets the server's own answer.
+        token = self._token() if self._in_txn else None
+        try:
+            self._attempts(
+                lambda _: self._traced_request("commit", token=token),
+                replay=False,
+                settled=None
+                if token is None
+                else lambda: self._commit_landed(token),
+            )
+        finally:
+            self._end_txn()
 
     def rollback(self) -> None:
-        if self._policy.retries == 0 or not self._in_txn:
-            try:
-                self._client.request("rollback")
-            finally:
-                self._end_txn()
-            return
+        # The server rolls an open transaction back the moment its
+        # connection drops (and a draining server rolls back idle
+        # transactions), so a lost rollback has still rolled back: once
+        # reconnected, there is nothing to resend.
         try:
-            self._client.request("rollback")
-        except (ProtocolError, ServerBusyError):
-            # The server rolls an open transaction back the moment its
-            # connection drops (and a draining server rolls back idle
-            # transactions), so a lost rollback has still rolled back —
-            # reconnect opportunistically and report success.
-            try:
-                self._reconnect(replay=False)
-            except (ProtocolError, ServerBusyError):
-                pass
+            self._attempts(
+                lambda _: self._client.request("rollback"),
+                replay=False,
+                settled=lambda: True,
+            )
         finally:
             self._end_txn()
 
@@ -741,7 +658,9 @@ class NetworkSession(Session):
 
     def set_tracing(self, enabled: bool = True) -> None:
         """Toggle metric collection for this session's statements."""
-        self._client.request("set_tracing", enabled=bool(enabled))
+        self._attempts(
+            lambda _: self._client.request("set_tracing", enabled=bool(enabled))
+        )
         self._tracing = bool(enabled)
 
     @property
@@ -780,6 +699,12 @@ class NetworkSession(Session):
     def disconnect(self) -> None:
         """Drop the socket (an open transaction is rolled back server-side)."""
         self._client.close()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # Leaving the block ends the connection too; an explicit close()
+        # keeps it for queries.
+        self.close()
+        self.disconnect()
 
     @property
     def closed(self) -> bool:

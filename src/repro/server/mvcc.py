@@ -60,7 +60,7 @@ from typing import Callable, Optional
 
 from repro import observe
 from repro.core.algebra import ResourceLimits
-from repro.errors import CatalogError, ConflictError, SOSError, StatementError, wrap_statement_error
+from repro.errors import CatalogError, ConflictError, SOSError, wrap_statement_error
 from repro.lang.parser import split_statements
 from repro.observe import Event, Tracer
 from repro.system.sos_system import SystemResult, build_relational_system
@@ -88,9 +88,9 @@ class MVCCTransaction(Transaction):
 class CommitJournal:
     """A bounded journal of commit outcomes, keyed by idempotency token.
 
-    The network client stamps every transaction (and every auto-committed
-    statement) with a token; the engine records the commit's outcome here
-    — ``committed`` or ``conflict`` — and the socket server attaches the
+    A retrying network client stamps every transaction (and every
+    auto-committed statement) with a token; the engine records the
+    commit's outcome here — ``committed`` or ``conflict`` — and the socket server attaches the
     encoded response frame of the committing request.  A *retried* request
     carrying a token the journal already knows therefore returns the
     original outcome instead of double-applying or spuriously conflicting:
@@ -204,22 +204,6 @@ class CommitJournal:
             entry = self._entries.get(token)
             if entry is not None:
                 entry["response"] = response
-
-    def get(self, token: Optional[str]) -> Optional[dict]:
-        """The recorded entry for ``token`` (bumps the hit counter), or
-        ``None`` — the retried-request check.  Pending claims read as
-        misses; use :meth:`begin_attempt` to coordinate with them."""
-        if token is None:
-            return None
-        with self._lock:
-            entry = self._entries.get(token)
-            if entry is None or entry["outcome"] == "pending":
-                return None
-            self.hits += 1
-            found = {k: v for k, v in entry.items() if k != "event"}
-        if observe.COUNTING:
-            observe.count("mvcc.journal_hits")
-        return found
 
     def outcome(self, token: Optional[str]) -> Optional[str]:
         """The recorded outcome for ``token`` without counting a hit
@@ -776,14 +760,8 @@ class EngineSession:
         index onto any error (``run_one`` wraps with ``index=None``)."""
         try:
             return self.run_one(chunk, sync=sync, recorder=recorder)
-        except StatementError as exc:
-            if exc.index is None:
-                exc.index = index
-            if exc.source is None:
-                exc.source = chunk
-            raise
         except SOSError as exc:
-            raise wrap_statement_error(exc, index=index, source=chunk) from exc
+            raise wrap_statement_error(exc, index=index, source=chunk)
 
     def query(self, source: str, *, sync: bool = True) -> SystemResult:
         return self.run_one("query " + source, sync=sync)

@@ -31,6 +31,7 @@ probes.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import signal
 import threading
@@ -63,11 +64,6 @@ DEFAULT_PORT = 7464
 #: is 64 KiB, which a two-thousand-statement atomic program exceeds).  A
 #: connection buffers at most twice this before the transport is paused.
 REQUEST_LINE_LIMIT = 4 * 1024 * 1024
-
-#: Sentinel for "no journal entry; execute for real" — ``None`` is a valid
-#: replayed response (a committed ``commit`` returns ``None``).
-_MISS = object()
-
 
 async def _read_request_line(reader: asyncio.StreamReader) -> bytes:
     """The next request line (``b""`` at end of stream).
@@ -223,7 +219,7 @@ class SOSServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
-        self._handlers: set[asyncio.Task] = set()
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._live_sessions: set[EngineSession] = set()
         self._inflight = 0
         self._idle = asyncio.Event()  # set exactly while _inflight == 0
@@ -235,7 +231,7 @@ class SOSServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
         self._server = await asyncio.start_server(
-            self._handle, host, port, limit=REQUEST_LINE_LIMIT
+            self._connected, host, port, limit=REQUEST_LINE_LIMIT
         )
         return self._server.sockets[0].getsockname()[:2]
 
@@ -246,11 +242,6 @@ class SOSServer:
             self._handle_metrics, host, port
         )
         return self._metrics_server.sockets[0].getsockname()[:2]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
 
     async def drain(self, timeout: float = 10.0) -> float:
         """Graceful shutdown, phase one: stop admitting work, finish what
@@ -280,16 +271,29 @@ class SOSServer:
         return elapsed
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            await self._metrics_server.wait_closed()
+        listeners = [
+            s for s in (self._server, self._metrics_server) if s is not None
+        ]
+        # Stop accepting first.  A connection accepted just before needs
+        # two more loop iterations to get its transport and reach
+        # _connected; asyncio cannot attach a transport to a closed server
+        # (it would leak that socket), so yield them before close().
+        loop = asyncio.get_running_loop()
+        for listener in listeners:
+            for sock in listener.sockets:
+                loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        for listener in listeners:
+            listener.close()
         for task in tuple(self._handlers):
             task.cancel()
         if self._handlers:
             await asyncio.gather(*self._handlers, return_exceptions=True)
+        # After the handlers: from Python 3.12 this waits for every
+        # connection to drop.
+        for listener in listeners:
+            await listener.wait_closed()
         # lint: disable=ENG003 -- audited: stop() runs after every handler
         # task has finished; there are no connections left to stall.
         self.engine.close()
@@ -343,6 +347,20 @@ class SOSServer:
             except (ConnectionError, OSError, RuntimeError):
                 pass
 
+    def _connected(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Start a connection's handler and list it at once, so stop()
+        reaches even a handler that has not run yet."""
+        task = asyncio.get_running_loop().create_task(self._handle(reader, writer))
+        self._handlers[task] = writer
+
+        def done(_task) -> None:
+            del self._handlers[task]
+            writer.close()  # a no-op unless the handler never ran or raised
+
+        task.add_done_callback(done)
+
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -354,9 +372,6 @@ class SOSServer:
         self.active_sessions += 1
         observe.count("server.connections")
         observe.gauge("server.active_sessions", self.active_sessions)
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
         # lint: disable=ENG003 -- audited: session() is lock-protected
         # bookkeeping (allocates an id), not statement execution.
         session = self.engine.session()
@@ -403,8 +418,6 @@ class SOSServer:
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
         finally:
-            if task is not None:
-                self._handlers.discard(task)
             self._live_sessions.discard(session)
             self.active_sessions -= 1
             observe.gauge("server.active_sessions", self.active_sessions)
@@ -511,41 +524,6 @@ class SOSServer:
 
     # ------------------------------------------------------------------- ops
 
-    async def _claim_token(self, session, token: Optional[str], synthesized):
-        """The exactly-once check: claim ``token`` for execution, or
-        replay its recorded outcome.
-
-        Returns :data:`_MISS` when this request holds a fresh claim and
-        must execute (ending in a commit outcome or
-        ``journal.abandon``).  Otherwise the outcome already exists (or
-        an earlier attempt is still executing, in which case this waits
-        for it): a recorded conflict re-raises the original
-        :class:`~repro.errors.ConflictError`; a recorded commit returns
-        the original response frame, or ``synthesized`` when the frame
-        did not survive a server restart — made durable before re-acking.
-        """
-        while True:
-            status, entry = self.engine.journal.begin_attempt(token)
-            if status == "new":
-                return _MISS
-            if status == "pending":
-                # The original attempt is still executing (a retry can
-                # outrun a slow statement); wait for its outcome rather
-                # than executing a second time.
-                await asyncio.to_thread(entry.wait, 30.0)
-                continue
-            if entry["outcome"] == "conflict":
-                names = tuple(entry["names"])
-                raise ConflictError(
-                    "transaction lost the first-committer-wins race on "
-                    + ", ".join(names)
-                    + "; retry on a fresh transaction (replayed outcome)",
-                    names=names,
-                )
-            await self._sync_before_ack(session)
-            response = entry["response"]
-            return synthesized if response is None else response
-
     @staticmethod
     def _journal_hit_frame() -> dict:
         """A result frame for a replayed commit whose original response
@@ -568,22 +546,47 @@ class SOSServer:
             "journal_hit": True,
         }
 
-    async def _op_run_one(self, session, request):
-        token = request.get("token")
-        replay = await self._claim_token(
-            session, token, self._journal_hit_frame()
-        )
-        if replay is not _MISS:
-            return replay
+    async def _claim_execute_ack(
+        self, session, request, token, synthesized, execute, wrote, finish
+    ):
+        """The exactly-once sequence of every committing op.
+
+        Claim ``token`` for execution, or replay its recorded outcome: a
+        recorded conflict re-raises the original
+        :class:`~repro.errors.ConflictError`; a recorded commit returns
+        the original response frame, or ``synthesized`` when the frame
+        did not survive a server restart — made durable before re-acking.
+        A fresh claim runs ``execute`` in a worker thread, makes a write
+        durable before the acknowledgement (a request that wrote nothing
+        has no outcome, so its claim is released), lets ``finish`` account
+        and encode the result, journals the frame, and acknowledges.
+        """
+        while True:
+            status, entry = self.engine.journal.begin_attempt(token)
+            if status == "new":
+                break
+            if status == "pending":
+                # The original attempt is still executing (a retry can
+                # outrun a slow statement); wait for its outcome rather
+                # than executing a second time.
+                await asyncio.to_thread(entry.wait, 30.0)
+                continue
+            if entry["outcome"] == "conflict":
+                names = tuple(entry["names"])
+                raise ConflictError(
+                    "transaction lost the first-committer-wins race on "
+                    + ", ".join(names)
+                    + "; retry on a fresh transaction (replayed outcome)",
+                    names=names,
+                )
+            await self._sync_before_ack(session)
+            response = entry["response"]
+            return synthesized if response is None else response
         recorder = SpanRecorder() if request.get("trace") else None
         start = time.perf_counter()
         try:
             result = await asyncio.to_thread(
-                session.run_one,
-                request["source"],
-                sync=False,
-                recorder=recorder,
-                token=token,
+                execute, sync=False, recorder=recorder, token=token
             )
         except BaseException:
             # No commit outcome to journal (statement error, closed
@@ -592,93 +595,75 @@ class SOSServer:
             # survives this.
             self.engine.journal.abandon(token)
             raise
-        if result.kind != "query":
+        if wrote(result):
             await self._sync_before_ack(session)
         else:
-            self.engine.journal.abandon(token)  # queries have no outcome
-        elapsed = time.perf_counter() - start
-        self._account_statement(session, request["source"], result, elapsed)
-        frame = encode_result(result)
+            self.engine.journal.abandon(token)
+        frame = finish(result, time.perf_counter() - start)
         if recorder is not None:
-            frame["server_spans"] = recorder.events
-            frame["server_elapsed"] = recorder.elapsed()
+            spans = {
+                "server_spans": recorder.events,
+                "server_elapsed": recorder.elapsed(),
+            }
+            if isinstance(frame, dict):
+                frame.update(spans)
+            else:  # a program's frame list, or a commit's empty answer
+                frame = spans if frame is None else {"results": frame, **spans}
         # Remember the committed answer *before* the acknowledgement can
         # be lost, so a retried request returns it verbatim.
         self.engine.journal.attach_response(token, frame)
         fault_point("server.ack")
         return frame
 
-    async def _op_run(self, session, request):
-        atomic = bool(request.get("atomic", False))
-        token = request.get("token") if atomic else None
-        replay = await self._claim_token(
-            session, token, [self._journal_hit_frame()]
+    async def _op_run_one(self, session, request):
+        source = request["source"]
+
+        def finish(result, elapsed):
+            self._account_statement(session, source, result, elapsed)
+            return encode_result(result)
+
+        return await self._claim_execute_ack(
+            session,
+            request,
+            request.get("token"),
+            self._journal_hit_frame(),
+            functools.partial(session.run_one, source),
+            lambda result: result.kind != "query",
+            finish,
         )
-        if replay is not _MISS:
-            return replay
-        recorder = SpanRecorder() if request.get("trace") else None
-        start = time.perf_counter()
-        try:
-            results = await asyncio.to_thread(
-                session.run,
-                request["source"],
-                atomic,
-                sync=False,
-                recorder=recorder,
-                token=token,
-            )
-        except BaseException:
-            self.engine.journal.abandon(token)
-            raise
-        if any(r.kind != "query" for r in results):
-            await self._sync_before_ack(session)
-        else:
-            self.engine.journal.abandon(token)
-        elapsed = time.perf_counter() - start
-        self._account_program(session, request["source"], results, elapsed)
-        frames = [encode_result(r) for r in results]
-        if recorder is None:
-            self.engine.journal.attach_response(token, frames)
-            fault_point("server.ack")
-            return frames
-        response = {
-            "results": frames,
-            "server_spans": recorder.events,
-            "server_elapsed": recorder.elapsed(),
-        }
-        self.engine.journal.attach_response(token, response)
-        fault_point("server.ack")
-        return response
+
+    async def _op_run(self, session, request):
+        source = request["source"]
+        atomic = bool(request.get("atomic", False))
+
+        def finish(results, elapsed):
+            self._account_program(session, source, results, elapsed)
+            return [encode_result(r) for r in results]
+
+        return await self._claim_execute_ack(
+            session,
+            request,
+            request.get("token") if atomic else None,
+            [self._journal_hit_frame()],
+            functools.partial(session.run, source, atomic),
+            lambda results: any(r.kind != "query" for r in results),
+            finish,
+        )
 
     async def _op_begin(self, session, request):
         session.begin()
         return None
 
     async def _op_commit(self, session, request):
-        token = request.get("token")
-        replay = await self._claim_token(session, token, None)
-        if replay is not _MISS:
-            return replay
-        recorder = SpanRecorder() if request.get("trace") else None
-        try:
-            await asyncio.to_thread(
-                session.commit, sync=False, recorder=recorder, token=token
-            )
-        except BaseException:
-            self.engine.journal.abandon(token)
-            raise
-        if self.engine.durable:
-            await self.batcher.sync()
-        if recorder is None:
-            fault_point("server.ack")
-            return None
-        response = {
-            "server_spans": recorder.events,
-            "server_elapsed": recorder.elapsed(),
-        }
-        self.engine.journal.attach_response(token, response)
-        fault_point("server.ack")
-        return response
+        return await self._claim_execute_ack(
+            session,
+            request,
+            request.get("token"),
+            None,
+            session.commit,
+            lambda _: True,
+            lambda _result, _elapsed: None,
+        )
 
     async def _op_txn_status(self, session, request):
         """Resolve a commit whose acknowledgement was lost: the state of
@@ -851,20 +836,15 @@ async def serve(
     if ready is not None:
         ready.set()
     try:
-        forever = asyncio.ensure_future(server.serve_forever())
-        stop_wait = asyncio.ensure_future(terminated.wait())
-        await asyncio.wait(
-            {forever, stop_wait}, return_when=asyncio.FIRST_COMPLETED
+        # The listener serves from start(); waiting here is the whole run.
+        # (Server.serve_forever would close the listener on cancellation
+        # and, from Python 3.12, wait for every client to hang up.)
+        await terminated.wait()
+        elapsed = await server.drain()
+        print(
+            f"repro server drained in {elapsed:.3f}s; shutting down",
+            flush=True,
         )
-        if terminated.is_set():
-            elapsed = await server.drain()
-            print(
-                f"repro server drained in {elapsed:.3f}s; shutting down",
-                flush=True,
-            )
-        for task in (forever, stop_wait):
-            task.cancel()
-        await asyncio.gather(forever, stop_wait, return_exceptions=True)
     finally:
         try:
             loop.remove_signal_handler(signal.SIGTERM)

@@ -320,7 +320,7 @@ class SOSSystem:
                     )
                 return result
         except SOSError as exc:
-            raise wrap_statement_error(exc, index=index, source=chunk) from exc
+            raise wrap_statement_error(exc, index=index, source=chunk)
         except RecursionError as exc:
             err = ResourceLimitError(
                 "evaluation exceeded the Python recursion limit"

@@ -449,7 +449,7 @@ class _FakeClient:
 
 
 class _NoReconnect(NetworkSession):
-    """A session whose reconnect is a no-op — isolates the retry loops."""
+    """A session whose reconnect is a no-op — isolates the attempt loop."""
 
     __slots__ = ("reconnects",)
 
@@ -520,7 +520,7 @@ class TestRetryPolicy:
                 raise ProtocolError("gone")
             return "ok"
 
-        assert session._retry_mutation(send) == "ok"
+        assert session._attempts(send, mutation=True) == "ok"
         assert len(tokens) == 2
         assert tokens[0] == tokens[1]  # the journal dedupes by this token
         assert session.reconnects == 1
@@ -535,7 +535,7 @@ class TestRetryPolicy:
                 raise ConflictError("race", names=("x",))
             return "ok"
 
-        assert session._retry_mutation(send) == "ok"
+        assert session._attempts(send, mutation=True) == "ok"
         assert tokens[0] != tokens[1]  # the old token records the conflict
 
     def test_retries_exhausted_raises_last_error(self):
@@ -547,7 +547,7 @@ class TestRetryPolicy:
             raise ProtocolError("still gone")
 
         with pytest.raises(ProtocolError):
-            session._retry_mutation(send)
+            session._attempts(send, mutation=True)
         assert len(calls) == 3  # first try + two retries
 
     def test_deadline_stops_retrying_early(self):
@@ -556,18 +556,137 @@ class TestRetryPolicy:
         )
         started = time.monotonic()
         with pytest.raises(ProtocolError):
-            session._retry_mutation(lambda token: (_ for _ in ()).throw(
+            session._attempts(lambda token: (_ for _ in ()).throw(
                 ProtocolError("gone")
-            ))
+            ), mutation=True)
         assert time.monotonic() - started < 2.0
 
     def test_zero_retries_fails_fast(self):
         session = _NoReconnect(RetryPolicy(retries=0))
         with pytest.raises(ProtocolError):
-            session._retryable(
-                lambda: (_ for _ in ()).throw(ProtocolError("gone"))
+            session._attempts(
+                lambda token: (_ for _ in ()).throw(ProtocolError("gone"))
             )
         assert session.reconnects == 0
+
+
+class _RecordingClient:
+    """A ``SocketClient`` stand-in that records every frame it is asked to
+    send and answers each op from a canned table (or raises ``fail``)."""
+
+    address = ("fake", 0)
+
+    def __init__(self, fail=None):
+        self.frames = []
+        self.fail = fail
+        self.closed = False
+
+    def set_timeout(self, timeout):
+        pass
+
+    def close(self):
+        self.closed = True
+
+    def request(self, op, **args):
+        self.frames.append({"op": op, **args})
+        if self.fail is not None:
+            raise self.fail
+        frame = SOSServer._journal_hit_frame()
+        return {"run_one": frame, "run": [frame], "ping": {}}.get(op)
+
+
+PROGRAM = "query 1 + 1\n" + INSERT.format(name="aa", pop=1)
+
+#: ``(name, setup, call, frames)``: at ``retries=0`` each public method
+#: sends exactly these frames — no ``token``, no ``txn_status``, one
+#: attempt.  ``setup`` opens a transaction where the call needs one.
+ZERO_RETRY_WIRE = [
+    ("query", None, lambda db: db.run_one("query 1 + 1"),
+     [{"op": "run_one", "source": "query 1 + 1"}]),
+    ("mutation", None, lambda db: db.run_one(INSERT.format(name="aa", pop=1)),
+     [{"op": "run_one", "source": INSERT.format(name="aa", pop=1)}]),
+    ("txn_statement", "begin", lambda db: db.run_one(INSERT.format(name="aa", pop=1)),
+     [{"op": "run_one", "source": INSERT.format(name="aa", pop=1)}]),
+    ("run", None, lambda db: db.run(PROGRAM),
+     [{"op": "run", "source": PROGRAM, "atomic": False}]),
+    ("run_atomic", None, lambda db: db.run(PROGRAM, atomic=True),
+     [{"op": "run", "source": PROGRAM, "atomic": True}]),
+    ("begin", None, lambda db: db.begin(), [{"op": "begin"}]),
+    ("commit", "begin", lambda db: db.commit(), [{"op": "commit"}]),
+    ("rollback", "begin", lambda db: db.rollback(), [{"op": "rollback"}]),
+    ("explain", None, lambda db: db.explain("query 1 + 1"),
+     [{"op": "explain", "source": "query 1 + 1", "analyze": False}]),
+    ("ping", None, lambda db: db.ping(), [{"op": "ping"}]),
+]
+
+
+def _zero_retry_session(fail=None, setup=None):
+    client = _RecordingClient()
+    session = NetworkSession(client, "repro://fake:0", policy=RetryPolicy())
+    if setup == "begin":
+        session.begin()
+    client.frames.clear()
+    client.fail = fail
+    return session, client
+
+
+class TestZeroRetryWire:
+    """``retries=0`` is one pass of the attempt loop: the frames on the
+    wire are the plain protocol's, and the first error surfaces as is."""
+
+    @pytest.mark.parametrize(
+        "setup,call,frames",
+        [case[1:] for case in ZERO_RETRY_WIRE],
+        ids=[case[0] for case in ZERO_RETRY_WIRE],
+    )
+    def test_frames(self, setup, call, frames):
+        session, client = _zero_retry_session(setup=setup)
+        call(session)
+        assert client.frames == frames
+        assert not client.closed and session._client is client
+
+    @pytest.mark.parametrize(
+        "error",
+        [ProtocolError("gone"), ServerBusyError("draining"),
+         ConflictError("race", names=("cities",))],
+        ids=["transport", "busy", "conflict"],
+    )
+    @pytest.mark.parametrize(
+        "setup,call,frames",
+        [case[1:] for case in ZERO_RETRY_WIRE],
+        ids=[case[0] for case in ZERO_RETRY_WIRE],
+    )
+    def test_first_error_surfaces_unchanged(self, setup, call, frames, error):
+        session, client = _zero_retry_session(fail=error, setup=setup)
+        with pytest.raises(type(error)) as info:
+            call(session)
+        assert info.value is error
+        assert client.frames == frames  # one attempt, no txn_status
+        assert not client.closed and session._client is client  # no reconnect
+
+    def test_traced_frames_carry_the_trace_id(self):
+        session, client = _zero_retry_session(setup="begin")
+        session.subscribe(lambda event: None)
+        session.run_one("query 1 + 1")
+        session.commit()
+        trace = session.trace_id
+        assert client.frames == [
+            {"op": "run_one", "trace": trace, "source": "query 1 + 1"},
+            {"op": "commit", "trace": trace},
+        ]
+
+    def test_tokens_only_when_retrying(self):
+        client = _RecordingClient()
+        session = NetworkSession(
+            client, "repro://fake:0", policy=RetryPolicy(retries=1)
+        )
+        session.run_one(INSERT.format(name="aa", pop=1))
+        session.begin()
+        session.commit()
+        statement, begin, commit = client.frames
+        assert set(statement) == {"op", "source", "token"}
+        assert begin == {"op": "begin"}
+        assert set(commit) == {"op", "token"}
 
 
 class TestReconnectBehavior:
@@ -604,6 +723,25 @@ class TestReconnectBehavior:
             assert count(local) == 3
         finally:
             local.close()
+
+    def test_failed_replay_leaves_no_transaction_open(self, tmp_path):
+        """A replay that no longer reproduces aborts the transaction on
+        both ends: the server must not keep the half-replayed one open
+        while the client has gone back to auto-commit."""
+        with start_server(data_dir=str(tmp_path)) as handle:
+            setup = connect(handle.address)
+            setup.run(SCHEMA)
+            plan = ChaosPlan("drop.response", at=3)  # begin, s1, <s2>
+            with ChaosProxy.for_dsn(handle.address, plan) as proxy:
+                db = connect(proxy.dsn(RETRY_OPTS))
+                db.begin()
+                db.run_one(INSERT.format(name="aa", pop=1))
+                setup.run("delete cities_rep\ndelete cities")
+                with pytest.raises(CatalogError, match="replaying"):
+                    db.run_one(INSERT.format(name="bb", pop=2))
+                assert db.ping()["in_transaction"] is False
+                db.disconnect()
+            setup.disconnect()
 
     def test_no_retry_preserves_legacy_failure(self, tmp_path):
         """Without ``retries`` the old contract holds: a dropped ack is a

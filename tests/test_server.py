@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import asyncio
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -140,6 +142,52 @@ class TestDisconnect:
         handle.stop()
         with pytest.raises(ProtocolError):
             db.query("1 + 1")
+
+    def test_transport_failure_releases_the_socket(self):
+        handle = start_server()
+        db = connect(handle.address)
+        assert db.run_one("query 1 + 1").value == 2
+        sock = db._client._sock
+        handle.stop()
+        with pytest.raises(ProtocolError):
+            db.query("1 + 1")
+        assert sock.fileno() == -1  # released, not left for the collector
+        with pytest.raises(ProtocolError, match="was dropped"):
+            db.query("1 + 1")
+
+    def test_stop_right_after_connect_drops_the_connection(self):
+        # The connection is accepted but not yet served when stop() runs:
+        # it must be closed, not left open with the client blocked on it.
+        handle = start_server()
+        db = connect(handle.address + "?deadline_ms=5000")
+        handle.stop()
+        with pytest.raises(ProtocolError, match="closed the connection"):
+            db.query("1 + 1")
+
+    def test_with_block_closes_the_socket(self, server):
+        db = connect(server.address)
+        with db:
+            assert db.run_one("query 1 + 1").value == 2
+        assert db.closed
+        assert db._client._sock.fileno() == -1
+
+    def test_with_block_leaks_nothing_under_dev_mode(self):
+        script = (
+            "from repro.api import connect\n"
+            "from repro.server import start_server\n"
+            "with start_server() as handle:\n"
+            "    with connect(handle.address) as db:\n"
+            "        assert db.run_one('query 1 + 1').value == 2\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", script],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
 
 
 class TestErrorTaxonomy:

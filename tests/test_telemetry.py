@@ -374,6 +374,7 @@ class TestExposition:
         bogus = telemetry_handle.metrics_url.replace("/metrics", "/nope")
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(bogus, timeout=10)
+        info.value.close()  # the error holds the response's socket
         assert info.value.code == 404
 
     def test_counters_move_under_concurrent_workload(self, telemetry_handle):
