@@ -17,6 +17,7 @@ The module also defines the generic value classes shared by all models:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from time import monotonic as _monotonic
 from typing import Callable, Iterable, Iterator, Optional
@@ -201,19 +202,23 @@ class Closure:
     is built; a call only binds the parameters and runs the compiled body.
     ``body`` is the already-compiled body when the evaluator builds the
     closure from a ``Fun`` node it has compiled, and ``fused`` its one
-    generated function (:meth:`Evaluator.fuse`), if the body is closed.
+    generated function (:meth:`Evaluator.fuse`), if the body can be fused;
+    ``lazy`` says that the fused body builds a stream.
 
     A call runs the fused function while nothing watches evaluation: no
     resource limits on the evaluator and no fault plan armed, both read on
-    every call.  Otherwise, and whenever the fused function raises, it runs
-    the per-node body — the reference semantics — so step counts, deadline
-    reads, depth and ``evaluator.apply`` fault hits are those of the
+    every call, and — for a lazy body — no statement metrics, whose
+    per-operator tuple counts only the per-node body keeps.  Otherwise,
+    and whenever the fused function raises, it runs the per-node body —
+    the reference semantics — so step counts, deadline reads, depth,
+    operator counts and ``evaluator.apply`` fault hits are those of the
     per-node body by construction, and an error is the one its operator
     impl raises.  Re-running after a failure is sound because every
-    operator a fused body contains is pure.
+    operator a fused body contains is pure: a probe operator only builds
+    a stream, whose pages are read as it is consumed.
     """
 
-    __slots__ = ("fun", "env", "evaluator", "_names", "_body", "_fused")
+    __slots__ = ("fun", "env", "evaluator", "_names", "_body", "_fused", "_lazy")
 
     def __init__(
         self,
@@ -222,15 +227,19 @@ class Closure:
         evaluator: "Evaluator",
         body: Optional[Compiled] = None,
         fused: Optional[Callable] = None,
+        lazy: bool = False,
     ):
         self.fun = fun
         self.env = env
         self.evaluator = evaluator
-        self._names = tuple(name for name, _ in fun.params)
+        self._names = None  # the parameter names, on the first per-node call
         if body is None:
-            body, fused = evaluator.compile(fun.body), evaluator.fuse(fun)
+            body, fusion = evaluator.compile(fun.body), evaluator._fusion(fun)
+            if fusion is not None:
+                fused, lazy = fusion.bind(env), fusion.lazy
         self._body = body
         self._fused = fused
+        self._lazy = lazy
 
     @property
     def param_types(self) -> tuple[Optional[Type], ...]:
@@ -242,12 +251,15 @@ class Closure:
             fused is not None
             and self.evaluator.limits is None
             and _faults._ARMED is None
+            and not (self._lazy and observe.ENABLED)
         ):
             try:
                 return fused(*args)
             except Exception:  # noqa: BLE001 — the per-node body raises it
                 pass
         names = self._names
+        if names is None:
+            names = self._names = tuple([name for name, _ in self.fun.params])
         if len(args) != len(names):
             raise ExecutionError(
                 f"function expects {len(names)} argument(s), got {len(args)}"
@@ -381,15 +393,25 @@ def _count_out(op: str, result):
     return result
 
 
+def _stream_element(t) -> Optional[Type]:
+    """The tuple type of a ``stream(tuple)`` type, else ``None``."""
+    if isinstance(t, TypeApp) and t.constructor == "stream" and t.args:
+        return t.args[0]
+    return None
+
+
 def _inline_form(term: Apply) -> Optional[str]:
     """The Python expression template of an application, over operand
-    names ``{0}``, ``{1}``, ...; ``None`` unless the impl the per-node body
-    would call declares one.
+    names ``{0}``, ``{1}``, ... and ``{elem}``, the tuple type of a stream
+    result; ``None`` unless the impl the per-node body would call declares
+    one.
 
     Attribute access is ``{0}.values[i]``, at the position the typechecker
     resolved.  Other operators carry their template on the spec
-    (``OperatorSpec.inline``).  None of these returns a stream, so the
-    per-node body's per-operator tuple counting has nothing to count.
+    (``OperatorSpec.inline``): the comparisons, arithmetic and logic, and
+    the probe operators that build a lazy stream (``exact``, ``range``,
+    ``point_search``, ``filter``).  An eager operator materializes its
+    stream operands first, which a template does not, so it has none.
     """
     resolved = term.resolved
     if resolved is None:
@@ -397,11 +419,22 @@ def _inline_form(term: Apply) -> Optional[str]:
     if resolved.is_attribute:
         return f"{{0}}.values[{resolved.attr_index}]"
     spec = resolved.spec
-    if spec is None or spec.inline is None:
+    if spec is None or spec.inline is None or spec.eager:
         return None
     if resolved.impl is not None and resolved.impl is not spec.impl:
         return None
     return spec.inline
+
+
+def _resolve(ev: "Evaluator", name: str):
+    """The value of a name the environment does not bind: an object,
+    looked up through the evaluator's resolver."""
+    if ev.resolver is None:
+        raise ExecutionError(f"unbound variable: {name}")
+    value = ev.resolver(name)
+    if value is None:
+        raise ExecutionError(f"object {name} is undefined or unknown")
+    return value
 
 
 _FUSED: dict[str, Callable] = {}
@@ -422,10 +455,33 @@ def _fused_factory(source: str) -> Callable:
     if factory is None:
         if len(_FUSED) >= _FUSED_LIMIT:
             _FUSED.clear()
-        namespace: dict = {}
+        namespace: dict = {"Closure": Closure, "Stream": Stream, "_resolve": _resolve}
         exec(compile(source, "<fused>", "exec"), namespace)
         factory = _FUSED[source] = namespace["make"]
     return factory
+
+
+class _Fusion:
+    """The generated function of one ``Fun`` term, ready to bind.
+
+    A body that names nothing outside its own parameters is bound once and
+    shared by every closure of the term; one that looks a name up in its
+    closure's environment, or builds a nested closure over it, is bound
+    per closure.
+    """
+
+    __slots__ = ("lazy", "_make", "_args", "_shared")
+
+    def __init__(self, make: Callable, args: tuple, lazy: bool, uses_env: bool):
+        self.lazy = lazy
+        self._make = make
+        self._args = args
+        self._shared = None if uses_env else make(None, *args)
+
+    def bind(self, env: dict) -> Callable:
+        """The fused function of a closure over ``env``."""
+        shared = self._shared
+        return shared if shared is not None else self._make(env, *self._args)
 
 
 class Evaluator:
@@ -440,12 +496,13 @@ class Evaluator:
     visit, so a parameter function applied to a million tuples is compiled
     once and guarded a million times.
 
-    A parameter function whose body is closed — its own parameters,
-    literals, and pure operators with an inline form, such as the
-    ``grp = g`` of a scan — is also fused (:meth:`fuse`) into one generated
-    Python function, which a call runs instead of the per-node body while
-    no guard is armed (:class:`Closure`).  The per-node body stays the
-    reference semantics: guarded calls and failing calls run it.
+    A parameter function built from variables, literals, pure operators
+    with an inline form and nested ``fun`` arguments — the ``grp = g`` of a
+    scan, or a search join's inner ``customers_rep exact[t1 cust]`` — is
+    also fused (:meth:`fuse`) into one generated Python function, which a
+    call runs instead of the per-node body while no guard is armed
+    (:class:`Closure`).  The per-node body stays the reference semantics:
+    guarded calls and failing calls run it.
 
     ``resolver`` maps object names (:class:`ObjRef`) to their current values
     — typically :meth:`repro.catalog.database.Database.value_of`.
@@ -486,53 +543,120 @@ class Evaluator:
         build = self._COMPILERS.get(type(term), Evaluator._compile_unknown)
         return build(self, term)
 
-    def fuse(self, fun: Fun) -> Optional[Callable]:
+    def fuse(self, fun: Fun, env: Optional[dict] = None) -> Optional[Callable]:
         """One generated Python function computing ``fun``'s body from its
-        arguments, or ``None`` if the body is not closed.
+        arguments in a closure over ``env``, or ``None`` if the body cannot
+        be fused (see :meth:`_fusion`)."""
+        fusion = self._fusion(fun)
+        return None if fusion is None else fusion.bind({} if env is None else env)
 
-        A body is closed when it is built only from ``fun``'s own
-        parameters, literals, and applications whose operator has an
-        inline form (:func:`_inline_form`).  The function has one
-        assignment per application, in the order the per-node body
-        evaluates them, so both operands of ``and``/``or`` are evaluated
-        before the connective, as their impls receive them.  Literal values
-        are bound as closure cells, so one generated ``make`` serves every
-        body of the same shape.
+    def _fusion(self, fun: Fun) -> Optional[_Fusion]:
+        """Generate the one function of ``fun``'s body, or ``None``.
+
+        A body can be fused when it is built only from variables, literals,
+        applications whose operator has an inline form (:func:`_inline_form`)
+        and, as operator arguments, nested ``fun`` terms.  A variable is a
+        parameter of ``fun`` or of an enclosing nested ``fun``; any other
+        name is resolved per call as the per-node body resolves it — the
+        closure's environment first, then the object resolver.  A nested
+        ``fun`` becomes a :class:`Closure` over the same environment the
+        per-node body would give it, with its own generated function (a
+        Python closure over the enclosing parameters) when its body can be
+        fused too.
+
+        The function has one assignment per application, in the order the
+        per-node body evaluates them, so both operands of ``and``/``or`` are
+        evaluated before the connective, as their impls receive them.
+        Literal values, names, types and nested terms are bound as closure
+        cells, so one generated ``make`` serves every body of the same
+        shape.  A body that builds a stream is ``lazy``.
         """
-        params = {name: f"p{i}" for i, (name, _) in enumerate(fun.params)}
         consts: list = []
-        lines: list[str] = []
+        fresh = itertools.count()
+        uses_env = False
 
-        def emit(term) -> Optional[str]:
+        def const(value) -> str:
+            consts.append(value)
+            return f"c{len(consts) - 1}"
+
+        def emit(term, scope: dict, out: list, pad: str, lazy: list) -> Optional[str]:
+            nonlocal uses_env
             kind = type(term)
-            if kind is Var:
-                return params.get(term.name)
             if kind is Literal:
-                consts.append(term.value)
-                return f"c{len(consts) - 1}"
+                return const(term.value)
+            if kind is Var and term.name in scope:
+                return scope[term.name]
+            if kind is Var:
+                uses_env = True
+                key, v = const(term.name), f"v{next(fresh)}"
+                out.append(f"{pad}{v} = env[{key}] if {key} in env else _resolve(ev, {key})\n")
+                return v
+            if kind is ObjRef:
+                key, v = const(term.name), f"v{next(fresh)}"
+                out.append(f"{pad}{v} = ev.resolver({key})\n")
+                return v
             template = _inline_form(term) if kind is Apply else None
             if template is None:
                 return None
             operands = []
             for arg in term.args:
-                operand = emit(arg)
+                if type(arg) is Fun:
+                    operand = closure(arg, scope, out, pad)
+                else:
+                    operand = emit(arg, scope, out, pad, lazy)
                 if operand is None:
                     return None
                 operands.append(operand)
-            lines.append(f"        v{len(lines)} = {template.format(*operands)}\n")
-            return f"v{len(lines) - 1}"
+            elem = _stream_element(term.resolved.result_type)
+            if elem is not None:
+                lazy[0] = True
+            if "{elem}" in template:
+                elem = const(elem)
+            v = f"v{next(fresh)}"
+            out.append(f"{pad}{v} = {template.format(*operands, elem=elem)}\n")
+            return v
 
-        result = emit(fun.body)
-        if result is None:
+        def function(fun: Fun, scope: dict, out: list, pad: str) -> Optional[tuple]:
+            """``def fN(...)`` of ``fun``'s body into ``out``: (name, lazy)."""
+            params = [f"p{next(fresh)}" for _ in fun.params]
+            scope = {**scope, **{name: p for (name, _), p in zip(fun.params, params)}}
+            lines: list[str] = []
+            lazy = [False]
+            result = emit(fun.body, scope, lines, pad + "    ", lazy)
+            if result is None:
+                return None
+            name = f"f{next(fresh)}"
+            out.append(f"{pad}def {name}({', '.join(params)}):\n")
+            out.extend(lines)
+            out.append(f"{pad}    return {result}\n")
+            return name, lazy[0]
+
+        def closure(fun: Fun, scope: dict, out: list, pad: str) -> str:
+            """A nested ``fun`` argument: the closure the per-node body
+            builds, over the environment extended by the parameters in
+            scope."""
+            nonlocal uses_env
+            uses_env = True
+            fused, lazy = function(fun, scope, out, pad) or ("None", False)
+            bound = "".join(f", {const(name)}: {var}" for name, var in scope.items())
+            v = f"v{next(fresh)}"
+            out.append(
+                f"{pad}{v} = Closure({const(fun)}, {{**env{bound}}}, ev, "
+                f"{const(self.compile(fun.body))}, {fused}, {lazy})\n"
+            )
+            return v
+
+        lines: list[str] = []
+        top = function(fun, {}, lines, "    ")
+        if top is None:
             return None
+        name, lazy = top
         source = (
-            f"def make({', '.join(f'c{i}' for i in range(len(consts)))}):\n"
-            f"    def fused({', '.join(f'p{i}' for i in range(len(fun.params)))}):\n"
+            f"def make(env, ev{''.join(f', c{i}' for i in range(len(consts)))}):\n"
             f"{''.join(lines)}"
-            f"        return {result}\n"
-            "    return fused\n"
+            f"    return {name}\n"
         )
-        return _fused_factory(source)(*consts)
+        return _Fusion(_fused_factory(source), (self, *consts), lazy, uses_env)
 
     def _visit(self, limits: ResourceLimits) -> None:
         """Charge one evaluation step — one visit of one term node — to
@@ -585,12 +709,7 @@ class Evaluator:
                 pass
             # Bare identifiers that survived typechecking as object
             # references are resolved like ObjRef.
-            if ev.resolver is None:
-                raise ExecutionError(f"unbound variable: {name}")
-            value = ev.resolver(name)
-            if value is None:
-                raise ExecutionError(f"object {name} is undefined or unknown")
-            return value
+            return _resolve(ev, name)
 
         return run
 
@@ -610,13 +729,16 @@ class Evaluator:
         return run
 
     def _compile_fun(self, term: Fun) -> Compiled:
-        ev, body, fused = self, self.compile(term.body), self.fuse(term)
+        ev, body, fusion = self, self.compile(term.body), self._fusion(term)
 
         def run(env):
             limits = ev.limits
             if limits is not None:
                 ev._visit(limits)
-            return Closure(term, env.copy(), ev, body, fused)
+            env = env.copy()
+            if fusion is None:
+                return Closure(term, env, ev, body)
+            return Closure(term, env, ev, body, fusion.bind(env), fusion.lazy)
 
         return run
 

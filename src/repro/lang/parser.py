@@ -220,9 +220,6 @@ class Parser:
 
     # ----------------------------------------------------------- statements
 
-    def parse_program(self, source: str) -> list[Statement]:
-        return [self.parse_statement(chunk) for chunk in split_statements(source)]
-
     def parse_statement(self, text: str) -> Statement:
         self._start(text)
         tok = self._next()

@@ -36,6 +36,7 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
         result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, p, pg: pg.contains_point(p),
+        inline="{1}.contains_point({0})",
         level=level,
         doc="point-in-polygon containment",
     )
@@ -45,6 +46,7 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
         result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, p, r: r.contains_point(p),
+        inline="{1}.contains_point({0})",
         level=level,
         doc="point-in-rectangle containment",
     )
@@ -54,6 +56,7 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
         result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: b.contains_rect(a),
+        inline="{1}.contains_rect({0})",
         level=level,
         doc="rectangle containment (first inside second)",
     )
@@ -63,6 +66,7 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
         result=BOOL,
         syntax="( _ # _ )",
         impl=lambda ctx, a, b: a.intersects(b),
+        inline="{0}.intersects({1})",
         level=level,
         doc="rectangle overlap",
     )
@@ -113,6 +117,7 @@ def add_spatial_operators(builder: SignatureBuilder, level="hybrid"):
         result=RECT,
         syntax="# ( _ )",
         impl=lambda ctx, pg: pg.bbox(),
+        inline="{0}.bbox()",
         level=level,
         doc="bounding box of a polygon",
     )

@@ -56,6 +56,7 @@ and ``explain(..., analyze=True)``.
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -361,6 +362,10 @@ class MetricsRegistry:
                 hist = self.histograms[name] = Histogram()
             hist.record(value)
 
+    def locked(self) -> bool:
+        """Whether some thread holds the lock at this instant."""
+        return self._lock.locked()
+
     def declare(self, counters=(), gauges=(), histograms=()) -> None:
         """Pre-register metric families at their zero values so renderers
         list them before the first observation arrives (idempotent, never
@@ -404,18 +409,53 @@ servers (the test harness starts them) share it, and assertions against
 it are written as deltas."""
 
 
+GC_METRIC_FAMILIES = {
+    "histograms": ("gc.pause_ms.gen0", "gc.pause_ms.gen1", "gc.pause_ms.gen2"),
+}
+"""The collector's pauses, one histogram per generation, fed while the
+registry is on."""
+
+_gc_started = 0.0
+_gc_pending: list[tuple[str, float]] = []
+
+
+def _gc_pause(phase: str, info: dict) -> None:
+    """The :data:`gc.callbacks` hook :func:`enable_registry` installs: one
+    ``gc.pause_ms.gen<N>`` sample per collection.
+
+    A collection starts wherever an allocation triggers it — possibly in a
+    registry update on this very thread, whose lock is not reentrant — so
+    a sample that finds the registry locked is kept for the next
+    collection's hook to record.
+    """
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter()
+        return
+    pause_ms = (time.perf_counter() - _gc_started) * 1e3
+    _gc_pending.append((GC_METRIC_FAMILIES["histograms"][info["generation"]], pause_ms))
+    while _gc_pending and not REGISTRY.locked():
+        REGISTRY.observe(*_gc_pending.pop())
+
+
 def enable_registry() -> None:
     """Turn the process registry on (idempotent).  Servers call this at
     startup; once on, it stays on — the flag is a producer fast path,
-    not a subscription."""
+    not a subscription.  It also installs the collector hook that feeds
+    :data:`GC_METRIC_FAMILIES`."""
     global REGISTRY_ON, COUNTING
     REGISTRY_ON = COUNTING = True
+    REGISTRY.declare(**GC_METRIC_FAMILIES)
+    if _gc_pause not in gc.callbacks:
+        gc.callbacks.append(_gc_pause)
 
 
 def disable_registry() -> None:
     global REGISTRY_ON, COUNTING
     REGISTRY_ON = False
     COUNTING = ENABLED
+    if _gc_pause in gc.callbacks:
+        gc.callbacks.remove(_gc_pause)
 
 
 def active() -> Optional[ExecutionMetrics]:

@@ -700,6 +700,7 @@ def _add_stream_operators(builder, stream_k, relrep_k, srel_k, data) -> None:
         result=PVar("stream"),
         syntax="_ #[ _ ]",
         impl=_filter_impl,
+        inline="Stream({0}.tuple_type, filter({1}, {0}))",
         level="rep",
         doc="keep stream tuples satisfying the condition",
     )
@@ -894,6 +895,7 @@ def _add_search_operators(builder, btree_k, lsd_k, ord_kind) -> None:
         result=STREAM_PATTERN,
         syntax="_ #[ _, _ ]",
         impl=_range_impl,
+        inline="Stream({elem}, {0}.range_search({1}, {2}))",
         level="rep",
         doc="B-tree range query; bottom/top open the ends (halfranges)",
     )
@@ -904,6 +906,7 @@ def _add_search_operators(builder, btree_k, lsd_k, ord_kind) -> None:
         result=STREAM_PATTERN,
         syntax="_ #[ _ ]",
         impl=_exact_impl,
+        inline="Stream({elem}, {0}.exact_search({1}))",
         level="rep",
         doc="B-tree exact-match query",
     )
@@ -914,6 +917,7 @@ def _add_search_operators(builder, btree_k, lsd_k, ord_kind) -> None:
         result=STREAM_PATTERN,
         syntax="_ _ #",
         impl=_point_search_impl,
+        inline="Stream({elem}, {0}.point_search({1}))",
         level="rep",
         doc="all tuples whose rectangle contains the query point",
     )

@@ -36,6 +36,8 @@ from repro.system.sos_system import SystemResult
 _TYPE_PARSER = None
 _TYPE_PARSER_LOCK = threading.Lock()
 _TYPE_CACHE: dict[str, Type] = {}
+_SCHEMA_TEXT: dict[int, tuple[Type, str]] = {}
+_SCHEMA_TEXT_LIMIT = 4096
 
 
 def _type_parser():
@@ -57,6 +59,26 @@ def encode_type(t: Type) -> str:
     return format_type(t)
 
 
+def _schema_text(schema: Type) -> str:
+    """:func:`encode_type` of a row's schema, formatted once per schema
+    object.
+
+    A stored row keeps its schema object while it is stored, and a result
+    repeats the schemas of the rows it returns, so, as
+    ``repro.core.algebra._attr_index`` does, the cache is keyed by
+    identity, an entry keeps its schema alive (an ``id`` is never reused
+    while cached), and it is emptied at ``_SCHEMA_TEXT_LIMIT`` schemas.
+    Only row schemas go through it: a result's own type is a new object
+    per statement, which the cache would merely keep alive.
+    """
+    entry = _SCHEMA_TEXT.get(id(schema))
+    if entry is None:
+        if len(_SCHEMA_TEXT) >= _SCHEMA_TEXT_LIMIT:
+            _SCHEMA_TEXT.clear()
+        entry = _SCHEMA_TEXT[id(schema)] = (schema, format_type(schema))
+    return entry[1]
+
+
 def decode_type(source: str) -> Type:
     t = _TYPE_CACHE.get(source)
     if t is None:
@@ -76,7 +98,7 @@ def encode_value(value) -> object:
     if isinstance(value, TupleValue):
         return {
             "$": "tuple",
-            "schema": encode_type(value.schema),
+            "schema": _schema_text(value.schema),
             "values": [encode_value(v) for v in value.values],
         }
     if isinstance(value, Relation):

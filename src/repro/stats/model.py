@@ -90,9 +90,6 @@ class EquiDepthHistogram:
             break
         return cumulative / self.total
 
-    def fraction_ge(self, value) -> float:
-        return 1.0 - self.fraction_le(value) + self.fraction_at(value)
-
     def fraction_at(self, value) -> float:
         """Estimated fraction of values equal to ``value`` — the mass of the
         straddling bucket spread uniformly over its width (coarse, but keeps

@@ -93,12 +93,12 @@ class BTree:
         self._root = self._new_node(True)
         self._count = 0
 
-    def _read_node(self, node: _Node) -> None:
-        """Account one node access on a search path (page read plus, when
-        metric collection is armed, the per-structure counter)."""
-        self.pages.read(node.page_id)
+    def _read_pages(self, n: int) -> None:
+        """Account ``n`` node accesses on a search path (page reads plus,
+        when metric collection is armed, the per-structure counter)."""
+        self.pages.stats.reads += n
         if observe.ENABLED:
-            observe.incr(f"{self.name}.node_reads")
+            observe.incr(f"{self.name}.node_reads", n)
 
     # ------------------------------------------------------------ queries
 
@@ -124,14 +124,14 @@ class BTree:
         """
         leaf, _ = self._seek()
         stack = [iter(node.children[1:]) for node, _ in self._path()]
-        self._read_node(leaf)
+        self._read_pages(1)
         yield from leaf.values
         while stack:
             for node in stack[-1]:
                 if not node.leaf:
                     stack.append(iter(node.children))
                     break
-                self._read_node(node)
+                self._read_pages(1)
                 yield from node.values
             else:
                 stack.pop()
@@ -140,19 +140,25 @@ class BTree:
         """All tuples with ``low <= key <= high`` — the ``range`` operator.
 
         ``BOTTOM_KEY`` / ``TOP_KEY`` open the respective end (halfranges).
+        The search reads :meth:`_seek`'s descent, then each leaf as it
+        enters it — the first leaf a second time — and bisects and slices
+        a leaf instead of comparing key by key.  Nothing is read before
+        the first tuple is asked for.
         """
-        leaf, index = self._seek(low)
-        path = None
-        while leaf is not None:
-            self._read_node(leaf)
-            keys = leaf.keys
-            while index < len(keys):
-                if high is not TOP_KEY and keys[index] > high:
-                    return
-                yield leaf.values[index]
-                index += 1
+        node, start = self._seek(low)
+        self._read_pages(1)
+        keys, top, path = node.keys, high is TOP_KEY, None
+        while True:
+            end = len(keys) if top else bisect_right(keys, high, start)
+            yield from node.values[start:end]
+            if end < len(keys):
+                return
             path = path or self._path(low)
-            leaf, index = self._next_leaf(path), 0
+            node = self._next_leaf(path)
+            if node is None:
+                return
+            self._read_pages(1)
+            keys, start = node.keys, 0
 
     def exact_search(self, key) -> Iterator:
         """All tuples whose key equals ``key``."""
@@ -171,12 +177,15 @@ class BTree:
 
     def _seek(self, key=BOTTOM_KEY) -> tuple[_Node, int]:
         """The first leaf position with stored key >= ``key``, reading every
-        node on the descent."""
-        node, bottom = self._root, key is BOTTOM_KEY
-        self._read_node(node)
-        while not node.leaf:
-            node = node.children[0 if bottom else bisect_left(node.keys, key)]
-            self._read_node(node)
+        node on the descent — counted at once, but only the nodes reached
+        if a key comparison raises."""
+        node, bottom, pages = self._root, key is BOTTOM_KEY, 1
+        try:
+            while not node.leaf:
+                node = node.children[0 if bottom else bisect_left(node.keys, key)]
+                pages += 1
+        finally:
+            self._read_pages(pages)
         return node, 0 if bottom else bisect_left(node.keys, key)
 
     def _path(self, key=BOTTOM_KEY) -> list:

@@ -172,10 +172,33 @@ class LSDTree:
         yield from self._entries(node.right)
 
     def point_search(self, p: Point) -> Iterator:
-        """All tuples whose rectangle contains ``p`` (``point_search``)."""
-        low = (_NEG_INF, _NEG_INF, p.x, p.y)
-        high = (p.x, p.y, _POS_INF, _POS_INF)
-        return self._range(low, high)
+        """All tuples whose rectangle contains ``p`` (``point_search``).
+
+        The 4-d range query ``(-inf, -inf, p.x, p.y) .. (p.x, p.y, +inf,
+        +inf)`` of :meth:`_range`, with the same buckets read in the same
+        order; an entry is tested by the four comparisons that are not
+        against an infinity.
+        """
+        return self._contains(p.x, p.y)
+
+    def _contains(self, x, y) -> Iterator:
+        low = (_NEG_INF, _NEG_INF, x, y)
+        high = (x, y, _POS_INF, _POS_INF)
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if type(node) is _Bucket:
+                self.pages.stats.reads += 1
+                if observe.ENABLED:
+                    observe.incr(f"{self.name}.node_reads")
+                for (p0, p1, p2, p3), _rect, value in node.entries:
+                    if p0 <= x and p1 <= y and x <= p2 and y <= p3:
+                        yield value
+                continue
+            if low[node.dim] <= node.position:
+                stack.append(node.left)
+            if high[node.dim] > node.position:
+                stack.append(node.right)
 
     def overlap_search(self, query: Rect) -> Iterator:
         """All tuples whose rectangle intersects ``query``

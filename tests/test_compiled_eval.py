@@ -3,12 +3,15 @@ check of a term-walking interpreter: resource guards and fault points fire
 *inside* a per-tuple parameter function, closures capture the right
 bindings, and errors surface when evaluation reaches them — not when the
 term is compiled.  The step counts and per-operator tuple counts hard-coded
-here were recorded with the interpreter this evaluator replaced.  A closed
-parameter function's fused form (``Evaluator.fuse``) must agree with its
-per-node body, and must step aside whenever a guard is armed.
+here were recorded with the interpreter this evaluator replaced.  A
+parameter function's fused form (``Evaluator.fuse``) — scalar bodies, index
+probes, nested functions and names alike — must agree with its per-node
+body in rows, page reads and operator counts, and must step aside whenever
+a guard is armed.
 """
 
 import functools
+import math
 import random
 import time
 
@@ -37,6 +40,7 @@ from repro.errors import (
 from repro.geometry import Point, Rect
 from repro.optimizer import cost_based_optimizer
 from repro.storage.btree import BOTTOM_KEY, TOP_KEY
+from repro.storage.io import GLOBAL_PAGES, PageManager
 from repro.storage.lsdtree import LSDTree
 from repro.testing import InjectedFault, database_fingerprint, inject
 
@@ -446,6 +450,33 @@ class TestLSDTreeAgainstBruteForce:
         assert sorted(tree.overlap_search(Rect(21, 21, 30, 30))) == []
 
 
+_grid = st.integers(0, 20)
+_rects = st.tuples(_grid, _grid, st.integers(0, 6), st.integers(0, 6)).map(
+    lambda r: Rect(r[0], r[1], r[0] + r[2], r[1] + r[3])
+)
+
+
+class TestPointSearchAgainstRange:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_rects, max_size=60),
+        st.integers(2, 6),
+        st.lists(st.tuples(st.integers(-1, 27), st.integers(-1, 27)), min_size=1, max_size=8),
+    )
+    def test_same_rows_order_and_reads(self, rects, capacity, points):
+        tree = LSDTree(key=lambda i: rects[i], bucket_capacity=capacity, pages=PageManager())
+        for i in range(len(rects)):
+            tree.insert(i)
+        stats = tree.pages.stats
+        for x, y in points:
+            before = stats.reads
+            rows = list(tree.point_search(Point(x, y)))
+            reads = stats.reads - before
+            low, high = (-math.inf, -math.inf, x, y), (x, y, math.inf, math.inf)
+            assert rows == list(tree._range(low, high))
+            assert reads == stats.reads - before - reads
+
+
 # ---------------------------------------------------------------------------
 # (g) the fused parameter function against the per-node body
 # ---------------------------------------------------------------------------
@@ -567,11 +598,11 @@ class TestFusedAgainstPerNode:
             fused()
 
     def test_declined_bodies_compile_as_before(self, db):
+        # A body naming a variable it does not bind is fused now (the name
+        # is looked up per call, see TestNamesAndNestedFunctions); a fun
+        # that is itself the body, not an operator argument, still is not.
         evaluator = db.database.evaluator
         int_t = TypeApp("int")
-        free_name = db.database.typechecker.check(
-            Fun((("n", int_t),), Fun((("x", int_t),), Apply("+", (Var("x"), Var("n")))))
-        ).body
         nested = db.database.typechecker.check(
             Fun((("n", int_t),), Fun((("x", int_t),), Var("n")))
         )
@@ -580,7 +611,7 @@ class TestFusedAgainstPerNode:
             Apply("picky", (Var("x"),), resolved=ResolvedOp(int_t, impl=lambda ctx, x: abs(x))),
         )
         untyped = Fun((("x", int_t),), Apply("+", (Var("x"), Literal(1))))
-        for fun in (free_name, nested, opaque, untyped):
+        for fun in (nested, opaque, untyped):
             assert evaluator.fuse(fun) is None
             assert Closure(fun, {}, evaluator)._fused is None
         assert Closure(opaque, {}, evaluator)(-4) == 4
@@ -669,3 +700,123 @@ class TestFastPathAndGuards:
         counts = _operator_counts(fast["metrics"]["operators"])
         assert counts == _operator_counts(guarded["metrics"]["operators"])
         assert counts["filter"] == (300, 43)
+
+
+# ---------------------------------------------------------------------------
+# (h) fused probes, nested functions and names against the per-node body
+# ---------------------------------------------------------------------------
+
+#: A search join whose inner function builds a range probe and filters it
+#: with a nested predicate over the outer tuple.
+NESTED_RANGE = (
+    "orders_rep feed fun (o: order) customers_rep range[o cust, o cust + 2] "
+    "filter[fun (c: customer) c cid > o cust] search_join"
+)
+OBJECT_NAME = "items_rep feed filter[k < cap] count"  # cap is an object
+CLOSURE_ENV = "in_grp(3) count"  # g is bound in the predicate's closure env
+
+
+@pytest.fixture(scope="module")
+def named():
+    session = _fresh()
+    session.run(
+        "create cap : int\n"
+        "update cap := 150\n"
+        "create in_grp : (int -> stream(item))\n"
+        "update in_grp := fun (g: int) items_rep feed filter[grp = g]"
+    )
+    return session
+
+
+def _run_observed(session, query):
+    """The answer's rows, the page reads and writes it cost, and its
+    operator counts under ``explain(analyze=True)``."""
+    before = GLOBAL_PAGES.stats.snapshot()
+    value = session.query(query).value
+    rows = value if isinstance(value, int) else [repr(t) for t in value]
+    delta = GLOBAL_PAGES.stats.delta(before)
+    info = session.explain(query, analyze=True)
+    return rows, (delta.reads, delta.writes), _operator_counts(info["metrics"]["operators"])
+
+
+class TestNamesAndNestedFunctions:
+    @pytest.mark.parametrize(
+        "query",
+        [
+            EQUIJOIN,  # search_join + exact
+            SPATIAL_JOIN,  # point_search + a nested filter over t1
+            NESTED_RANGE,  # range + a nested filter over o
+            OBJECT_NAME,
+            CLOSURE_ENV,
+        ],
+    )
+    def test_same_rows_pages_and_counts_on_both_paths(self, named, query, per_node_calls):
+        value = named.query(query).value
+        if not isinstance(value, int):
+            list(value)
+        # Every closure built while the query ran took the fused path (the
+        # stored view was built before the counter was installed).
+        assert per_node_calls == []
+        fused = _run_observed(named, query)
+        named.database.set_resource_limits(max_steps=10**9)  # per node only
+        try:
+            per_node = _run_observed(named, query)
+        finally:
+            named.database.set_resource_limits()
+        assert per_node_calls  # the guarded runs took the per-node bodies
+        assert fused == per_node
+        assert fused[1][0] > 0  # the probes read pages
+
+    def test_a_lazy_body_runs_per_node_while_metrics_are_armed(self, named, per_node_calls):
+        info = named.explain(EQUIJOIN, analyze=True)
+        assert info["rows"] == N_ORDERS
+        assert len(per_node_calls) == N_ORDERS  # one inner call per order
+        per_node_calls.clear()
+        assert len(list(named.query(EQUIJOIN).value)) == N_ORDERS
+        assert per_node_calls == []
+
+    def test_a_name_is_looked_up_in_the_closure_env_then_resolved(self, named):
+        evaluator = named.database.evaluator
+        int_t = TypeApp("int")
+        add_n = named.database.typechecker.check(
+            Fun((("n", int_t),), Fun((("x", int_t),), Apply("+", (Var("x"), Var("n")))))
+        ).body
+        add_cap = named.database.typechecker.check(
+            Fun((("x", int_t),), Apply("+", (Var("x"), Var("cap"))))
+        )
+        assert evaluator.fuse(add_n, {"n": 5})(1) == 6
+        assert evaluator.fuse(add_cap)(1) == 151  # the object
+        assert evaluator.fuse(add_cap, {"cap": 2})(1) == 3  # the env wins
+        closure = Closure(add_n, {"n": 7}, evaluator)
+        assert closure._fused is not None and closure(1) == 8
+        assert closure.env == {"n": 7}
+        with pytest.raises(ExecutionError, match="no such object: n"):
+            Closure(add_n, {}, evaluator)(1)  # the per-node body's error
+
+    def test_the_nested_closure_is_the_one_the_per_node_body_builds(self, named):
+        """The spatial join's fused inner function hands ``filter`` a
+        Closure over the outer tuple, in the environment the per-node body
+        gives it, with a fused function of its own."""
+        inner = named.run_one("query " + SPATIAL_JOIN).translated_term.args[1]
+        evaluator = named.database.evaluator
+        fused = Closure(inner, {}, evaluator)
+        per_node = Closure(inner, {}, evaluator, evaluator.compile(inner.body))
+        assert fused._fused is not None and fused._lazy
+        predicates = []
+        filter_impl = filter
+
+        def recording_filter(predicate, stream):
+            predicates.append(predicate)
+            return filter_impl(predicate, stream)
+
+        city = next(iter(named.query("cities_rep feed").value))
+        namespace = fused._fused.__globals__
+        namespace["filter"] = recording_filter
+        try:
+            rows = list(fused(city))
+        finally:
+            del namespace["filter"]
+        (predicate,) = predicates
+        assert isinstance(predicate, Closure) and predicate._fused is not None
+        assert predicate.env == {"t1": city}
+        assert [repr(t) for t in rows] == [repr(t) for t in per_node(city)]

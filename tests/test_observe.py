@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import gc
 import json
 import threading
 
@@ -244,6 +245,47 @@ class TestCollecting:
                 observe.disable_registry()
         assert metrics.counters == {"wal.appends": 2}
         assert after - before == 2
+
+    def test_enabling_installs_exactly_one_gc_callback(self):
+        was = observe.REGISTRY_ON
+        try:
+            observe.enable_registry()
+            observe.enable_registry()
+            assert gc.callbacks.count(observe._gc_pause) == 1
+            observe.disable_registry()
+            assert observe._gc_pause not in gc.callbacks
+        finally:
+            if was:
+                observe.enable_registry()
+
+    def test_forced_collection_records_one_pause_sample(self):
+        was = observe.REGISTRY_ON
+        observe.enable_registry()
+        try:
+            def counts():
+                histograms = observe.REGISTRY.snapshot()["histograms"]
+                return [histograms[name]["count"] for name in observe.GC_METRIC_FAMILIES["histograms"]]
+
+            before = counts()
+            gc.disable()  # no allocation-triggered collection in between
+            try:
+                gc.collect()
+                after = counts()
+                # A collection inside a registry update on this thread
+                # must not wait for the lock: its sample waits instead.
+                with observe.REGISTRY._lock:
+                    gc.collect()
+                held = counts()
+                gc.collect()
+                later = counts()
+            finally:
+                gc.enable()
+        finally:
+            if not was:
+                observe.disable_registry()
+        assert [a - b for a, b in zip(after, before)] == [0, 0, 1]
+        assert held == after
+        assert [a - b for a, b in zip(later, after)] == [0, 0, 2]
 
     def test_count_skips_a_sink_armed_on_another_thread(self):
         # A server counts events on its event loop while a traced

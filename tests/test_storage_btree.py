@@ -1,5 +1,6 @@
 """B+-tree unit and property tests (the ``btree`` structure of Section 4)."""
 
+import itertools
 import random
 
 import pytest
@@ -368,3 +369,59 @@ class TestProperties:
         bt.check_invariants()
         remaining = sorted(set(items) - set(to_delete))
         assert sorted(bt.scan()) == remaining
+
+
+def _per_key_range(tree, low, high):
+    """The range search as it was written before it bisected and sliced
+    its leaves: every key compared, one at a time."""
+    leaf, index = tree._seek(low)
+    path = None
+    while leaf is not None:
+        tree._read_pages(1)
+        keys = leaf.keys
+        while index < len(keys):
+            if high is not TOP_KEY and keys[index] > high:
+                return
+            yield leaf.values[index]
+            index += 1
+        path = path or tree._path(low)
+        leaf, index = tree._next_leaf(path), 0
+
+
+_bounds = st.one_of(st.integers(-2, 32), st.sampled_from([BOTTOM_KEY, TOP_KEY]))
+
+
+class TestRangeSearchAgainstPerKeyWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 30), max_size=120),
+        st.integers(3, 6),
+        _bounds.filter(lambda b: b is not TOP_KEY),
+        _bounds.filter(lambda b: b is not BOTTOM_KEY),
+        st.integers(0, 130),
+    )
+    def test_same_rows_order_and_reads_at_every_prefix(self, keys, order, low, high, take):
+        bt = fresh(order)
+        for i, k in enumerate(keys):
+            bt.insert((k, i))
+        stats = bt.pages.stats
+
+        def run(search):
+            before = stats.reads
+            rows = search(bt, low, high)
+            untouched = stats.reads - before  # lazy: nothing read yet
+            taken = list(itertools.islice(rows, take))
+            return untouched, taken, stats.reads - before
+
+        assert run(BTree.range_search) == run(_per_key_range)
+        if low is not BOTTOM_KEY:
+            assert list(bt.exact_search(low)) == list(_per_key_range(bt, low, low))
+
+    def test_a_failing_comparison_counts_the_nodes_reached(self):
+        bt = fresh(3)
+        for k in range(50):
+            bt.insert((k, k))
+        before = bt.pages.stats.reads
+        with pytest.raises(TypeError):
+            list(bt.range_search("a", "b"))  # str against int, at the root
+        assert bt.pages.stats.reads - before == 1
