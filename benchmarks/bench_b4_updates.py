@@ -9,18 +9,28 @@ per-statement insert by the per-statement front-end cost.
 import pytest
 
 from repro.geometry import Point
-from repro.models.relational import make_tuple
+from repro.rep.model import tuple_attr_getter
 from repro.storage import BTree
 from repro.storage.io import PageManager
 
 N = 2000
+CNAME, POP = 0, 2  # attribute positions in a city tuple
 
 
 def make_rows(city_t, n=N):
-    return [
-        make_tuple(city_t, cname=f"c{i}", center=Point(i % 100, i // 100), pop=i)
-        for i in range(n)
-    ]
+    """City tuples as a B-tree stores them: their carriers, plain tuples
+    in attribute order."""
+    return [(f"c{i}", Point(i % 100, i // 100), i) for i in range(n)]
+
+
+def renamed(ts):
+    """The in-situ update: cname := "x" (a non-key attribute)."""
+    return (("x",) + t[CNAME + 1 :] for t in ts)
+
+
+def moved(ts):
+    """The key update: pop := pop + N."""
+    return (t[:POP] + (t[POP] + N,) + t[POP + 1 :] for t in ts)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +43,7 @@ def city_t():
 
 
 def fresh_tree(city_t, rows):
-    bt = BTree(key=lambda t: t.attr("pop"), order=16, pages=PageManager())
+    bt = BTree(key=tuple_attr_getter(city_t, "pop"), order=16, pages=PageManager())
     bt.stream_insert(rows)
     return bt
 
@@ -42,7 +52,7 @@ def test_bulk_stream_insert(benchmark, city_t):
     rows = make_rows(city_t)
 
     def run():
-        bt = BTree(key=lambda t: t.attr("pop"), order=16, pages=PageManager())
+        bt = BTree(key=tuple_attr_getter(city_t, "pop"), order=16, pages=PageManager())
         bt.stream_insert(rows)
         return bt
 
@@ -55,7 +65,7 @@ def test_bulk_load(benchmark, city_t):
     rows = make_rows(city_t)
 
     def run():
-        bt = BTree(key=lambda t: t.attr("pop"), order=16, pages=PageManager())
+        bt = BTree(key=tuple_attr_getter(city_t, "pop"), order=16, pages=PageManager())
         bt.bulk_load(rows)
         return bt
 
@@ -72,7 +82,7 @@ def test_modify_in_situ_non_key(benchmark, city_t):
     def run(bt):
         bt.modify_tuples(
             bt.range_search(0, N // 10),
-            lambda ts: (t.with_attr("cname", "x") for t in ts),
+            renamed,
         )
 
     benchmark.pedantic(run, setup=setup, rounds=10)
@@ -87,7 +97,7 @@ def test_re_insert_key_update(benchmark, city_t):
     def run(bt):
         bt.re_insert_tuples(
             bt.range_search(0, N // 10),
-            lambda ts: (t.with_attr("pop", t.attr("pop") + N) for t in ts),
+            moved,
         )
 
     benchmark.pedantic(run, setup=setup, rounds=10)
@@ -111,12 +121,12 @@ def test_in_situ_writes_fewer_pages_than_re_insert(city_t):
     with bt1.pages.measure() as m1:
         bt1.modify_tuples(
             bt1.range_search(0, N // 10),
-            lambda ts: (t.with_attr("cname", "x") for t in ts),
+            renamed,
         )
     bt2 = fresh_tree(city_t, rows)
     with bt2.pages.measure() as m2:
         bt2.re_insert_tuples(
             bt2.range_search(0, N // 10),
-            lambda ts: (t.with_attr("pop", t.attr("pop") + N) for t in ts),
+            moved,
         )
     assert m1.delta.writes < m2.delta.writes

@@ -7,7 +7,7 @@ exactly the same machinery — kinds, type constructors, quantified operators.
 Run:  python examples/nested_models.py
 """
 
-from repro.core.algebra import Evaluator, Relation, TupleValue
+from repro.core.algebra import Evaluator, Relation, TupleValue, carrier
 from repro.core.terms import Apply, ListTerm, Literal, Var
 from repro.core.typecheck import TypeChecker
 from repro.core.types import TypeApp, format_type, rel_type, tuple_type
@@ -45,7 +45,10 @@ def nested_demo() -> None:
         ],
     )
     tc = TypeChecker(sos, object_types={"books": books_rel}.get)
-    ev = Evaluator(algebra, resolver={"books": books}.get)
+    # An evaluator works on carriers: a tuple is a plain Python tuple, its
+    # type lives on the typed term.  carrier() takes the views built above
+    # to them; eval() shows a result as views again.
+    ev = Evaluator(algebra, resolver={"books": carrier(books)}.get)
 
     flat = tc.check(Apply("unnest", (Var("books"), Var("authors"))))
     print("unnest type:", format_type(flat.type))
@@ -94,7 +97,7 @@ def complex_demo() -> None:
         ),
     )
     tc = TypeChecker(sos, object_types={"p": person}.get)
-    ev = Evaluator(algebra, resolver={"p": p}.get)
+    ev = Evaluator(algebra, resolver={"p": carrier(p)}.get)
     q = tc.check(Apply("card", (Apply("children", (Var("p"),)),)))
     print("card(children(p)) =", ev.eval(q))
     q2 = tc.check(Apply("city", (Apply("address", (Var("p"),)),)))

@@ -9,13 +9,15 @@ levels (paper Section 6) by the constructors they use.
 
 from __future__ import annotations
 
-from typing import Optional
+import weakref
+from functools import partial
+from typing import Callable, Optional
 
-from repro.core.algebra import Evaluator, ResourceLimits, SecondOrderAlgebra
+from repro.core.algebra import Evaluator, ResourceLimits, SecondOrderAlgebra, carrier
 from repro.core.sos import SecondOrderSignature
 from repro.core.typecheck import TypeChecker
 from repro.core.types import Type, TypeApp, format_type, walk_type
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import CatalogError, ExecutionError, TypeCheckError
 from repro.stats.model import StatsCatalog
 from repro.testing.faults import fault_point
 
@@ -37,6 +39,35 @@ class DatabaseObject:
         return f"<{self.name} : {format_type(self.type)} ({state})>"
 
 
+def _object_type(objects: dict, name: str) -> Optional[Type]:
+    obj = objects.get(name)
+    return obj.type if obj is not None else None
+
+
+def _object_value(objects: dict, name: str):
+    obj = objects.get(name)
+    if obj is None:
+        raise ExecutionError(f"no such object: {name}")
+    if obj.value is None:
+        raise ExecutionError(f"object {name} has an undefined value")
+    return obj.value
+
+
+def _key_function_typer(typechecker: TypeChecker) -> Callable:
+    """The signature's typer of function-valued constructor arguments
+    (B-tree/LSD-tree key functions), typechecked at type formation time.
+    It holds the typechecker weakly: the typechecker holds the signature."""
+    ref = weakref.ref(typechecker)
+
+    def type_key_function(fun, expected_params):
+        checker = ref()
+        if checker is None:
+            raise TypeCheckError("the database over this signature is gone")
+        return checker._check_fun(fun, {}, expected_params=tuple(expected_params))
+
+    return type_key_function
+
+
 class Database:
     """Named types and objects over one signature and algebra."""
 
@@ -45,22 +76,22 @@ class Database:
         self.algebra = algebra
         self.aliases: dict[str, Type] = {}
         self.objects: dict[str, DatabaseObject] = {}
-        self.typechecker = TypeChecker(sos, object_types=self.type_of)
-        self.evaluator = Evaluator(algebra, resolver=self.value_of)
+        # The typechecker's and evaluator's lookups close over the objects,
+        # not the database, so a dropped database holds no reference cycle
+        # and is freed by reference counting alone.
+        self.typechecker = TypeChecker(
+            sos, object_types=partial(_object_type, self.objects)
+        )
+        self.evaluator = Evaluator(
+            algebra, resolver=partial(_object_value, self.objects)
+        )
         #: The statistics catalog (``analyze`` statement, cost model,
         #: cardinality feedback).  Empty until the first ``analyze``.
         self.stats = StatsCatalog()
         #: The active :class:`~repro.system.transactions.Transaction`, if any.
         #: Executors install it around statements; ``None`` between them.
         self.transaction = None
-        # Function-valued constructor arguments (B-tree/LSD-tree key
-        # functions) are typechecked at type formation time.
-        sos.type_system.term_typer = self._type_key_function
-
-    def _type_key_function(self, fun, expected_params):
-        return self.typechecker._check_fun(
-            fun, {}, expected_params=tuple(expected_params)
-        )
+        sos.type_system.term_typer = _key_function_typer(self.typechecker)
 
     # ----------------------------------------------------------------- types
 
@@ -70,8 +101,7 @@ class Database:
         return t
 
     def type_of(self, name: str) -> Optional[Type]:
-        obj = self.objects.get(name)
-        return obj.type if obj is not None else None
+        return _object_type(self.objects, name)
 
     # --------------------------------------------------------------- objects
 
@@ -90,14 +120,12 @@ class Database:
         self.stats.discard(name)
 
     def value_of(self, name: str):
-        obj = self.objects.get(name)
-        if obj is None:
-            raise ExecutionError(f"no such object: {name}")
-        if obj.value is None:
-            raise ExecutionError(f"object {name} has an undefined value")
-        return obj.value
+        return _object_value(self.objects, name)
 
     def set_value(self, name: str, value) -> None:
+        """Assign ``value``'s carrier (:func:`~repro.core.algebra.carrier`)
+        to object ``name``."""
+        value = carrier(value)
         self.protect(name)
         fault_point("database.set_value")
         obj = self.objects.get(name)

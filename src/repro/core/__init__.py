@@ -67,6 +67,8 @@ from repro.core.algebra import (
     SecondOrderAlgebra,
     Stream,
     TupleValue,
+    carrier,
+    view,
 )
 from repro.core.typecheck import TypeChecker
 
@@ -127,4 +129,6 @@ __all__ = [
     "Relation",
     "Stream",
     "TypeChecker",
+    "carrier",
+    "view",
 ]

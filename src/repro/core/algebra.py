@@ -4,15 +4,19 @@ A second-order algebra supplies a carrier set for every type, a function for
 every type operator, and a function for every operator.  Here:
 
 * carriers are Python values validated by per-constructor predicates
-  (:meth:`SecondOrderAlgebra.check_value`);
+  (:meth:`SecondOrderAlgebra.check_value`).  A value does not carry its
+  type: the carrier of a tuple type is a plain Python tuple, and the type
+  lives on the typed term;
 * type-operator functions live on the
   :class:`~repro.core.operators.TypeOperator` objects in Δ;
 * operator functions are the ``impl`` callables of the operator specs,
   invoked by the :class:`Evaluator`.
 
 The module also defines the generic value classes shared by all models:
-:class:`TupleValue`, :class:`Relation`, :class:`Stream` and function values
-(:class:`Closure`).
+:class:`Relation`, :class:`Stream` and function values (:class:`Closure`),
+and the one boundary between carriers and the API: :func:`view` builds
+:class:`TupleValue` views of a result, :func:`carrier` takes a value given
+to the system back to its carrier.
 """
 
 from __future__ import annotations
@@ -37,10 +41,12 @@ from repro.core.terms import (
     Var,
 )
 from repro.core.types import (
+    ArgList,
     FunType,
     ProductType,
     Type,
     TypeApp,
+    attr_index,
     attrs_of,
     format_type,
 )
@@ -55,32 +61,15 @@ from repro.testing.faults import fault_point
 from repro import observe
 
 
-_ATTR_INDEX: dict[int, tuple[Type, dict[str, int]]] = {}
-_ATTR_INDEX_LIMIT = 4096
-
-
-def _attr_index(schema: Type) -> dict[str, int]:
-    """The attribute-name -> position map of a tuple schema, computed once
-    per schema object.
-
-    All tuples of a relation or stream share one schema object, so the
-    cache is keyed by its identity (hashing a type is a deep structural
-    walk that costs more than building the map); an entry keeps its schema
-    alive, so an ``id`` is never reused while cached.  A server that keeps
-    typechecking new result schemas would grow the cache without bound, so
-    it is emptied when it reaches ``_ATTR_INDEX_LIMIT`` schemas.
-    """
-    entry = _ATTR_INDEX.get(id(schema))
-    if entry is None:
-        if len(_ATTR_INDEX) >= _ATTR_INDEX_LIMIT:
-            _ATTR_INDEX.clear()
-        index = {name: i for i, (name, _) in enumerate(attrs_of(schema))}
-        entry = _ATTR_INDEX[id(schema)] = (schema, index)
-    return entry[1]
-
-
 class TupleValue:
-    """A tuple value: a schema (its tuple type) plus the component values."""
+    """The API view of a tuple value: its schema (the tuple type) plus the
+    component values.
+
+    Below the API a tuple value is its carrier, a plain Python tuple, and
+    its type lives on the typed term (Def. 3.4).  A view is built only where
+    a value leaves the system (:func:`view`), and a value entering it is
+    turned back into its carrier (:func:`carrier`).
+    """
 
     __slots__ = ("schema", "values")
 
@@ -90,21 +79,20 @@ class TupleValue:
 
     def attr(self, name: str):
         """The value of attribute ``name``."""
-        try:
-            return self.values[_attr_index(self.schema)[name]]
-        except KeyError:
-            raise ExecutionError(f"tuple has no attribute {name}") from None
+        entry = attr_index(self.schema, name)
+        if entry is None:
+            raise ExecutionError(f"tuple has no attribute {name}")
+        return self.values[entry[0]]
 
     def with_attr(self, name: str, value) -> "TupleValue":
         """A copy with attribute ``name`` replaced (the ``replace`` op)."""
-        index = _attr_index(self.schema)[name]
-        values = list(self.values)
-        values[index] = value
-        return TupleValue(self.schema, tuple(values))
+        index = attr_index(self.schema, name)[0]
+        values = self.values
+        return view(self.schema, values[:index] + (value,) + values[index + 1 :])
 
     def concat(self, other: "TupleValue", schema: Type) -> "TupleValue":
         """Concatenation with another tuple under a given result schema."""
-        return TupleValue(schema, self.values + other.values)
+        return view(schema, self.values + other.values)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -125,13 +113,17 @@ class TupleValue:
 
 
 class Relation:
-    """A relation value: a multiset of tuples of one tuple type."""
+    """A relation value: a multiset of tuples of one tuple type.
+
+    It keeps whatever rows it is given: carriers below the API, views in a
+    result (:func:`view`) or on a client.
+    """
 
     __slots__ = ("type", "rows")
 
-    def __init__(self, rel_type: Type, rows: Optional[Iterable[TupleValue]] = None):
+    def __init__(self, rel_type: Type, rows: Optional[Iterable] = None):
         self.type = rel_type
-        self.rows: list[TupleValue] = list(rows) if rows is not None else []
+        self.rows: list = list(rows) if rows is not None else []
 
     @property
     def tuple_type(self) -> Type:
@@ -140,7 +132,7 @@ class Relation:
         assert isinstance(arg, Type)
         return arg
 
-    def insert(self, row: TupleValue) -> None:
+    def insert(self, row) -> None:
         self.rows.append(row)
 
     def clone(self) -> "Relation":
@@ -150,7 +142,7 @@ class Relation:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[TupleValue]:
+    def __iter__(self) -> Iterator:
         return iter(self.rows)
 
     def __eq__(self, other: object) -> bool:
@@ -173,22 +165,141 @@ class Stream:
 
     __slots__ = ("tuple_type", "_iterator", "_consumed")
 
-    def __init__(self, tuple_type: Type, iterator: Iterable[TupleValue]):
+    def __init__(self, tuple_type: Type, iterator: Iterable):
         self.tuple_type = tuple_type
         self._iterator = iter(iterator)
         self._consumed = False
 
-    def __iter__(self) -> Iterator[TupleValue]:
+    def __iter__(self) -> Iterator:
         if self._consumed:
             raise ExecutionError("stream already consumed; collect it first")
         self._consumed = True
         return self._iterator
 
-    def materialize(self) -> list[TupleValue]:
+    def materialize(self) -> list:
         return list(self)
 
     def __repr__(self) -> str:
         return f"Stream[{format_type(self.tuple_type)}]"
+
+
+def view(t: Type, value):
+    """The API view of a carrier ``value`` of type ``t``: a tuple becomes a
+    :class:`TupleValue` of schema ``t``, recursively through the tuple and
+    ``rel`` types inside it; a relation, a materialized stream (a list) or a
+    stream of tuples gets its rows viewed; any other value is its own view.
+
+    Called only where values leave the system: a query's result
+    (:class:`~repro.system.sos_system.SystemResult`) and
+    :meth:`Evaluator.eval`.  The viewing function is built once per call,
+    rows of a flat tuple type are viewed in one loop, and a view is made
+    without :class:`TupleValue`'s ``tuple()`` copy, so a 20-row range pays
+    one walk of ``t`` and one object per row.  A value that already is a
+    view is returned unchanged.
+    """
+    viewer = _viewer(t)
+    return value if viewer is None else viewer(value)
+
+
+def _viewer(t) -> Optional[Callable]:
+    """The function :func:`view` applies to a carrier of ``t``, or ``None``
+    where the carrier is its own view."""
+    if type(t) is not TypeApp or len(t.args) != 1:
+        return None
+    new = object.__new__
+    arg = t.args[0]
+    if type(arg) is not ArgList:  # a collection type: rel, stream, ...
+        parts = _attribute_viewers(arg)
+        if parts is not None and not any(parts):
+            schema = arg
+
+            def rows(values) -> list:  # flat tuples: no call per row
+                out = []
+                for r in values:
+                    if r.__class__ is tuple:
+                        tv = new(TupleValue)
+                        tv.schema = schema
+                        tv.values = r
+                        r = tv
+                    out.append(r)
+                return out
+
+        else:
+            element = _viewer(arg)
+            if element is None:
+                return None
+
+            def rows(values) -> list:
+                return [element(r) for r in values]
+
+        def collection(value):
+            cls = value.__class__
+            if cls is Relation:
+                relation = Relation(value.type)
+                relation.rows = rows(value.rows)
+                return relation
+            if cls is list:
+                return rows(value)
+            if cls is Stream:  # lazily, one row at a time
+                return Stream(value.tuple_type, (rows((r,))[0] for r in value))
+            return value  # a storage structure: its rows stay carriers
+
+        return collection
+    parts = _attribute_viewers(t)
+    if parts is None:
+        return None
+    nested = any(parts)
+
+    def row(value):
+        if value.__class__ is not tuple:
+            return value  # already a view
+        if nested:
+            value = tuple([v if f is None else f(v) for f, v in zip(parts, value)])
+        tv = new(TupleValue)
+        tv.schema = t
+        tv.values = value
+        return tv
+
+    return row
+
+
+def _attribute_viewers(t) -> Optional[list]:
+    """Per attribute of tuple type ``t``, the :func:`_viewer` of its type;
+    ``None`` if ``t`` is not tuple-shaped."""
+    if type(t) is not TypeApp or len(t.args) != 1 or type(t.args[0]) is not ArgList:
+        return None
+    try:
+        attrs = attrs_of(t)
+    except TypeError:  # an argument list that is not attribute pairs
+        return None
+    return [_viewer(a) if a.__class__ is TypeApp and a.args else None for _, a in attrs]
+
+
+def carrier(value):
+    """The carrier of a value entering the system: a :class:`TupleValue`
+    becomes the plain tuple of its components' carriers, and a
+    :class:`Relation` or a list (a materialized stream) holding views gets
+    carrier rows; every other value, a plain tuple included, is its own
+    carrier.  The inverse of :func:`view`: ``carrier(view(t, v)) == v``."""
+    cls = value.__class__
+    if cls is TupleValue:
+        values = value.values
+        for v in values:
+            kind = v.__class__
+            if kind is TupleValue or kind is Relation:
+                return tuple([carrier(v) for v in values])
+        return values
+    if cls is Relation or cls is list:
+        rows = value.rows if cls is Relation else value
+        for row in rows:
+            if row.__class__ is TupleValue:
+                rows = [carrier(r) for r in rows]
+                if cls is list:
+                    return rows
+                relation = Relation(value.type)
+                relation.rows = rows
+                return relation
+    return value
 
 
 Compiled = Callable[[dict], object]
@@ -406,7 +517,7 @@ def _inline_form(term: Apply) -> Optional[str]:
     result; ``None`` unless the impl the per-node body would call declares
     one.
 
-    Attribute access is ``{0}.values[i]``, at the position the typechecker
+    Attribute access is ``{0}[i]``, at the position the typechecker
     resolved.  Other operators carry their template on the spec
     (``OperatorSpec.inline``): the comparisons, arithmetic and logic, and
     the probe operators that build a lazy stream (``exact``, ``range``,
@@ -417,7 +528,7 @@ def _inline_form(term: Apply) -> Optional[str]:
     if resolved is None:
         return None
     if resolved.is_attribute:
-        return f"{{0}}.values[{resolved.attr_index}]"
+        return f"{{0}}[{resolved.attr_index}]"
     spec = resolved.spec
     if spec is None or spec.inline is None or spec.eager:
         return None
@@ -448,8 +559,7 @@ def _fused_factory(source: str) -> Callable:
     Executing the source costs about 100 µs, fusing a body with a cached
     ``make`` under 10 µs; a statement without the optimizer compiles its
     ``select`` predicate every time, so the difference is per statement.
-    Like ``_ATTR_INDEX``, the cache is emptied when it reaches
-    ``_FUSED_LIMIT`` entries.
+    The cache is emptied when it reaches ``_FUSED_LIMIT`` entries.
     """
     factory = _FUSED.get(source)
     if factory is None:
@@ -529,10 +639,19 @@ class Evaluator:
         self._steps = 0
         self._depth = 0
 
-    def eval(self, term: Term, env: Optional[dict] = None, allow_update: bool = False):
-        """Evaluate a term.  ``allow_update`` permits an update function at
-        the *root* only (the term of an update statement)."""
+    def run(self, term: Term, env: Optional[dict] = None, allow_update: bool = False):
+        """Evaluate a term to its carrier.  ``allow_update`` permits an
+        update function at the *root* only (the term of an update
+        statement)."""
         return self.compile(term, allow_update)({} if env is None else env)
+
+    def eval(self, term: Term, env: Optional[dict] = None, allow_update: bool = False):
+        """Evaluate a typechecked term to the value the API shows: the
+        :func:`view` of its carrier at the term's type.  Values bound in
+        ``env`` enter as their carriers (:func:`carrier`)."""
+        if env:
+            env = {name: carrier(value) for name, value in env.items()}
+        return view(term.type, self.run(term, env, allow_update))
 
     def compile(self, term: Term, allow_update: bool = False) -> Compiled:
         """Translate ``term`` into a function from an environment to its

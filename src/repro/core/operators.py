@@ -291,7 +291,7 @@ class AttributeFamily:
 
 def _attribute_access(index: int) -> Callable:
     def access(ctx, tup):
-        return tup.values[index]
+        return tup[index]
 
     access.__name__ = f"attr_{index}"
     return access

@@ -281,9 +281,9 @@ def attrs_of(tup: Type) -> tuple[tuple[str, Type], ...]:
     Raises :class:`TypeError` if the type has no such shape.
 
     Reads the type's attribute table if a lookup by name has built one,
-    and builds none itself: a tuple value made by a statement carries its
-    own schema object, and listing its attributes (printing, dumping)
-    should not leave a table on every such schema.
+    and builds none itself: the table lives on the type, not on values (a
+    tuple value is its carrier, a plain Python tuple), and a type that is
+    only listed (printed, dumped, typechecked) needs no name lookup.
     """
     if isinstance(tup, TypeApp) and tup._attrs is not None:
         return tup._attrs[0]

@@ -61,6 +61,7 @@ CODES: dict[str, tuple[str, str]] = {
     "ENG004": (ERROR, "await while holding a synchronous lock"),
     "ENG005": (WARNING, "telemetry metric fed but never pre-declared"),
     "ENG006": (ERROR, "fault site injected but not registered in repro.testing.faults"),
+    "ENG007": (ERROR, "TupleValue built outside the view boundary"),
 }
 
 

@@ -15,6 +15,8 @@ machinery user-facing passes use — the ``ENG...`` codes:
 ``ENG004``  ``await`` while holding a synchronous lock
 ``ENG005``  telemetry metric fed but never pre-declared
 ``ENG006``  ``fault_point`` site not registered in ``repro.testing.faults``
+``ENG007``  a :class:`~repro.core.algebra.TupleValue` built outside the
+            boundary functions that make the API's views of carriers
 
 Audited exceptions carry an inline Python comment::
 
@@ -106,6 +108,16 @@ _ENGINE_HEAVY = frozenset(
         "begin",
     }
 )
+
+#: Where a ``TupleValue`` may be built: below the API a tuple value is its
+#: carrier, a plain Python tuple, and a view is made only where a value
+#: leaves the system (``view`` and its per-type helper), arrives at a
+#: client (``decode_value``) or is made by hand (``make_tuple``).
+VIEW_BOUNDARY = {
+    "repro/core/algebra.py": frozenset({"view", "_viewer"}),
+    "repro/server/wire.py": frozenset({"decode_value"}),
+    "repro/models/relational.py": frozenset({"make_tuple"}),
+}
 
 _SUPPRESS_RE = re.compile(
     r"#\s*lint:\s*(disable|disable-file)\s*=\s*([A-Z0-9,\s]+)"
@@ -213,12 +225,13 @@ def _collect_strings(node: ast.AST) -> Iterable[str]:
 
 
 class _FileLint(ast.NodeVisitor):
-    """All six checks over one module, one traversal.
+    """All seven checks over one module, one traversal.
 
-    The visitor threads three pieces of lexical context: whether the
+    The visitor threads four pieces of lexical context: whether the
     current statement is inside a ``with <lock>`` scope (``lock_depth``),
-    whether the enclosing function is a coroutine (``async_depth``), and
-    whether the enclosing class owns an engine lock (``lock_class``).
+    whether the enclosing function is a coroutine (``async_depth``),
+    whether the enclosing class owns an engine lock (``lock_class``), and
+    the names of the enclosing functions (``functions``).
     """
 
     def __init__(
@@ -235,6 +248,12 @@ class _FileLint(ast.NodeVisitor):
         self.async_depth = 0
         self.lock_class = False
         self.in_init = False
+        self.functions: list[str] = []
+        path = source_name.replace(os.sep, "/")
+        self.view_boundary = next(
+            (names for module, names in VIEW_BOUNDARY.items() if path.endswith(module)),
+            frozenset(),
+        )
 
     # ------------------------------------------------------------ reporting
 
@@ -282,7 +301,9 @@ class _FileLint(ast.NodeVisitor):
         self.async_depth = 0
         self.lock_depth = 0
         self.in_init = node.name == "__init__"
+        self.functions.append(node.name)
         self.generic_visit(node)
+        self.functions.pop()
         self.async_depth, self.lock_depth = outer_async, outer_lock
         self.in_init = outer_init
 
@@ -292,7 +313,9 @@ class _FileLint(ast.NodeVisitor):
         self.async_depth = 1
         self.lock_depth = 0
         self.in_init = False
+        self.functions.append(node.name)
         self.generic_visit(node)
+        self.functions.pop()
         self.async_depth, self.lock_depth = outer_async, outer_lock
         self.in_init = outer_init
 
@@ -439,6 +462,21 @@ class _FileLint(ast.NodeVisitor):
                     node,
                     subject=site,
                 )
+
+        # ENG007: a TupleValue is built (called, or handed as the class to
+        # ``object.__new__``/``partial``) only inside the view boundary.
+        builds_view = terminal == "TupleValue" or (
+            bool(node.args) and (_attr_chain(node.args[0]) or [""])[-1] == "TupleValue"
+        )
+        if builds_view and not self.view_boundary.intersection(self.functions):
+            self.add(
+                "ENG007",
+                "TupleValue built below the API: a tuple value there is its "
+                "carrier, a plain tuple; views are made only by "
+                "algebra.view, wire.decode_value and relational.make_tuple",
+                node,
+                subject="TupleValue",
+            )
 
         self.generic_visit(node)
 

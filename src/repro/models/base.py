@@ -10,7 +10,7 @@ access, comparisons, arithmetic, logic, spatial types/operators and the
 
 from __future__ import annotations
 
-from repro.core.algebra import SecondOrderAlgebra, TupleValue
+from repro.core.algebra import SecondOrderAlgebra
 from repro.core.operators import TypeOperator
 from repro.core.sorts import ListSort
 from repro.core.sos import SignatureBuilder
@@ -44,8 +44,9 @@ def _mktuple_type(type_system, binds, descriptors) -> Type:
     return tuple_type(attrs)
 
 
-def _mktuple_impl(ctx, pairs: list) -> TupleValue:
-    return TupleValue(ctx.result_type, tuple(value for _, value in pairs))
+def _mktuple_impl(ctx, pairs: list) -> tuple:
+    """The tuple's carrier: its component values, in attribute order."""
+    return tuple([value for _, value in pairs])
 
 
 def add_base_level(builder: SignatureBuilder, spatial: bool = True) -> None:

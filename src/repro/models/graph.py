@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.core.algebra import Relation, SecondOrderAlgebra, TupleValue
+from repro.core.algebra import Relation, SecondOrderAlgebra
 from repro.core.operators import Quantifier
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
 from repro.core.types import FunType, PVar, Type, TypeApp
@@ -49,8 +49,9 @@ class GraphValue:
 
     def __init__(self, graph_type: Type):
         self.type = graph_type
-        self.nodes: dict[int, TupleValue] = {}
-        self.out: dict[int, list[tuple[int, TupleValue]]] = {}
+        self.nodes: dict[int, tuple] = {}
+        """Per node, its attribute tuple (a carrier)."""
+        self.out: dict[int, list[tuple[int, tuple]]] = {}
         """Per node, its outgoing edges ``(target, attributes)`` in the
         order they were added."""
         self.inc: dict[int, list[int]] = {}
@@ -65,12 +66,12 @@ class GraphValue:
         twin.inc = {n: list(sources) for n, sources in self.inc.items()}
         return twin
 
-    def add_node(self, node_id: int, attrs: TupleValue) -> None:
+    def add_node(self, node_id: int, attrs: tuple) -> None:
         self.nodes[node_id] = attrs
         self.out.setdefault(node_id, [])
         self.inc.setdefault(node_id, [])
 
-    def add_edge(self, source: int, target: int, attrs: TupleValue) -> None:
+    def add_edge(self, source: int, target: int, attrs: tuple) -> None:
         if source not in self.nodes or target not in self.nodes:
             raise ExecutionError(
                 f"edge endpoints must exist: {source} -> {target}"
@@ -78,7 +79,7 @@ class GraphValue:
         self.out[source].append((target, attrs))
         self.inc[target].append(source)
 
-    def node_attrs(self, node_id: int) -> TupleValue:
+    def node_attrs(self, node_id: int) -> tuple:
         try:
             return self.nodes[node_id]
         except KeyError:
@@ -137,7 +138,7 @@ def _empty_graph(ctx) -> GraphValue:
     return GraphValue(ctx.result_type)
 
 
-def _add_node_impl(ctx, graph: GraphValue, node_id: int, attrs: TupleValue):
+def _add_node_impl(ctx, graph: GraphValue, node_id: int, attrs: tuple):
     graph.add_node(node_id, attrs)
     return graph
 

@@ -20,7 +20,7 @@ schemas; the executable one also carries the classical NF² operators
 
 from __future__ import annotations
 
-from repro.core.algebra import Relation, SecondOrderAlgebra, TupleValue
+from repro.core.algebra import Relation, SecondOrderAlgebra
 from repro.core.operators import Quantifier, TypeOperator
 from repro.core.signature import TypeSystem
 from repro.core.sorts import ListSort, UnionSort
@@ -100,18 +100,14 @@ def _unnest_type(type_system, binds, descriptors) -> Type:
 
 def _unnest_impl(ctx, rel: Relation, attr: Sym) -> Relation:
     result_type = ctx.result_type
-    out_tuple = result_type.args[0]
     tup = ctx.binding_type("tuple")
     names = [name for name, _ in attrs_of(tup)]
     index = names.index(attr.name)
     rows = []
     for row in rel:
-        inner = row.values[index]
-        for inner_row in inner:
-            values = (
-                row.values[:index] + tuple(inner_row.values) + row.values[index + 1 :]
-            )
-            rows.append(TupleValue(out_tuple, values))
+        head, tail = row[:index], row[index + 1 :]
+        for inner_row in row[index]:
+            rows.append(head + inner_row + tail)
     return Relation(result_type, rows)
 
 
@@ -145,21 +141,18 @@ def _nest_impl(ctx, rel: Relation, attr_syms: list, new_name: Sym) -> Relation:
     outer_idx = [i for i, (n, _) in enumerate(attrs) if n not in nested_names]
     inner_idx = [i for i, (n, _) in enumerate(attrs) if n in nested_names]
     nested_rel_type = attrs_of(out_tuple)[-1][1]
-    inner_tuple = nested_rel_type.args[0]
     groups: dict[tuple, list] = {}
     order: list[tuple] = []
     for row in rel:
-        key = tuple(row.values[i] for i in outer_idx)
+        key = tuple([row[i] for i in outer_idx])
         if key not in groups:
             groups[key] = []
             order.append(key)
-        groups[key].append(
-            TupleValue(inner_tuple, tuple(row.values[i] for i in inner_idx))
-        )
+        groups[key].append(tuple([row[i] for i in inner_idx]))
     rows = []
     for key in order:
         nested = Relation(nested_rel_type, groups[key])
-        rows.append(TupleValue(out_tuple, key + (nested,)))
+        rows.append(key + (nested,))
     return Relation(result_type, rows)
 
 

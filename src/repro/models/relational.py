@@ -37,7 +37,7 @@ attribute name is a post-check, the second-level quantification of the paper.
 
 from __future__ import annotations
 
-from repro.core.algebra import Relation, SecondOrderAlgebra, TupleValue
+from repro.core.algebra import Relation, SecondOrderAlgebra, TupleValue, carrier
 from repro.core.operators import Quantifier, TypeOperator
 from repro.core.sorts import ListSort
 from repro.core.sos import SecondOrderSignature, SignatureBuilder
@@ -47,11 +47,11 @@ from repro.core.types import (
     Sym,
     Type,
     TypeApp,
+    attr_index,
     attr_type,
     attrs_of,
     concat_tuple_types,
     format_type,
-    tuple_type,
 )
 from repro.errors import ExecutionError
 from repro.testing.faults import fault_point
@@ -86,12 +86,11 @@ def _union_impl(ctx, rels: list) -> Relation:
 def _join_impl(ctx, left: Relation, right: Relation, pred) -> Relation:
     result_type = ctx.result_type
     assert isinstance(result_type, TypeApp)
-    out_tuple = result_type.args[0]
     rows = []
     for t1 in left:
         for t2 in right:
             if pred(t1, t2):
-                rows.append(t1.concat(t2, out_tuple))
+                rows.append(t1 + t2)
     return Relation(result_type, rows)
 
 
@@ -108,7 +107,7 @@ def _empty_impl(ctx) -> Relation:
     return Relation(ctx.result_type, [])
 
 
-def _insert_impl(ctx, rel: Relation, tup: TupleValue) -> Relation:
+def _insert_impl(ctx, rel: Relation, tup: tuple) -> Relation:
     fault_point("rel.insert")
     rel.insert(tup)
     return rel
@@ -128,9 +127,9 @@ def _delete_impl(ctx, rel: Relation, pred) -> Relation:
 
 def _modify_impl(ctx, rel: Relation, pred, attr: Sym, fn) -> Relation:
     fault_point("rel.modify")
-    name = attr.name
+    i = attr_index(rel.tuple_type, attr.name)[0]
     rel.rows[:] = [
-        t.with_attr(name, fn(t)) if pred(t) else t for t in rel.rows
+        t[:i] + (fn(t),) + t[i + 1 :] if pred(t) else t for t in rel.rows
     ]
     return rel
 
@@ -294,13 +293,14 @@ def add_relational_updates(builder: SignatureBuilder) -> None:
 
 
 def _check_tuple(algebra, value, t) -> bool:
-    if not isinstance(value, TupleValue) or value.schema != t:
+    """A tuple type's carrier is a plain tuple of its attributes' carriers."""
+    if value.__class__ is not tuple:
         return False
     attrs = attrs_of(t)
-    if len(value.values) != len(attrs):
+    if len(value) != len(attrs):
         return False
     return all(
-        algebra.check_value(v, dtype) for v, (_, dtype) in zip(value.values, attrs)
+        algebra.check_value(v, dtype) for v, (_, dtype) in zip(value, attrs)
     )
 
 
@@ -323,7 +323,8 @@ def register_relational_carriers(algebra: SecondOrderAlgebra) -> None:
 
 
 def make_tuple(schema: Type, **values) -> TupleValue:
-    """Build a tuple value by attribute name (Python-side convenience)."""
+    """Build a tuple value by attribute name (Python-side convenience): a
+    view, which the system takes back to its carrier where it enters."""
     attrs = attrs_of(schema)
     missing = [name for name, _ in attrs if name not in values]
     if missing:
@@ -335,13 +336,12 @@ def make_tuple(schema: Type, **values) -> TupleValue:
 
 
 def make_relation(rel_t: Type, rows) -> Relation:
-    """Build a relation from dicts or TupleValues."""
+    """Build a relation of carrier rows from dicts or TupleValues."""
     assert isinstance(rel_t, TypeApp)
     schema = rel_t.args[0]
     out = Relation(rel_t)
     for row in rows:
-        if isinstance(row, TupleValue):
-            out.insert(row)
-        else:
-            out.insert(make_tuple(schema, **row))
+        if not isinstance(row, TupleValue):
+            row = make_tuple(schema, **row)
+        out.insert(carrier(row))
     return out

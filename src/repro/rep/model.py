@@ -29,6 +29,8 @@ other structures).
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.core.algebra import Closure, SecondOrderAlgebra, Stream
 from repro.core.constructors import ConstructorSpec
 from repro.core.operators import Quantifier, TypeOperator
@@ -43,6 +45,7 @@ from repro.core.types import (
     TermArg,
     Type,
     TypeApp,
+    attr_index,
     attr_type,
     attrs_of,
     concat_tuple_types,
@@ -69,15 +72,9 @@ LSD_PATTERN = TypeApp("lsdtree", (PVar("tuple"), PVar("f")))
 
 
 def tuple_attr_getter(tuple_t: Type, name: str):
-    """A key function reading one attribute (attr-variant B-tree)."""
-    attrs = attrs_of(tuple_t)
-    index = next(i for i, (a, _) in enumerate(attrs) if a == name)
-
-    def key(t):
-        return t.values[index]
-
-    key.__name__ = f"attr_{name}"
-    return key
+    """A key function reading one attribute (attr-variant B-tree): the
+    component of a tuple carrier at the attribute's position."""
+    return itemgetter(attr_index(tuple_t, name)[0])
 
 
 def structure_key(ctx, rep_type: TypeApp):
@@ -194,8 +191,14 @@ def _count_impl(ctx, stream: Stream) -> int:
     return sum(1 for _ in stream)
 
 
+def _attr_getter(ctx, attr: Sym, binding: str = "tuple"):
+    """The key function of attribute ``attr`` of the tuple type bound to
+    ``binding`` during typechecking."""
+    return tuple_attr_getter(ctx.binding_type(binding), attr.name)
+
+
 def _sortby_impl(ctx, stream: Stream, attr: Sym) -> Stream:
-    return st.sort_stream(stream, lambda t: t.attr(attr.name))
+    return st.sort_stream(stream, _attr_getter(ctx, attr))
 
 
 def _rdup_impl(ctx, stream: Stream) -> Stream:
@@ -222,7 +225,7 @@ def _agg_value_type(type_system, binds, descriptors):
 
 def _aggregate(fn, empty_error):
     def impl(ctx, stream: Stream, attr: Sym):
-        values = [t.attr(attr.name) for t in stream]
+        values = list(map(_attr_getter(ctx, attr), stream))
         if not values:
             raise ExecutionError(empty_error)
         return fn(values)
@@ -255,27 +258,26 @@ def _groupby_impl(ctx, stream: Stream, attr: Sym, aggregates: list) -> Stream:
     tuple_t = ctx.binding_type("tuple")
     groups: dict = {}
     order: list = []
+    get = _attr_getter(ctx, attr)
     for t in stream:
-        key = t.attr(attr.name)
+        key = get(t)
         if key not in groups:
             groups[key] = []
             order.append(key)
         groups[key].append(t)
 
     def gen():
-        from repro.core.algebra import TupleValue
-
         for key in order:
             values = [key]
             for _, fn in aggregates:
                 values.append(fn(Stream(tuple_t, iter(groups[key]))))
-            yield TupleValue(out_tuple, tuple(values))
+            yield tuple(values)
 
     return Stream(out_tuple, gen())
 
 
 def _avg_impl(ctx, stream: Stream, attr: Sym) -> float:
-    values = [t.attr(attr.name) for t in stream]
+    values = list(map(_attr_getter(ctx, attr), stream))
     if not values:
         raise ExecutionError("avg over an empty stream")
     return sum(values) / len(values)
@@ -306,8 +308,8 @@ def _merge_join_impl(ctx, left: Stream, right: Stream, a1: Sym, a2: Sym) -> Stre
         ctx.result_type.args[0],
         left,
         right,
-        lambda t: t.attr(a1.name),
-        lambda t: t.attr(a2.name),
+        _attr_getter(ctx, a1, "tuple1"),
+        _attr_getter(ctx, a2, "tuple2"),
     )
 
 
@@ -316,8 +318,8 @@ def _hash_join_impl(ctx, left: Stream, right: Stream, a1: Sym, a2: Sym) -> Strea
         ctx.result_type.args[0],
         left,
         right,
-        lambda t: t.attr(a1.name),
-        lambda t: t.attr(a2.name),
+        _attr_getter(ctx, a1, "tuple1"),
+        _attr_getter(ctx, a2, "tuple2"),
     )
 
 
@@ -420,7 +422,7 @@ def mbtree_key(rep_type: TypeApp):
         indices.append(next(i for i, (a, _) in enumerate(attrs) if a == sym.name))
 
     def key(t):
-        return tuple(t.values[i] for i in indices)
+        return tuple([t[i] for i in indices])
 
     return key
 

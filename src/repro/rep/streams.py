@@ -1,7 +1,9 @@
 """Stream combinators: the pipelined execution primitives of Section 4.
 
 These are plain functions over :class:`~repro.core.algebra.Stream` values;
-the operator specifications in :mod:`repro.rep.model` delegate to them.
+the operator specifications in :mod:`repro.rep.model` delegate to them.  A
+tuple in a stream is its carrier, a plain Python tuple, so concatenation is
+``+`` and attribute ``i`` is ``t[i]``.
 Keeping them separate makes the pipelining ablation benchmark (B6) possible:
 the same plan can run fully pipelined or with materialization barriers.
 """
@@ -11,8 +13,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable, Iterable
 
-from repro.core.algebra import Stream, TupleValue
-from repro.core.types import Type
+from repro.core.algebra import Stream
+from repro.core.types import Type, attr_index
 from repro import observe
 
 
@@ -38,18 +40,18 @@ def project_stream(
     """Generalized projection: each output attribute is computed by a
     function of the input tuple (paper: realizes extend/replace-style
     operators of [GüZC89] / [AbB88])."""
+    functions = [fn for _, fn in fields]
     return Stream(
-        out_tuple,
-        (
-            TupleValue(out_tuple, tuple(fn(t) for _, fn in fields))
-            for t in stream
-        ),
+        out_tuple, (tuple([fn(t) for fn in functions]) for t in stream)
     )
 
 
 def replace_stream(stream: Stream, attr: str, fn: Callable) -> Stream:
     """Replace one attribute value in every tuple."""
-    return Stream(stream.tuple_type, (t.with_attr(attr, fn(t)) for t in stream))
+    i = attr_index(stream.tuple_type, attr)[0]
+    return Stream(
+        stream.tuple_type, (t[:i] + (fn(t),) + t[i + 1 :] for t in stream)
+    )
 
 
 def head_stream(stream: Stream, n: int) -> Stream:
@@ -109,7 +111,7 @@ def hash_join_stream(
             observe.incr("hash_join.build_rows", rows)
         for l in left:
             for r in table.get(left_key(l), ()):
-                yield l.concat(r, out_tuple)
+                yield l + r
 
     return Stream(out_tuple, gen())
 
@@ -147,7 +149,7 @@ def merge_join_stream(
                     j_end += 1
                 for li in range(i, i_end):
                     for rj in range(j, j_end):
-                        yield lrows[li].concat(rrows[rj], out_tuple)
+                        yield lrows[li] + rrows[rj]
                 i, j = i_end, j_end
 
     return Stream(out_tuple, gen())
@@ -164,7 +166,7 @@ def search_join_stream(out_tuple: Type, outer: Stream, inner_fn: Callable) -> St
         for t1 in outer:
             if not observe.ENABLED:
                 for t2 in inner_fn(t1):
-                    yield t1.concat(t2, out_tuple)
+                    yield t1 + t2
                 continue
             # One probe per outer tuple: how often the inner search
             # method (scan, filter, or index probe) was invoked — plus
@@ -175,7 +177,7 @@ def search_join_stream(out_tuple: Type, outer: Stream, inner_fn: Callable) -> St
             rows = 0
             for t2 in inner_fn(t1):
                 rows += 1
-                yield t1.concat(t2, out_tuple)
+                yield t1 + t2
             observe.record("search_join.probe_rows", rows)
 
     return Stream(out_tuple, gen())

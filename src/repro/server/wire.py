@@ -3,7 +3,7 @@
 One request or response is one JSON object on one line.  Values, results,
 errors, explain reports and lint reports all have symmetric
 ``encode_*`` / ``decode_*`` pairs here, used by both endpoints — the
-client reconstructs *real* library objects (:class:`TupleValue` rows with
+client reconstructs *real* library objects (:class:`TupleValue` views with
 ``.attr()``, :class:`Relation`, :class:`~repro.geometry.Point`,
 :class:`~repro.system.sos_system.SystemResult`,
 :class:`~repro.observe.ExecutionMetrics`, the exception classes of
@@ -36,8 +36,6 @@ from repro.system.sos_system import SystemResult
 _TYPE_PARSER = None
 _TYPE_PARSER_LOCK = threading.Lock()
 _TYPE_CACHE: dict[str, Type] = {}
-_SCHEMA_TEXT: dict[int, tuple[Type, str]] = {}
-_SCHEMA_TEXT_LIMIT = 4096
 
 
 def _type_parser():
@@ -59,26 +57,6 @@ def encode_type(t: Type) -> str:
     return format_type(t)
 
 
-def _schema_text(schema: Type) -> str:
-    """:func:`encode_type` of a row's schema, formatted once per schema
-    object.
-
-    A stored row keeps its schema object while it is stored, and a result
-    repeats the schemas of the rows it returns, so, as
-    ``repro.core.algebra._attr_index`` does, the cache is keyed by
-    identity, an entry keeps its schema alive (an ``id`` is never reused
-    while cached), and it is emptied at ``_SCHEMA_TEXT_LIMIT`` schemas.
-    Only row schemas go through it: a result's own type is a new object
-    per statement, which the cache would merely keep alive.
-    """
-    entry = _SCHEMA_TEXT.get(id(schema))
-    if entry is None:
-        if len(_SCHEMA_TEXT) >= _SCHEMA_TEXT_LIMIT:
-            _SCHEMA_TEXT.clear()
-        entry = _SCHEMA_TEXT[id(schema)] = (schema, format_type(schema))
-    return entry[1]
-
-
 def decode_type(source: str) -> Type:
     t = _TYPE_CACHE.get(source)
     if t is None:
@@ -93,26 +71,38 @@ def decode_type(source: str) -> Type:
 
 def encode_value(value) -> object:
     """Encode any library value into JSON-able form (tagged where needed)."""
+    return _encode(value, {})
+
+
+def _encode(value, schemas: dict[int, str]) -> object:
+    """:func:`encode_value` with ``schemas``, the text of each row schema
+    formatted so far in this call.  The rows of a result share one schema
+    object, so each is formatted once per encoded result; the memo lives
+    only as long as the call, in which its ``id`` keys cannot be reused,
+    and nothing is kept across requests."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, TupleValue):
+        schema = value.schema
+        text = schemas.get(id(schema))
+        if text is None:
+            text = schemas[id(schema)] = format_type(schema)
         return {
             "$": "tuple",
-            "schema": _schema_text(value.schema),
-            "values": [encode_value(v) for v in value.values],
+            "schema": text,
+            "values": [_encode(v, schemas) for v in value.values],
         }
     if isinstance(value, Relation):
         return {
             "$": "rel",
             "type": encode_type(value.type),
-            "rows": [[encode_value(v) for v in row.values] for row in value.rows],
+            "rows": [_row(row, schemas) for row in value.rows],
         }
     if isinstance(value, Stream):
-        rows = value.materialize()
         return {
             "$": "stream",
             "type": encode_type(value.tuple_type),
-            "rows": [[encode_value(v) for v in row.values] for row in rows],
+            "rows": [_row(row, schemas) for row in value.materialize()],
         }
     if isinstance(value, Point):
         return {"$": "point", "x": value.x, "y": value.y}
@@ -130,17 +120,26 @@ def encode_value(value) -> object:
     if isinstance(value, Type):
         return {"$": "type", "source": encode_type(value)}
     if isinstance(value, (list, tuple)):
-        return {"$": "list", "items": [encode_value(v) for v in value]}
+        return {"$": "list", "items": [_encode(v, schemas) for v in value]}
     if isinstance(value, dict):
         return {
             "$": "dict",
-            "items": [[encode_value(k), encode_value(v)] for k, v in value.items()],
+            "items": [
+                [_encode(k, schemas), _encode(v, schemas)] for k, v in value.items()
+            ],
         }
     if isinstance(value, Closure):
         return {"$": "opaque", "text": "<function value>"}
     # Storage structures (B-trees, catalogs, ...) and anything else the
     # client cannot usefully reconstruct travel as their repr.
     return {"$": "opaque", "text": repr(value)}
+
+
+def _row(row, schemas: dict[int, str]) -> list:
+    """The encoded components of a relation or stream row: a view, or a
+    carrier where no view was built."""
+    values = row.values if row.__class__ is TupleValue else row
+    return [_encode(v, schemas) for v in values]
 
 
 def decode_value(value) -> object:

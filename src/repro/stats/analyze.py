@@ -13,7 +13,7 @@ from itertools import islice
 from typing import Iterable, Optional
 
 from repro.catalog.catalog import CatalogValue
-from repro.core.algebra import Relation, TupleValue
+from repro.core.algebra import Relation
 from repro.core.types import Sym, TypeApp, attrs_of
 from repro.errors import CatalogError
 from repro.stats.model import (
@@ -116,7 +116,7 @@ def _scannable(value) -> bool:
 def analyze_value(name: str, value, declared_type=None) -> RelationStats:
     """Full statistics for one object value (rows, attributes, structure)."""
     rows = list(islice(_rows_of(value), MAX_ANALYZE_ROWS))
-    attributes = _attribute_stats(rows)
+    attributes = _attribute_stats(rows, _attribute_names(value, declared_type))
     return RelationStats(
         name=name,
         row_count=_count_of(value, rows),
@@ -141,15 +141,28 @@ def _count_of(value, rows: list) -> int:
         return len(rows)
 
 
-def _attribute_stats(rows: list) -> dict[str, AttributeStats]:
-    if not rows or not isinstance(rows[0], TupleValue):
+def _attribute_names(value, declared_type) -> Optional[list[str]]:
+    """The attribute names of an object's rows.  A row is a carrier and
+    does not carry its schema, so they come from the tuple type the object
+    is declared over (``rel(t)``, ``btree(t, ...)``, ...) or, given no
+    declared type, from a relation's own type."""
+    t = declared_type if declared_type is not None else getattr(value, "type", None)
+    if not isinstance(t, TypeApp) or not t.args:
+        return None
+    try:
+        return [name for name, _ in attrs_of(t.args[0])]
+    except TypeError:
+        return None
+
+
+def _attribute_stats(rows: list, names: Optional[list[str]]) -> dict[str, AttributeStats]:
+    if not rows or names is None:
         return {}
-    names = [n for n, _ in attrs_of(rows[0].schema)]
     columns: dict[str, list] = {n: [] for n in names}
     for row in rows:
-        if not isinstance(row, TupleValue):
+        if row.__class__ is not tuple:
             continue
-        for n, v in zip(names, row.values):
+        for n, v in zip(names, row):
             columns[n].append(v)
     stats = {}
     for n, values in columns.items():

@@ -3,12 +3,14 @@
 The paper gives two constructor variants and this class covers both:
 
 * ``btree(tuple, attrname, dtype)`` — key is one attribute; pass
-  ``key=lambda t: t.attr("pop")``;
+  ``key=operator.itemgetter(i)`` for the attribute at position ``i``;
 * ``btree(tuple, fun (t: tuple) expr)`` — key is an arbitrary derived value;
   pass any callable.
 
 The tree is a textbook B+-tree: tuples live in the leaves (clustering
-structure), internal nodes hold separator keys.  Duplicate keys are allowed.
+structure), internal nodes hold separator keys.  A stored tuple is its
+carrier, a plain Python tuple (:func:`repro.core.algebra.carrier`).
+Duplicate keys are allowed.
 Deletion rebalances by borrowing from or merging with siblings.  Every node
 is a simulated page; reads and writes are accounted through a
 :class:`~repro.storage.io.PageManager`.
@@ -31,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator, Optional
 
+from repro.core.algebra import TupleValue, carrier
 from repro.errors import StorageError
 from repro.storage.io import GLOBAL_PAGES, PageManager
 from repro.testing.faults import fault_point
@@ -265,8 +268,11 @@ class BTree:
     # ------------------------------------------------------------ insertion
 
     def insert(self, value) -> None:
-        """Insert one tuple (the ``insert`` update function)."""
+        """Insert one tuple (the ``insert`` update function); a
+        :class:`~repro.core.algebra.TupleValue` is stored as its carrier."""
         fault_point("btree.insert")
+        if value.__class__ is TupleValue:
+            value = carrier(value)
         key = self.key(value)
         self._root = self._own(self._root)
         split = self._insert(self._root, key, value)
@@ -291,6 +297,7 @@ class BTree:
         """
         if self._count:
             raise StorageError("bulk_load requires an empty B-tree")
+        values = (carrier(v) for v in values)
         items = sorted(((self.key(v), v) for v in values), key=lambda kv: kv[0])
         if not items:
             return
@@ -413,6 +420,8 @@ class BTree:
         Returns whether a matching tuple was present.
         """
         fault_point("btree.delete")
+        if value.__class__ is TupleValue:
+            value = carrier(value)
         root = self._delete(self._root, self.key(value), value)
         if root is None:
             return False

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, Optional
 
+from repro.core.algebra import TupleValue, carrier
 from repro.errors import StorageError
 from repro.geometry import Point, Rect
 from repro.storage.io import GLOBAL_PAGES, PageManager
@@ -99,8 +100,11 @@ class LSDTree:
     # ------------------------------------------------------------- insertion
 
     def insert(self, value) -> None:
-        """Insert one tuple; its rectangle comes from the key function."""
+        """Insert one tuple; its rectangle comes from the key function.  A
+        :class:`~repro.core.algebra.TupleValue` is stored as its carrier."""
         fault_point("lsdtree.insert")
+        if value.__class__ is TupleValue:
+            value = carrier(value)
         rect = self.key(value)
         if not isinstance(rect, Rect):
             raise StorageError(f"LSD-tree key function must yield a rect, got {rect!r}")
@@ -237,6 +241,8 @@ class LSDTree:
     def delete(self, value) -> bool:
         """Delete one tuple (found via its rectangle, then equality)."""
         fault_point("lsdtree.delete")
+        if value.__class__ is TupleValue:
+            value = carrier(value)
         rect = self.key(value)
         point = _to_4d(rect)
         node = self._root

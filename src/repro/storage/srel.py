@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
+from repro.core.algebra import TupleValue, carrier
 from repro.storage.io import GLOBAL_PAGES, PageManager
 from repro.testing.faults import fault_point
 
@@ -41,7 +42,11 @@ class SRel:
         return twin
 
     def append(self, value) -> None:
+        """Append one tuple; a :class:`~repro.core.algebra.TupleValue` is
+        stored as its carrier."""
         fault_point("srel.append")
+        if value.__class__ is TupleValue:
+            value = carrier(value)
         if not self._pages or len(self._pages[-1][1]) >= self.page_capacity:
             self._pages.append((self.pages.allocate(), []))
         page_id, content = self._pages[-1]

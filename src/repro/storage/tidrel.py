@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Callable, Iterable, Iterator, Optional
 
+from repro.core.algebra import TupleValue, carrier
 from repro.errors import StorageError
 from repro.storage.btree import BTree
 from repro.storage.io import GLOBAL_PAGES, PageManager
@@ -52,8 +53,11 @@ class TidRelation:
         return twin
 
     def insert(self, value) -> tuple[int, int]:
-        """Insert a tuple; returns its TID."""
+        """Insert a tuple; returns its TID.  A
+        :class:`~repro.core.algebra.TupleValue` is stored as its carrier."""
         fault_point("tidrel.insert")
+        if value.__class__ is TupleValue:
+            value = carrier(value)
         if not self._pages or len(self._pages[-1][1]) >= self.page_capacity:
             self._pages.append((self.pages.allocate(), []))
         page_index = len(self._pages) - 1
@@ -99,6 +103,8 @@ class TidRelation:
     def replace(self, tid: tuple[int, int], value) -> None:
         """Overwrite the tuple at ``tid`` in place."""
         fault_point("tidrel.replace")
+        if value.__class__ is TupleValue:
+            value = carrier(value)
         page_index, slot = tid
         try:
             page_id, content = self._pages[page_index]
@@ -175,10 +181,10 @@ class SecondaryIndex:
             self._tree.insert((self.key(value), tid))
 
     def insert(self, tid: tuple[int, int], value) -> None:
-        self._tree.insert((self.key(value), tid))
+        self._tree.insert((self.key(carrier(value)), tid))
 
     def delete(self, tid: tuple[int, int], value) -> bool:
-        return self._tree.delete((self.key(value), tid))
+        return self._tree.delete((self.key(carrier(value)), tid))
 
     def tids_in_range(self, low, high) -> Iterator[tuple[int, int]]:
         """TIDs whose key lies in [low, high]."""

@@ -34,8 +34,8 @@ copied byte for byte.
 from __future__ import annotations
 
 from repro.catalog.catalog import CatalogValue
-from repro.core.algebra import Relation, TupleValue
-from repro.core.types import Type, format_type
+from repro.core.algebra import Relation
+from repro.core.types import Type, TypeApp, attrs_of, format_type
 from repro.errors import ExecutionError
 from repro.geometry import Point, Polygon, Rect
 from repro.lang.parser import split_statements
@@ -93,8 +93,6 @@ def restore_program(system, text: str) -> None:
 def _type_text(database, t) -> str:
     """Render a type, substituting alias names for matching subterms so the
     dump stays readable (``rel(city)`` instead of the expanded tuple)."""
-    from repro.core.types import TypeApp
-
     for name, aliased in database.aliases.items():
         if aliased == t:
             return name
@@ -120,18 +118,17 @@ def _value_statements(database, obj) -> list[str]:
             + ")"
             for row in value.rows
         ]
-    if isinstance(value, (BTree, LSDTree, SRel, TidRelation)):
+    # A row is a carrier: its attribute names come from the declared type.
+    if isinstance(value, (BTree, LSDTree, SRel, TidRelation, Relation)):
+        names = _attribute_names(obj.type.args[0])
+        rows = value.rows if isinstance(value, Relation) else value.scan()
         return [
-            f"update {obj.name} := insert({obj.name}, {_tuple_text(t)})"
-            for t in value.scan()
+            f"update {obj.name} := insert({obj.name}, {_tuple_text(names, t)})"
+            for t in rows
         ]
-    if isinstance(value, Relation):
-        return [
-            f"update {obj.name} := insert({obj.name}, {_tuple_text(t)})"
-            for t in value.rows
-        ]
-    if isinstance(value, TupleValue):
-        return [f"update {obj.name} := {_tuple_text(value)}"]
+    names = _attribute_names(obj.type)
+    if isinstance(value, tuple) and names is not None:
+        return [f"update {obj.name} := {_tuple_text(names, value)}"]
     if isinstance(value, (int, float, str, bool)):
         return [f"update {obj.name} := {_literal_text(value)}"]
     if isinstance(value, SecondaryIndex):
@@ -175,11 +172,19 @@ def _sindex_statements(database, obj) -> list[str]:
     return [f"update {obj.name} := build_index({base_name}, {attr})"]
 
 
-def _tuple_text(t: TupleValue) -> str:
-    from repro.core.types import attrs_of
+def _attribute_names(t) -> list[str] | None:
+    """The attribute names of a tuple type, ``None`` for another type."""
+    if not isinstance(t, TypeApp):
+        return None
+    try:
+        return [name for name, _ in attrs_of(t)]
+    except TypeError:
+        return None
 
+
+def _tuple_text(names: list[str], values: tuple) -> str:
     parts = []
-    for (name, _), value in zip(attrs_of(t.schema), t.values):
+    for name, value in zip(names, values):
         parts.append(f"({name}, {_literal_text(value)})")
     return "mktuple[<" + ", ".join(parts) + ">]"
 

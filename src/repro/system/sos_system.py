@@ -43,7 +43,7 @@ from repro.catalog import (
     add_catalog_level,
     register_catalog_carriers,
 )
-from repro.core.algebra import SecondOrderAlgebra, Stream
+from repro.core.algebra import SecondOrderAlgebra, Stream, view
 from repro.core.sos import SignatureBuilder
 from repro.core.terms import (
     Apply,
@@ -545,7 +545,7 @@ class SOSSystem:
             )
         except TypeCheckError:
             return
-        self.database.set_value(name, self.database.evaluator.eval(term))
+        self.database.set_value(name, self.database.evaluator.run(term))
 
     def _term_level(self, term: Term) -> str:
         """'model' if the term uses any model-level operator or object.
@@ -612,7 +612,7 @@ class SOSSystem:
                 self.database.protect(
                     statement.name, *referenced_objects(term, self.database)
                 )
-                value = self.database.evaluator.eval(term, allow_update=True)
+                value = self.database.evaluator.run(term, allow_update=True)
                 if isinstance(value, Stream):
                     value = value.materialize()
                 self.database.set_value(statement.name, value)
@@ -637,7 +637,7 @@ class SOSSystem:
                 statement.name, target,
                 *referenced_objects(translated, self.database),
             )
-            value = self.database.evaluator.eval(translated, allow_update=True)
+            value = self.database.evaluator.run(translated, allow_update=True)
             if isinstance(value, Stream):
                 value = value.materialize()
             self.database.set_value(target, value)
@@ -712,9 +712,10 @@ class SOSSystem:
             fired = opt.fired
             self._emit_fired(fired)
         with self._phase(timings, "execute"):
-            value = self.database.evaluator.eval(exec_term)
+            value = self.database.evaluator.run(exec_term)
             if isinstance(value, Stream):
                 value = value.materialize()
+            value = view(exec_term.type, value)
         return SystemResult(
             "query",
             level=level,

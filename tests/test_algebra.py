@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.algebra import Closure, Evaluator, Stream, TupleValue
+from repro.core.algebra import Closure, Evaluator, Stream, TupleValue, carrier, view
 from repro.core.terms import Apply, Fun, ListTerm, Literal, TupleTerm, Var
 from repro.core.typecheck import TypeChecker
 from repro.core.types import FunType, ProductType, TypeApp, rel_type, tuple_type
@@ -65,16 +65,27 @@ class TestTupleValue:
         assert a.with_attr("age", 26).attr("age") == 26
         assert not hasattr(a, "_index")
 
-    def test_attribute_position_cache_is_bounded(self, monkeypatch):
+    def test_attribute_lookups_leave_no_module_state(self):
+        """A view's attribute positions live on its schema's type, so
+        looking attributes up on views of many schemas leaves nothing
+        behind in ``repro.core.algebra``."""
         from repro.core import algebra
 
-        monkeypatch.setattr(algebra, "_ATTR_INDEX", {})
-        monkeypatch.setattr(algebra, "_ATTR_INDEX_LIMIT", 4)
-        schemas = [tuple_type([(f"a{i}", INT)]) for i in range(10)]
+        def module_state():
+            return {
+                name: value
+                for name, value in vars(algebra).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        before = {name: len(value) for name, value in module_state().items()}
+        schemas = [tuple_type([(f"a{i}", INT)]) for i in range(50)]
         for i, schema in enumerate(schemas):
-            assert TupleValue(schema, (i,)).attr(f"a{i}") == i
-            assert len(algebra._ATTR_INDEX) <= 4
-        assert TupleValue(schemas[0], (7,)).attr("a0") == 7  # evicted, rebuilt
+            tv = view(schema, (i,))
+            assert tv.attr(f"a{i}") == i
+            assert tv.with_attr(f"a{i}", i + 1).attr(f"a{i}") == i + 1
+        after = {name: len(value) for name, value in module_state().items()}
+        assert after == before
 
     def test_equality_and_hash(self):
         a = make_tuple(PERSON, name="ann", age=25)
@@ -123,11 +134,12 @@ class TestCarriers:
         assert algebra.check_value(True, TypeApp("bool"))
 
     def test_tuple_carrier(self, model):
+        """A tuple type's carrier is a plain tuple; its view is not."""
         _, algebra = model
         good = make_tuple(PERSON, name="ann", age=25)
-        assert algebra.check_value(good, PERSON)
-        bad = TupleValue(PERSON, ("ann", "not-an-int"))
-        assert not algebra.check_value(bad, PERSON)
+        assert algebra.check_value(carrier(good), PERSON)
+        assert not algebra.check_value(good, PERSON)
+        assert not algebra.check_value(("ann", "not-an-int"), PERSON)
 
     def test_rel_carrier(self, model):
         _, algebra = model

@@ -26,7 +26,7 @@ from repro.core.algebra import (
     Evaluator,
     ResourceLimits,
     SecondOrderAlgebra,
-    TupleValue,
+    carrier,
 )
 from repro.core.operators import AttributeFamily, ResolvedOp
 from repro.core.terms import Apply, Fun, ListTerm, Literal, Var
@@ -567,7 +567,7 @@ class TestFusedAgainstPerNode:
         fused, per_node = _both_paths(_build(shape))
         assert fused._fused is not None  # every generated body is closed
         for values in rows:
-            row = TupleValue(_row_type(), values)
+            row = values  # a row's carrier
             expected = _outcome(per_node, row)
             assert _outcome(fused, row) == expected
             raw = _outcome(fused._fused, row)
@@ -579,7 +579,7 @@ class TestFusedAgainstPerNode:
         # operands, so the comparison's error is the statement's error
         shape = ("op", "and", ("lit", False), ("op", "<", ("lit", BOTTOM_KEY), ("lit", 1)))
         fused, per_node = _both_paths(_build(shape))
-        row = TupleValue(_row_type(), (1, 2, 0.5, "a", True))
+        row = (1, 2, 0.5, "a", True)
         with pytest.raises(TypeError):
             fused._fused(row)
         with pytest.raises(ExecutionError, match="not comparable with <"):
@@ -588,7 +588,7 @@ class TestFusedAgainstPerNode:
 
     def test_division_by_zero_raises_the_impl_error(self):
         fused, per_node = _both_paths(_build(("op", "div", ("attr", "a"), ("lit", 0))))
-        row = TupleValue(_row_type(), (1, 2, 0.5, "a", True))
+        row = (1, 2, 0.5, "a", True)
         assert _outcome(fused, row)[:2] == ("raise", ZeroDivisionError)
         assert _outcome(fused, row) == _outcome(per_node, row)
 
@@ -627,7 +627,7 @@ class TestFusedAgainstPerNode:
 
         three, four = evaluator.fuse(predicate(3)), evaluator.fuse(predicate(4))
         assert three.__code__ is four.__code__
-        row = next(iter(db.query("items_rep feed filter[grp = 3]").value))
+        row = carrier(next(iter(db.query("items_rep feed filter[grp = 3]").value)))
         assert (three(row), four(row)) == (True, False)
 
 
@@ -677,7 +677,7 @@ class TestFastPathAndGuards:
         assert plan.hits == 3 + 2 * N_ITEMS
 
     def test_arming_mid_statement_falls_back_on_the_next_call(self, db, per_node_calls):
-        rows = list(db.query("items_rep feed").value)[:4]
+        rows = [carrier(row) for row in db.query("items_rep feed").value][:4]
         item = db.database.aliases["item"]
         fun = db.database.typechecker.check(
             Fun((("t", item),), Apply("=", (Apply("grp", (Var("t"),)), Literal(3))))
@@ -809,7 +809,7 @@ class TestNamesAndNestedFunctions:
             predicates.append(predicate)
             return filter_impl(predicate, stream)
 
-        city = next(iter(named.query("cities_rep feed").value))
+        city = carrier(next(iter(named.query("cities_rep feed").value)))
         namespace = fused._fused.__globals__
         namespace["filter"] = recording_filter
         try:

@@ -99,7 +99,7 @@ class TestAttrs:
     def test_lookup_by_name_builds_the_table_and_listing_does_not(self):
         t = tuple_type([("name", STRING), ("age", INT)])
         assert attrs_of(t) == (("name", STRING), ("age", INT))
-        assert t._attrs is None  # a row's schema stays bare when listed
+        assert t._attrs is None  # a type that is only listed stays bare
         assert attr_index(t, "age") == (1, INT)
         table = t._attrs
         assert attr_index(t, "name") == (0, STRING) and t._attrs is table

@@ -246,6 +246,52 @@ class TestENG006:
         assert report.diagnostics[0].subject == "btree.vanish"
 
 
+class TestENG007:
+    def test_tuple_value_built_below_the_api_flagged(self):
+        report = run(
+            """\
+            from repro.core.algebra import TupleValue
+
+            def project(schema, row):
+                return TupleValue(schema, (row[0],))
+
+            def fast(schema, row):
+                tv = object.__new__(TupleValue)
+                tv.schema, tv.values = schema, row
+                return tv
+            """
+        )
+        assert codes(report) == ["ENG007", "ENG007"]
+        assert report.diagnostics[0].subject == "TupleValue"
+
+    def test_boundary_functions_may_build_views(self):
+        source = """\
+            def view(t, value):
+                def row(values):
+                    return TupleValue(t, values)
+                return row(value)
+
+            def concat(t, a, b):
+                return TupleValue(t, a.values + b.values)
+            """
+        inside = lint_engine_source(textwrap.dedent(source), "repro/core/algebra.py")
+        assert codes(inside) == ["ENG007"]  # concat is not a boundary function
+        assert inside.diagnostics[0].line == 7
+        elsewhere = run(source)  # the same names in another module
+        assert codes(elsewhere) == ["ENG007", "ENG007"]
+
+    def test_type_tests_are_not_builds(self):
+        report = run(
+            """\
+            def carrier(value):
+                if isinstance(value, TupleValue) or value.__class__ is TupleValue:
+                    return value.values
+                return value
+            """
+        )
+        assert codes(report) == []
+
+
 class TestSuppressions:
     def test_trailing_comment_suppresses_own_line(self):
         report = run(

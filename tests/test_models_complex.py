@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.algebra import Evaluator, TupleValue
+from repro.core.algebra import Evaluator, TupleValue, carrier
 from repro.core.typecheck import TypeChecker
 from repro.core.terms import Apply, Fun, ListTerm, Literal, Var
 from repro.core.types import TypeApp, tuple_type
@@ -34,7 +34,8 @@ def env():
     children = ObjectSet(TypeApp("set", (STRING,)), ["kim", "lee"])
     person = TupleValue(PERSON, ("ann", children, TupleValue(ADDRESS, ("Hagen", "Main"))))
     tc = TypeChecker(sos, object_types={"p": PERSON}.get)
-    ev = Evaluator(algebra, resolver={"p": person}.get)
+    # objects handed to an evaluator are carriers
+    ev = Evaluator(algebra, resolver={"p": carrier(person)}.get)
     return sos, algebra, tc, ev, person
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.algebra import Evaluator, Relation, TupleValue
+from repro.core.algebra import Evaluator, Relation, TupleValue, carrier
 from repro.core.typecheck import TypeChecker
 from repro.core.terms import Apply, ListTerm, Literal, Var
 from repro.core.types import (
@@ -108,7 +108,8 @@ def env():
         ],
     )
     tc = TypeChecker(sos, object_types={"books": BOOKS_REL}.get)
-    ev = Evaluator(algebra, resolver={"books": books}.get)
+    # objects handed to an evaluator are carriers
+    ev = Evaluator(algebra, resolver={"books": carrier(books)}.get)
     return sos, tc, ev
 
 

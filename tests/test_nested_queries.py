@@ -8,12 +8,14 @@ lookup, silently dropping the subterm from the plan.
 
 import pytest
 
+from repro.core.algebra import view
 from repro.errors import OptimizationError
 
 
 def expected_pairs(loaded_system, threshold):
-    bt = loaded_system.database.objects["cities_rep"].value
-    return sum(1 for t in bt.scan() if t.attr("pop") >= threshold)
+    obj = loaded_system.database.objects["cities_rep"]
+    city = obj.type.args[0]
+    return sum(1 for t in obj.value.scan() if view(city, t).attr("pop") >= threshold)
 
 
 class TestSelectUnderJoin:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.algebra import Evaluator, Stream
+from repro.core.algebra import Evaluator, Stream, view
 from repro.core.terms import Apply, Fun, ListTerm, Literal, TupleTerm, Var
 from repro.core.typecheck import TypeChecker
 from repro.core.types import Sym, TermArg, TypeApp, format_type, tuple_type
@@ -354,7 +354,7 @@ class TestStructureUpdates:
             )
         )
         ev.eval(term, allow_update=True)
-        pops = [t.attr("pop") for t in bt.scan()]
+        pops = [view(CITY, t).attr("pop") for t in bt.scan()]
         assert 100 not in pops
         assert pops == sorted(pops)
         assert 2000 in pops

@@ -1,18 +1,21 @@
-"""Stream combinators and pipelining semantics."""
+"""Stream combinators and pipelining semantics.
+
+The combinators work below the API, on tuple carriers: a row of ``ROW`` is
+the plain tuple ``(k, v)``."""
 
 import pytest
 
-from repro.core.algebra import Stream, TupleValue
 from repro.core.types import TypeApp, tuple_type
 from repro.errors import ExecutionError
 from repro.rep import streams as st
 
 INT = TypeApp("int")
 ROW = tuple_type([("k", INT), ("v", INT)])
+K, V = 0, 1  # attribute positions in ROW
 
 
 def rows(n):
-    return [TupleValue(ROW, (i, i * 10)) for i in range(n)]
+    return [(i, i * 10) for i in range(n)]
 
 
 def stream_of(n):
@@ -21,20 +24,19 @@ def stream_of(n):
 
 class TestCombinators:
     def test_filter(self):
-        out = st.filter_stream(stream_of(10), lambda t: t.attr("k") >= 7)
-        assert [t.attr("k") for t in out] == [7, 8, 9]
+        out = st.filter_stream(stream_of(10), lambda t: t[K] >= 7)
+        assert [t[K] for t in out] == [7, 8, 9]
 
     def test_project(self):
         out_t = tuple_type([("twice", INT)])
         out = st.project_stream(
-            out_t, stream_of(3), [("twice", lambda t: t.attr("v") * 2)]
+            out_t, stream_of(3), [("twice", lambda t: t[V] * 2)]
         )
-        assert [t.attr("twice") for t in out] == [0, 20, 40]
+        assert list(out) == [(0,), (20,), (40,)]
 
     def test_replace(self):
-        out = st.replace_stream(stream_of(3), "v", lambda t: -t.attr("k"))
-        values = [(t.attr("k"), t.attr("v")) for t in out]
-        assert values == [(0, 0), (1, -1), (2, -2)]
+        out = st.replace_stream(stream_of(3), "v", lambda t: -t[K])
+        assert list(out) == [(0, 0), (1, -1), (2, -2)]
 
     def test_head(self):
         assert len(list(st.head_stream(stream_of(100), 5))) == 5
@@ -48,11 +50,10 @@ class TestCombinators:
         inner_t = tuple_type([("k2", INT), ("v2", INT)])
 
         def inner(t):
-            k = t.attr("k")
-            return st.feed(inner_t, iter([TupleValue(inner_t, (k, k))]))
+            return st.feed(inner_t, iter([(t[K], t[K])]))
 
         out = st.search_join_stream(out_t, stream_of(3), inner)
-        assert [(t.attr("k"), t.attr("k2")) for t in out] == [(0, 0), (1, 1), (2, 2)]
+        assert list(out) == [(0, 0, 0, 0), (1, 10, 1, 1), (2, 20, 2, 2)]
 
 
 class TestPipelining:
@@ -63,13 +64,13 @@ class TestPipelining:
         def source():
             for i in range(1000):
                 consumed.append(i)
-                yield TupleValue(ROW, (i, i))
+                yield (i, i)
 
         pipeline = st.head_stream(
-            st.filter_stream(st.feed(ROW, source()), lambda t: t.attr("k") % 2 == 0),
+            st.filter_stream(st.feed(ROW, source()), lambda t: t[K] % 2 == 0),
             3,
         )
-        assert [t.attr("k") for t in pipeline] == [0, 2, 4]
+        assert [t[K] for t in pipeline] == [0, 2, 4]
         # Only a prefix of the source was pulled.
         assert len(consumed) <= 6
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.algebra import view
 from repro.errors import OptimizationError
 from repro.system import build_relational_system
 
@@ -68,7 +69,8 @@ class TestSection6Session:
             concrete=False
         )
         bt = session.database.objects["cities_rep"].value
-        assert [t.attr("pop") for t in bt.scan()] == [20000]
+        city = session.database.aliases["city"]
+        assert [view(city, t).attr("pop") for t in bt.scan()] == [20000]
 
     def test_key_update_translates_to_re_insert(self, session):
         # The paper's final example: pop := pop * 1.1 — here * 2 to stay int.
@@ -82,7 +84,8 @@ class TestSection6Session:
         assert "replace[pop" in r.generated_statement()
         assert "replace(s, pop" in r.generated_statement(concrete=False)
         bt = session.database.objects["cities_rep"].value
-        assert sorted(t.attr("pop") for t in bt.scan()) == [200, 5000, 20000]
+        city = session.database.aliases["city"]
+        assert sorted(view(city, t).attr("pop") for t in bt.scan()) == [200, 5000, 20000]
         bt.check_invariants()
 
     def test_non_key_update_modifies_in_situ(self, session):
@@ -94,7 +97,8 @@ class TestSection6Session:
         )
         assert r.fired == ["modify_in_situ"]
         bt = session.database.objects["cities_rep"].value
-        assert [t.attr("cname") for t in bt.scan()] == ["new"]
+        city = session.database.aliases["city"]
+        assert [view(city, t).attr("cname") for t in bt.scan()] == ["new"]
 
     def test_bulk_rel_insert(self, session):
         session.run(
