@@ -111,11 +111,10 @@ _ENGINE_HEAVY = frozenset(
 
 #: Where a ``TupleValue`` may be built: below the API a tuple value is its
 #: carrier, a plain Python tuple, and a view is made only where a value
-#: leaves the system (``view`` and its per-type helper), arrives at a
-#: client (``decode_value``) or is made by hand (``make_tuple``).
+#: leaves the system or arrives at a client (``view`` and its per-type
+#: helper) or is made by hand (``make_tuple``).
 VIEW_BOUNDARY = {
     "repro/core/algebra.py": frozenset({"view", "_viewer"}),
-    "repro/server/wire.py": frozenset({"decode_value"}),
     "repro/models/relational.py": frozenset({"make_tuple"}),
 }
 
@@ -473,7 +472,7 @@ class _FileLint(ast.NodeVisitor):
                 "ENG007",
                 "TupleValue built below the API: a tuple value there is its "
                 "carrier, a plain tuple; views are made only by "
-                "algebra.view, wire.decode_value and relational.make_tuple",
+                "algebra.view and relational.make_tuple",
                 node,
                 subject="TupleValue",
             )

@@ -195,6 +195,10 @@ class SocketClient:
             raise ProtocolError(
                 f"cannot reach repro://{host}:{port}: {exc}"
             ) from exc
+        # A request is one write; with Nagle on, the last segment of a
+        # large one can wait for the server's delayed ACK.  The server's
+        # asyncio transport sets the same option on its end.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.settimeout(timeout)
         self._file = self._sock.makefile("rwb")
         self.address = (host, port)

@@ -15,6 +15,18 @@ plain dict is tagged too (``{"$": "dict", "items": [[k, v], ...]}``), so
 the ``$`` discriminator can never collide with user data.  Types travel
 as concrete syntax and are re-parsed on the client against the standard
 relational signature — the one signature both endpoints share.
+
+Typed rows: a value does not carry its type (Def. 3.4), so tuples travel
+as their carriers under one type per frame.  A relation ships
+``{"$": "rel", "type": <rel type>, "rows": [...]}``, a stream or a list of
+tuples of one schema ``{"$": "stream", "type": <stream type>, "rows":
+[...]}``, a lone tuple ``{"$": "tuple", "schema": <tuple type>, "values":
+row}``.  A row is a bare JSON array: an atom (int, real, string, bool)
+as it is, any other component (a point, a nested tuple or relation, ...)
+tagged.  The server reads which positions are atoms from the type, once
+per frame; the client decodes the tagged components, which are JSON
+objects where an atom never is, and builds the views with
+:func:`repro.core.algebra.view`.
 """
 
 from __future__ import annotations
@@ -22,8 +34,8 @@ from __future__ import annotations
 import threading
 
 from repro import errors as _errors
-from repro.core.algebra import Closure, Relation, Stream, TupleValue
-from repro.core.types import Type, format_type
+from repro.core.algebra import Closure, Relation, Stream, TupleValue, view
+from repro.core.types import Type, TypeApp, attrs_of, format_type
 from repro.errors import ProtocolError, SOSError, wrap_statement_error
 from repro.geometry import Point, Polygon, Rect
 from repro.observe import ExecutionMetrics, FiredRule, Histogram, RuleTrace
@@ -70,40 +82,32 @@ def decode_type(source: str) -> Type:
 
 
 def encode_value(value) -> object:
-    """Encode any library value into JSON-able form (tagged where needed)."""
-    return _encode(value, {})
+    """Encode any library value into JSON-able form (tagged where needed).
 
-
-def _encode(value, schemas: dict[int, str]) -> object:
-    """:func:`encode_value` with ``schemas``, the text of each row schema
-    formatted so far in this call.  The rows of a result share one schema
-    object, so each is formatted once per encoded result; the memo lives
-    only as long as the call, in which its ``id`` keys cannot be reused,
-    and nothing is kept across requests."""
+    A tuple, and a relation, a stream or a list of tuples of one schema,
+    ships its type's text once and each row as a bare JSON array
+    (:func:`_encode_rows`)."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, list) and value and isinstance(value[0], TupleValue):
+        schema = value[0].schema
+        # A materialized stream: a list of tuples of one schema.
+        if all([isinstance(r, TupleValue) and r.schema is schema for r in value]):
+            return _stream(schema, value)
     if isinstance(value, TupleValue):
-        schema = value.schema
-        text = schemas.get(id(schema))
-        if text is None:
-            text = schemas[id(schema)] = format_type(schema)
         return {
             "$": "tuple",
-            "schema": text,
-            "values": [_encode(v, schemas) for v in value.values],
+            "schema": encode_type(value.schema),
+            "values": _encode_rows(value.schema, [value])[0],
         }
     if isinstance(value, Relation):
         return {
             "$": "rel",
             "type": encode_type(value.type),
-            "rows": [_row(row, schemas) for row in value.rows],
+            "rows": _encode_rows(value.type.args[0], value.rows),
         }
     if isinstance(value, Stream):
-        return {
-            "$": "stream",
-            "type": encode_type(value.tuple_type),
-            "rows": [_row(row, schemas) for row in value.materialize()],
-        }
+        return _stream(value.tuple_type, value.materialize())
     if isinstance(value, Point):
         return {"$": "point", "x": value.x, "y": value.y}
     if isinstance(value, Rect):
@@ -120,26 +124,17 @@ def _encode(value, schemas: dict[int, str]) -> object:
     if isinstance(value, Type):
         return {"$": "type", "source": encode_type(value)}
     if isinstance(value, (list, tuple)):
-        return {"$": "list", "items": [_encode(v, schemas) for v in value]}
+        return {"$": "list", "items": [encode_value(v) for v in value]}
     if isinstance(value, dict):
         return {
             "$": "dict",
-            "items": [
-                [_encode(k, schemas), _encode(v, schemas)] for k, v in value.items()
-            ],
+            "items": [[encode_value(k), encode_value(v)] for k, v in value.items()],
         }
     if isinstance(value, Closure):
         return {"$": "opaque", "text": "<function value>"}
     # Storage structures (B-trees, catalogs, ...) and anything else the
     # client cannot usefully reconstruct travel as their repr.
     return {"$": "opaque", "text": repr(value)}
-
-
-def _row(row, schemas: dict[int, str]) -> list:
-    """The encoded components of a relation or stream row: a view, or a
-    carrier where no view was built."""
-    values = row.values if row.__class__ is TupleValue else row
-    return [_encode(v, schemas) for v in values]
 
 
 def decode_value(value) -> object:
@@ -150,17 +145,14 @@ def decode_value(value) -> object:
     tag = value.get("$")
     if tag == "tuple":
         schema = decode_type(value["schema"])
-        return TupleValue(schema, tuple(decode_value(v) for v in value["values"]))
-    if tag in ("rel", "stream"):
-        rel_type = decode_type(value["type"])
-        tuple_type = rel_type.args[0] if tag == "rel" else rel_type
-        rows = [
-            TupleValue(tuple_type, tuple(decode_value(v) for v in row))
-            for row in value["rows"]
-        ]
+        return view(schema, _carriers([value["values"]])[0])
+    if tag == "rel":
+        rel = decode_type(value["type"])
+        return view(rel, Relation(rel, _carriers(value["rows"])))
+    if tag == "stream":
         # A stream is one-shot and already materialized server-side; the
         # client gets the list of tuples (iterates the same way).
-        return Relation(rel_type, rows) if tag == "rel" else rows
+        return view(decode_type(value["type"]), _carriers(value["rows"]))
     if tag == "point":
         return Point(value["x"], value["y"])
     if tag == "rect":
@@ -176,6 +168,59 @@ def decode_value(value) -> object:
     if tag == "opaque":
         return value["text"]
     raise ProtocolError(f"malformed value frame: unknown tag {tag!r}")
+
+
+# Rows: the wire twin of ``algebra._viewer``.  The server walks the
+# shipped tuple type once per collection: a row of atoms (int, real,
+# string, bool) is sent as it is, and only a component of another type
+# travels tagged through ``encode_value``.  The client needs no walk of its
+# own: a tagged component is a JSON object and an atom never is, so it
+# decodes the objects, keeps the rest, and leaves the one walk that makes
+# the views to ``algebra.view``.
+
+#: Constant types whose carriers are their own JSON.
+_FLAT = frozenset({"int", "real", "string", "bool"})
+
+
+def _encode_rows(t, rows) -> list:
+    """Rows (views or carriers) of tuple type ``t``, each as a JSON array.
+    Rows of atoms are returned as they are: ``json`` writes a tuple as an
+    array."""
+    try:
+        flat = all(
+            [
+                a.__class__ is TypeApp and not a.args and a.constructor in _FLAT
+                for _, a in attrs_of(t)
+            ]
+        )
+    except TypeError:  # not tuple-shaped: every component travels tagged
+        flat = False
+    if flat:
+        return [r.values if r.__class__ is TupleValue else r for r in rows]
+    return [
+        [encode_value(v) for v in (r.values if r.__class__ is TupleValue else r)]
+        for r in rows
+    ]
+
+
+def _stream(schema, rows) -> dict:
+    """The frame of a stream of tuples of ``schema``.  Its type is
+    ``stream(schema)``, written out so the client parses it once and views
+    the rows under it without building it anew."""
+    return {
+        "$": "stream",
+        "type": "stream(" + encode_type(schema) + ")",
+        "rows": _encode_rows(schema, rows),
+    }
+
+
+def _carriers(rows: list) -> list:
+    """The carriers of decoded JSON rows: each tagged component decoded, an
+    atom kept as it is."""
+    return [
+        tuple(r) if dict not in map(type, r) else tuple([decode_value(v) for v in r])
+        for r in rows
+    ]
 
 
 # ---------------------------------------------------------------------------

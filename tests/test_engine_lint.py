@@ -280,6 +280,17 @@ class TestENG007:
         elsewhere = run(source)  # the same names in another module
         assert codes(elsewhere) == ["ENG007", "ENG007"]
 
+    def test_the_wire_decoder_is_outside_the_boundary(self):
+        """A client decodes rows to carriers and views them through
+        ``algebra.view``: ``wire.decode_value`` builds no view itself."""
+        source = """\
+            def decode_value(value):
+                return TupleValue(decode_type(value["schema"]), tuple(value["values"]))
+            """
+        report = lint_engine_source(textwrap.dedent(source), "repro/server/wire.py")
+        assert codes(report) == ["ENG007"]
+        assert report.diagnostics[0].line == 2
+
     def test_type_tests_are_not_builds(self):
         report = run(
             """\
